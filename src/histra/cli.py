@@ -147,6 +147,8 @@ def parse_hra_document(text: str, names: Optional[NameTable] = None) -> HraDocum
                 header = (int(toks[1]), int(toks[2]))
             except ValueError:
                 raise ParseError(f"line {ln}: HRA arguments must be integers") from None
+            if min(header) < 0:
+                raise ParseError(f"line {ln}: HRA counts must be non-negative")
             continue
         if header is None:
             raise ParseError(f"line {ln}: HRA header must come first")
@@ -283,7 +285,7 @@ def parse_counters(text: str) -> CounterDocument:
                 raise ParseError(f"line {ln}: duplicate header")
             if len(toks) != 2:
                 raise ParseError(f"line {ln}: expected {kind} <dims>")
-            klass, dims = kind, int(toks[1])
+            klass, (dims,) = kind, _ints(toks[1:2], ln)
             if dims < 1:
                 raise ParseError(f"line {ln}: need at least one dimension")
             continue
@@ -311,7 +313,10 @@ def parse_counters(text: str) -> CounterDocument:
                     raise ParseError(f"line {ln}: TRANSFER not allowed in a {klass} file")
                 if len(toks) != 6:
                     raise ParseError(f"line {ln}: expected TRANSFER <i> <j>")
-                transitions.append((src, Transfer(*_ints(toks[4:6], ln)), dst))
+                i, j = _ints(toks[4:6], ln)
+                if i == j:
+                    raise ParseError(f"line {ln}: TRANSFER needs two different counters")
+                transitions.append((src, Transfer(i, j), dst))
             elif op == "RESET":
                 if klass == "VASS":
                     raise ParseError(f"line {ln}: RESET not allowed in a VASS file")
@@ -440,12 +445,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_empty(args) -> int:
     doc = _load(args.file)
-    res = emptiness(doc.hra, engine=args.engine, race=args.race, bound=args.bound)
+    res = emptiness(doc.hra, engine=args.engine, bound=args.bound)
     if res.is_empty is None:
         print(f"empty: unknown (engine: {res.engine}, bound exhausted)")
         return 2
-    extra = f", {res.details}" if res.details else ""
-    print(f"empty: {'true' if res.is_empty else 'false'} (engine: {res.engine}{extra})")
+    print(f"empty: {'true' if res.is_empty else 'false'} (engine: {res.engine})")
     return 0 if res.is_empty else 1
 
 
@@ -535,6 +539,13 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _bound(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="histra", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -552,13 +563,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("empty", help="decide language emptiness")
     sp.add_argument("file")
-    sp.add_argument(
-        "--engine",
-        choices=["auto", "trvass", "restricted", "vass", "one_rvass", "bounded"],
-        default="auto",
-    )
-    sp.add_argument("--race", action="store_true")
-    sp.add_argument("--bound", type=int, default=8, help="letters for --engine=bounded")
+    sp.add_argument("--engine", choices=["auto", "bounded"], default="auto")
+    sp.add_argument("--bound", type=_bound, default=8, help="letters for --engine=bounded")
     sp.set_defaults(func=_cmd_empty)
 
     sp = sub.add_parser("complement", help="complement a deterministic automaton")

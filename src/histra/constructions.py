@@ -22,7 +22,6 @@ from .core import (
     Reset,
     State,
     Transition,
-    Word,
     reset_summaries,
 )
 from .errors import DuplicateFixName, NotDeterministic, RegistersPresent
@@ -38,11 +37,6 @@ class StateTag:
     def __repr__(self) -> str:
         inner = ",".join(repr(p) for p in self.payload)
         return f"<{self.kind}:{inner}>"
-
-
-def is_hidden_state(q: State) -> bool:
-    """Midpoints of two-step translations are not user-facing."""
-    return isinstance(q, StateTag) and q.kind == "mid"
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional
 
-from .errors import TransfersPresent, WrongDimension
+from .errors import NonUnitEffect, SelfTransfer, TransfersPresent, WrongDimension
 
 State = Hashable
 Vector = tuple[int, ...]
@@ -80,12 +80,12 @@ class CounterMachine:
                 if len(eff.vector) != dims:
                     raise WrongDimension(f"{eff!r} has arity {len(eff.vector)}, expected {dims}")
                 if any(x not in (-1, 0, 1) for x in eff.vector):
-                    raise ValueError(f"{eff!r} must have entries in -1,0,1")
+                    raise NonUnitEffect(f"{eff!r} must have entries in -1,0,1")
             elif isinstance(eff, Transfer):
                 if not (1 <= eff.src <= dims and 1 <= eff.dst <= dims):
                     raise WrongDimension(f"{eff!r} out of range for {dims} dims")
                 if eff.src == eff.dst:
-                    raise ValueError("transfer source and destination must differ")
+                    raise SelfTransfer(f"{eff!r}: source and destination must differ")
             elif isinstance(eff, ResetDim):
                 if not 1 <= eff.dim <= dims:
                     raise WrongDimension(f"{eff!r} out of range for {dims} dims")

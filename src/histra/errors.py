@@ -56,7 +56,7 @@ class NonUnitEffect(HistraError):
     pass
 
 
-class RestrictionViolated(HistraError):
+class SelfTransfer(HistraError):
     pass
 
 

@@ -10,11 +10,11 @@ engines (emptiness, bisimulation) only use the one-step semantics from
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     Accept,
@@ -23,7 +23,6 @@ from .core import (
     Hra,
     Name,
     Reset,
-    Transition,
     Word,
     eps_closure,
     initial_config,
@@ -48,9 +47,6 @@ class Lang(Enum):
     ALL_EXACTLY_TWICE = "all_exactly_twice"
     NO_IMMEDIATE_REPEAT = "no_immediate_repeat"
     ANCHORED_DISTINCT = "anchored_distinct"
-
-
-LangId = Lang
 
 
 def _all_distinct(w: Sequence[Name]) -> bool:

@@ -1,16 +1,23 @@
 """Translations between automata and counter machines, and the emptiness
-orchestrator that picks a decision engine per input.
+pipeline built on one of them.
 
 The common shape: a place-set X ⊆ histories corresponds to a counter whose
 value tracks how many names sit at exactly X; register structure, being
 finite, is folded into the control state as a skeleton.
+
+`emptiness` decides every automaton the same way: the skeleton reduction
+`restricted_hra_to_rvass`, then backward coverability.  On the paper's
+restricted class the machine has resets only (an R-VASS); a reset that
+wipes some histories but not all becomes transfers, which backward
+coverability decides just as well, since transfers and resets are both
+monotone.  The other translations are kept as library results and
+cross-checks.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, count
 from typing import Iterable, Optional
@@ -24,14 +31,12 @@ from .counters import (
     ResetDim,
     Transfer,
     backward_coverability,
-    one_dim_rvass_reachability,
 )
 from .errors import (
     NonUnitEffect,
     NotUnary,
     RegistersPresent,
     ResetsPresent,
-    RestrictionViolated,
     ScopeViolation,
     TransfersOrResetsPresent,
 )
@@ -248,16 +253,13 @@ def restriction_ok(a: Hra) -> bool:
 
 def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
     """Counters for every nonempty history subset; register structure rides
-    along in the control state as a skeleton."""
-    if not restriction_ok(a):
-        bad = next(
-            t.label
-            for t in a.transitions
-            if isinstance(t.label, Reset)
-            and t.label.targets & frozenset(range(1, a.m + 1))
-            and not frozenset(range(1, a.m + 1)) <= t.label.targets
-        )
-        raise RestrictionViolated(f"reset {bad!r} wipes some histories but not all")
+    along in the control state as a skeleton.
+
+    A reset pours every counter whose place-set X meets the targets Y into
+    the counter for X∖Y (a transfer), or zeroes it when X ⊆ Y.  On the
+    restricted class (`restriction_ok`) only the second case arises, so the
+    machine is an R-VASS; any other reset that the skeleton search reaches
+    makes it a TR-VASS."""
     m, n = a.m, a.n
     hist = frozenset(range(1, m + 1))
     placesets = _sorted_subsets(range(1, m + 1), include_empty=False)
@@ -323,11 +325,12 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
                 phi2 = skel_move(phi, j, x2)
             else:
                 x = t.label.targets
-                steps = []
-                if not x & hist:
-                    steps = evictions(phi, 0, x)
-                else:  # full-history reset
-                    steps = [ResetDim(d) for d in range(1, len(placesets) + 1)]
+                steps = [
+                    ResetDim(dmap.dim_of(ps)) if ps <= x
+                    else Transfer(dmap.dim_of(ps), dmap.dim_of(ps - x))
+                    for ps in placesets if ps & x
+                ]  # ps - x never meets x, so the order does not matter
+                steps += evictions(phi, 0, x)
                 phi2 = skel_reset(phi, x)
             if not steps:
                 steps = [zero]
@@ -569,14 +572,13 @@ def eliminate_registers_colouring(a: Hra) -> Hra:
 
 
 # ---------------------------------------------------------------------------
-# the emptiness orchestrator
+# emptiness
 
 
 @dataclass(frozen=True)
 class EmptinessResult:
     is_empty: Optional[bool]  # None only from the bounded engine
     engine: str
-    details: str = ""
 
 
 def _super_target(red: CounterReduction) -> tuple[CounterMachine, State]:
@@ -588,74 +590,21 @@ def _super_target(red: CounterReduction) -> tuple[CounterMachine, State]:
     return mc, goal
 
 
-def applicable_engines(a: Hra) -> list[str]:
-    flags = classify(a)
-    out = []
-    if flags.unary:
-        out.append("one_rvass")
-    if flags.non_reset and (a.n == 0 or colouring_scope_ok(a)):
-        out.append("vass")
-    if restriction_ok(a):
-        out.append("restricted")
-    out.append("trvass")
-    return out
+def emptiness(a: Hra, engine: str = "auto", bound: int = 8) -> EmptinessResult:
+    """Is the language empty?
 
-
-def _run_engine(a: Hra, engine: str, bound: int) -> Optional[bool]:
-    if engine == "one_rvass":
-        red = unary_to_one_rvass(a)
-        mc, goal = _super_target(red)
-        return not one_dim_rvass_reachability(mc, red.init, goal)
-    if engine == "vass":
-        b = a
-        if b.n > 0:
-            b = eliminate_registers_colouring(b)  # raises ScopeViolation when unfit
-        red = nonreset_to_vass(b)
-        mc, goal = _super_target(red)
-        return not backward_coverability(mc, red.init, goal)
-    if engine == "restricted":
+    engine="auto" (reported as "restricted") is exact on every automaton:
+    `restricted_hra_to_rvass`, whose machine is an R-VASS on the restricted
+    class and turns other resets into transfers, then backward
+    coverability.  engine="bounded" runs `bounded_emptiness` with `bound`
+    letters and answers None when that proves nothing."""
+    if engine == "auto":
         red = restricted_hra_to_rvass(a)
         mc, goal = _super_target(red)
-        return not backward_coverability(mc, red.init, goal)
-    if engine == "trvass":
-        from .constructions import registers_to_histories
-
-        b = registers_to_histories(a) if a.n else a
-        red = hra_to_trvass(b)
-        return not backward_coverability(red.machine, red.init, red.target)
+        return EmptinessResult(not backward_coverability(mc, red.init, goal), "restricted")
     if engine == "bounded":
         from .oracles import bounded_emptiness
 
-        probe = bounded_emptiness(a, bound)
-        if probe.kind == "nonempty":
-            return False
-        if probe.kind == "empty_within_bound":
-            return True
-        return None
+        verdicts = {"nonempty": False, "empty_within_bound": True}
+        return EmptinessResult(verdicts.get(bounded_emptiness(a, bound).kind), engine)
     raise ValueError(f"unknown engine {engine!r}")
-
-
-def emptiness(a: Hra, engine: str = "auto", race: bool = False, bound: int = 8) -> EmptinessResult:
-    """Is the language empty?  engine=auto routes on the syntactic class;
-    any engine can be forced, its preconditions then simply propagate."""
-    if engine == "auto" and race:
-        engines = applicable_engines(a)
-        with ThreadPoolExecutor(max_workers=len(engines)) as pool:
-            results = list(pool.map(lambda e: (_run_engine(a, e, bound), e), engines))
-        verdicts = {v for v, _ in results}
-        if len(verdicts) != 1:
-            raise RuntimeError(f"engines disagree: {results}")
-        v, _ = results[0]
-        return EmptinessResult(v, "race", details=",".join(e for _, e in results))
-    if engine == "auto":
-        flags = classify(a)
-        if flags.unary:
-            engine = "one_rvass"
-        elif flags.non_reset and (a.n == 0 or colouring_scope_ok(a)):
-            engine = "vass"
-        elif restriction_ok(a):
-            engine = "restricted"
-        else:
-            engine = "trvass"
-        return EmptinessResult(_run_engine(a, engine, bound), engine)
-    return EmptinessResult(_run_engine(a, engine, bound), engine)

@@ -14,7 +14,6 @@ from histra import (
     Add,
     ResetDim,
     Transfer,
-    applicable_engines,
     backward_coverability,
     bounded_bisimulation,
     check_strong_determinism,
@@ -217,21 +216,24 @@ def test_fixing_names_preserves_membership_and_pins_the_new_registers():
 # ---------------------------------------------------------------------------
 
 
-def test_every_applicable_engine_decides_emptiness_consistently():
+def test_every_applicable_engine_decides_emptiness_consistently(translation_verdicts):
     live = generate_then_consume_hra()
     dead = dataclasses.replace(live, finals=frozenset())
-    for engine in applicable_engines(live):
-        assert emptiness(live, engine=engine).is_empty is False, engine
-        assert emptiness(dead, engine=engine).is_empty is True, engine
+    for a, empty in ((live, False), (dead, True)):
+        assert emptiness(a).is_empty is empty
+        verdicts = translation_verdicts(a)
+        assert set(verdicts) == {"trvass", "vass", "one_rvass"}
+        assert set(verdicts.values()) == {empty}, verdicts
     for seed in range(50):
         a = random_hra(seed, max_m=2, max_n=1, max_states=4)
-        verdicts = {e: emptiness(a, engine=e).is_empty for e in applicable_engines(a)}
-        assert len(set(verdicts.values())) == 1, (seed, verdicts)
+        verdict = emptiness(a).is_empty
+        verdicts = translation_verdicts(a)
+        assert set(verdicts.values()) == {verdict}, (seed, verdict, verdicts)
         probe = bounded_emptiness(a, 8)
         if probe.kind == "nonempty":
-            assert set(verdicts.values()) == {False}, seed
+            assert verdict is False, seed
         elif probe.kind == "empty_within_bound":
-            assert set(verdicts.values()) == {True}, seed
+            assert verdict is True, seed
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,17 @@
 
 import pytest
 
-from histra import Accept, Add, BadPlaceIndex, Transfer, classify, membership
+from histra import (
+    Add,
+    BadPlaceIndex,
+    CounterMachine,
+    HistraError,
+    NonUnitEffect,
+    SelfTransfer,
+    Transfer,
+    classify,
+    membership,
+)
 from histra.cli import (
     NameTable,
     ParseError,
@@ -250,15 +260,19 @@ def test_empty_exit_codes(tmp_path, capsys):
     assert "empty: false" in capsys.readouterr().out
     assert main(["empty", dead]) == 0
     out = capsys.readouterr().out
-    assert "empty: true" in out and "engine: one_rvass" in out
+    assert "empty: true" in out and "engine: restricted" in out
 
 
 def test_empty_forced_engine_and_race(tmp_path, capsys):
     f = _file(tmp_path, "consume.hra", CONSUME)
-    assert main(["empty", f, "--engine", "trvass"]) == 1
-    assert "engine: trvass" in capsys.readouterr().out
-    assert main(["empty", f, "--race"]) == 1
-    assert "engine: race" in capsys.readouterr().out
+    assert main(["empty", f, "--engine", "bounded"]) == 1
+    assert "engine: bounded" in capsys.readouterr().out
+    # one pipeline decides everything: there is no engine to pick or race
+    for extra in (["--engine", "trvass"], ["--engine", "one_rvass"], ["--race"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["empty", f, *extra])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip()
 
 
 def test_empty_bounded_can_be_indeterminate(tmp_path, capsys):
@@ -267,10 +281,12 @@ def test_empty_bounded_can_be_indeterminate(tmp_path, capsys):
     assert "empty: unknown" in capsys.readouterr().out
 
 
-def test_empty_engine_precondition_failure_is_exit_2(tmp_path, capsys):
-    f = _file(tmp_path, "two.hra", print_hra(two_tracks_hra()))
-    assert main(["empty", f, "--engine", "one_rvass"]) == 2
-    assert capsys.readouterr().err.strip()
+def test_empty_bound_must_be_non_negative(tmp_path, capsys):
+    f = _file(tmp_path, "dead.hra", NEVER_ACCEPTS)
+    with pytest.raises(SystemExit) as exc:
+        main(["empty", f, "--engine", "bounded", "--bound", "-3"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 def test_complement_flips_membership(tmp_path, capsys):
@@ -373,3 +389,34 @@ def test_errors_exit_with_2(tmp_path, capsys):
     f = _file(tmp_path, "bad.hra", "HRA 1 0\nSTATE q\n")
     assert main(["member", f, "a"]) == 2
     assert "INITIAL" in capsys.readouterr().err
+
+
+def test_negative_hra_counts_are_a_parse_error(tmp_path, capsys):
+    text = "HRA -1 0\nSTATE q INITIAL\n"
+    with pytest.raises(ParseError, match="line 1: .*non-negative"):
+        parse_hra(text)
+    assert main(["empty", _file(tmp_path, "neg.hra", text)]) == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_counter_header_dimension_must_be_an_integer(tmp_path, capsys):
+    with pytest.raises(ParseError, match="line 1"):
+        parse_counters("VASS x\n")
+    assert main(["cover", _file(tmp_path, "m.cm", "VASS x\nQUERY a 0 b\n")]) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_self_transfer_is_a_parse_error(tmp_path, capsys):
+    text = "TRVASS 2\nTRANS a b TRANSFER 1 1\nQUERY a 0 0 b\n"
+    with pytest.raises(ParseError, match="line 2"):
+        parse_counters(text)
+    assert main(["cover", _file(tmp_path, "m.cm", text)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_counter_machine_effect_errors_are_histra_errors():
+    with pytest.raises(NonUnitEffect) as wide:
+        CounterMachine.make(1, ["q"], [("q", Add((2,)), "q")])
+    with pytest.raises(SelfTransfer) as loop:
+        CounterMachine.make(2, ["q"], [("q", Transfer(1, 1), "q")])
+    assert isinstance(wide.value, HistraError) and isinstance(loop.value, HistraError)

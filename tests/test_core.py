@@ -1,5 +1,7 @@
 """One-step semantics, membership, classification, determinism."""
 
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,3 +236,11 @@ def test_membership_invariant_under_initial_fixing_permutations(seed, word, swap
     perm = {x: y, y: x}
     w = tuple(word)
     assert membership(a, w) == membership(a, permute_word(w, perm))
+
+
+def test_package_exports_no_modules():
+    import histra
+
+    assert histra.__all__
+    for name in histra.__all__:
+        assert not isinstance(getattr(histra, name), types.ModuleType), name

@@ -9,7 +9,9 @@ import pytest
 from histra import (
     Add,
     CounterMachine,
+    NonUnitEffect,
     ResetDim,
+    SelfTransfer,
     Transfer,
     UpSet,
     WrongDimension,
@@ -47,9 +49,9 @@ def test_make_validates_arity_and_ranges():
         CounterMachine.make(2, ["q"], [("q", Add((1,)), "q")])
     with pytest.raises(WrongDimension):
         CounterMachine.make(2, ["q"], [("q", ResetDim(3), "q")])
-    with pytest.raises(ValueError):
+    with pytest.raises(SelfTransfer):
         CounterMachine.make(2, ["q"], [("q", Transfer(1, 1), "q")])
-    with pytest.raises(ValueError):
+    with pytest.raises(NonUnitEffect):
         CounterMachine.make(1, ["q"], [("q", Add((2,)), "q")])
 
 

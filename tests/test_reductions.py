@@ -1,4 +1,4 @@
-"""Automata-to-counter-machine translations and the emptiness orchestrator."""
+"""Automata-to-counter-machine translations and the emptiness pipeline."""
 
 import dataclasses
 import random
@@ -14,12 +14,10 @@ from histra import (
     Reset,
     ResetDim,
     ResetsPresent,
-    RestrictionViolated,
     ScopeViolation,
     StateTag,
     Transfer,
     TransfersOrResetsPresent,
-    applicable_engines,
     backward_coverability,
     check_strong_determinism,
     colouring_scope_ok,
@@ -190,19 +188,60 @@ def test_trvass_cosimulation_random_walks(seed):
         mcfg = matches[0]
 
 
+def _partial_resets():
+    """Names land on mixes of both histories and the register; resets wipe
+    one history, or one history and the register."""
+    return make_hra(
+        2,
+        1,
+        states=["q"],
+        initial="q",
+        transitions=[
+            ("q", Accept(s(), s(1)), "q"),
+            ("q", Accept(s(), s(1, 2)), "q"),
+            ("q", Accept(s(), s(1, 3)), "q"),
+            ("q", Accept(s(1), s(2, 3)), "q"),
+            ("q", Accept(s(3), s(1, 2, 3)), "q"),
+            ("q", Accept(s(1, 2), s(2)), "q"),
+            ("q", Reset(s(1)), "q"),
+            ("q", Reset(s(2)), "q"),
+            ("q", Reset(s(1, 3)), "q"),
+        ],
+        finals=["q"],
+    )
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_restricted_cosimulation_tracks_skeleton_and_counts(seed):
-    a = random_hra(seed, max_m=2, max_n=1, max_states=3, subclass="restricted")
-    red = restricted_hra_to_rvass(a)
-    rng = random.Random(seed)
-    mcfg = red.init
-    for _cfg, t, _letter, (q2, h2) in _random_walk(a, rng, 12):
-        want_state = StateTag("st", (q2, skeleton_of(h2, a.m, a.n)))
-        want = _counts(h2, red.dimension_map.placesets)
-        hops = _machine_hops(red.machine, mcfg)
-        matches = [hop for hop in hops if hop == (want_state, want)]
-        assert matches, (seed, t, want_state, want, hops)
-        mcfg = matches[0]
+    # resets that wipe some histories but not all become transfers: the
+    # counts after one must still match a machine hop
+    for a in (
+        random_hra(seed, max_m=2, max_n=1, max_states=3, subclass="restricted"),
+        random_hra(seed, max_m=2, max_n=1, max_states=3),
+        _partial_resets(),
+    ):
+        red = restricted_hra_to_rvass(a)
+        rng = random.Random(seed)
+        mcfg = red.init
+        for _cfg, t, _letter, (q2, h2) in _random_walk(a, rng, 16):
+            want_state = StateTag("st", (q2, skeleton_of(h2, a.m, a.n)))
+            want = _counts(h2, red.dimension_map.placesets)
+            hops = _machine_hops(red.machine, mcfg)
+            matches = [hop for hop in hops if hop == (want_state, want)]
+            assert matches, (seed, t, want_state, want, hops)
+            mcfg = matches[0]
+
+
+def test_skeleton_machine_is_rvass_exactly_on_restricted_automata():
+    for seed in range(300):
+        a = random_hra(seed, max_m=2, max_n=1, max_states=4)
+        red = restricted_hra_to_rvass(a)
+        # resets at states the skeleton search never reaches emit nothing
+        reached = {q.payload[0] for q in red.machine.states if q.kind == "st"}
+        live = dataclasses.replace(
+            a, transitions=frozenset(t for t in a.transitions if t.src in reached)
+        )
+        assert red.machine.is_rvass() == restriction_ok(live), seed
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +331,7 @@ def test_restriction_predicate():
         finals=["q"],
     )
     assert not restriction_ok(bad)
-    with pytest.raises(RestrictionViolated):
-        restricted_hra_to_rvass(bad)
+    assert not restricted_hra_to_rvass(bad).machine.is_rvass()  # the reset became transfers
 
 
 def test_restricted_on_l3_matches_trvass():
@@ -474,9 +512,9 @@ def test_colouring_random_in_scope_agreement(seed):
 
 
 def test_auto_routing_by_class():
-    assert emptiness(generate_then_consume_hra()).engine == "one_rvass"
-    assert emptiness(two_tracks_hra()).engine == "vass"
-    assert emptiness(no_immediate_repeat_register_hra()).engine == "vass"
+    # every class takes the one pipeline
+    for a in (generate_then_consume_hra(), two_tracks_hra(), no_immediate_repeat_register_hra()):
+        assert emptiness(a).engine == "restricted"
     mixed = make_hra(
         2,
         0,
@@ -486,6 +524,7 @@ def test_auto_routing_by_class():
         finals=["q"],
     )
     assert emptiness(mixed).engine == "restricted"
+    assert restricted_hra_to_rvass(mixed).machine.is_rvass()
     unrestricted = make_hra(
         2,
         0,
@@ -494,14 +533,12 @@ def test_auto_routing_by_class():
         transitions=[("q", Reset(s(1)), "q")],
         finals=["q"],
     )
-    assert emptiness(unrestricted).engine == "trvass"
-
-
-def test_forced_engine_propagates_preconditions():
-    with pytest.raises(NotUnary):
-        emptiness(two_tracks_hra(), engine="one_rvass")
-    with pytest.raises(ResetsPresent):
-        emptiness(_resetful(), engine="vass")
+    res = emptiness(unrestricted)
+    assert res.engine == "restricted"
+    effects = {type(t.effect) for t in restricted_hra_to_rvass(unrestricted).machine.transitions}
+    assert Transfer in effects
+    assert bounded_emptiness(unrestricted, 8).kind == "nonempty"
+    assert res.is_empty is False
 
 
 def test_bounded_engine_definite_and_indeterminate():
@@ -512,21 +549,19 @@ def test_bounded_engine_definite_and_indeterminate():
     assert res2.is_empty is None
 
 
-def test_race_mode_reports_participants():
-    res = emptiness(generate_then_consume_hra(), race=True)
-    assert res.engine == "race"
-    assert res.is_empty is False
-    assert "one_rvass" in res.details and "trvass" in res.details
+def test_unknown_engine_is_rejected():
+    with pytest.raises(ValueError):
+        emptiness(two_tracks_hra(), engine="trvass")
 
 
 @pytest.mark.parametrize("seed", range(50))
-def test_engines_agree_on_random_automata(seed):
+def test_engines_agree_on_random_automata(seed, translation_verdicts):
     a = random_hra(seed, max_m=2, max_n=1, max_states=4)
-    engines = applicable_engines(a)
-    verdicts = {eng: emptiness(a, engine=eng).is_empty for eng in engines}
-    assert len(set(verdicts.values())) == 1, (seed, verdicts)
+    verdict = emptiness(a).is_empty
+    verdicts = translation_verdicts(a)
+    assert set(verdicts.values()) == {verdict}, (seed, verdict, verdicts)
     probe = bounded_emptiness(a, 8)
     if probe.kind == "nonempty":
-        assert set(verdicts.values()) == {False}, (seed, verdicts)
+        assert verdict is False, (seed, verdicts)
     elif probe.kind == "empty_within_bound":
-        assert set(verdicts.values()) == {True}, (seed, verdicts)
+        assert verdict is True, (seed, verdicts)
