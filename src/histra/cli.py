@@ -52,13 +52,7 @@ from .core import (
 )
 from .counters import Add, CounterMachine, ResetDim, Transfer, backward_coverability
 from .errors import BadPlaceIndex, HistraError
-from .reductions import (
-    CounterReduction,
-    emptiness,
-    hra_to_trvass,
-    nonreset_to_vass,
-    unary_to_one_rvass,
-)
+from .reductions import emptiness, hra_to_trvass, nonreset_to_vass, unary_to_one_rvass
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -295,7 +289,6 @@ def parse_counters(text: str) -> CounterDocument:
             if len(toks) < 4:
                 raise ParseError(f"line {ln}: truncated TRANS line")
             src, dst, op = toks[1], toks[2], toks[3].upper()
-            states.update((src, dst))
             if op == "ADD":
                 if len(toks) != 4 + dims:
                     raise ParseError(f"line {ln}: ADD expects {dims} entries")
@@ -306,7 +299,6 @@ def parse_counters(text: str) -> CounterDocument:
                 prev: object = src
                 for eff, mid_dst in _normalize_add(vec, dst, ln):
                     transitions.append((prev, eff, mid_dst))
-                    states.add(mid_dst)
                     prev = mid_dst
             elif op == "TRANSFER":
                 if klass != "TRVASS":
@@ -398,9 +390,16 @@ def print_counters(doc: CounterDocument) -> str:
 # commands
 
 
-def _load(path: str, names: Optional[NameTable] = None) -> HraDocument:
+def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return parse_hra_document(fh.read(), names)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _load(path: str, names: Optional[NameTable] = None) -> HraDocument:
+    return parse_hra_document(_read(path), names)
 
 
 def _word(doc: HraDocument, tokens: Sequence[str]) -> tuple[int, ...]:
@@ -455,10 +454,7 @@ def _cmd_empty(args) -> int:
 
 def _cmd_complement(args) -> int:
     doc = _load(args.file)
-    a = doc.hra
-    if a.n > 0:
-        a = registers_to_histories(a)
-    comp = unpack(complement_deterministic(to_packed(a)))
+    comp = unpack(complement_deterministic(to_packed(registers_to_histories(doc.hra))))
     _write(args.output, print_hra(comp, doc.names))
     print(f"wrote {args.output}")
     return 0
@@ -491,34 +487,21 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_to_counters(args) -> int:
-    doc = _load(args.file)
-    a = doc.hra
+    a = _load(args.file).hra
     if args.target == "trvass":
-        if a.n > 0:
-            a = registers_to_histories(a)
-        red = hra_to_trvass(a)
+        red = hra_to_trvass(registers_to_histories(a))
     elif args.target == "vass":
         red = nonreset_to_vass(a)
     else:
         red = unary_to_one_rvass(a)
-    mc, goal = _flatten_targets(red)
     q0, v0 = red.init
-    _write(args.output, print_counters(CounterDocument(mc, (q0, v0, goal))))
+    _write(args.output, print_counters(CounterDocument(red.machine, (q0, v0, red.target))))
     print(f"wrote {args.output}")
     return 0
 
 
-def _flatten_targets(red: CounterReduction):
-    if len(red.targets) == 1:
-        return red.machine, red.target
-    from .reductions import _super_target
-
-    return _super_target(red)
-
-
 def _cmd_cover(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        doc = parse_counters(fh.read())
+    doc = parse_counters(_read(args.file))
     if doc.query is None:
         raise ParseError("file has no QUERY line")
     q0, v0, target = doc.query

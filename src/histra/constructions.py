@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -22,7 +21,9 @@ from .core import (
     Reset,
     State,
     Transition,
+    by_src,
     reset_summaries,
+    subsets,
 )
 from .errors import DuplicateFixName, NotDeterministic, RegistersPresent
 
@@ -203,10 +204,7 @@ def fix_names(a: Hra, w: Sequence[Name]) -> Hra:
     tag = lambda q, f: StateTag("fix", (q, f))
     overwritten = lambda post: frozenset(i for i in post if i > m)
 
-    by_src: dict[State, list[Transition]] = {q: [] for q in a.states}
-    for t in a.transitions:
-        by_src[t.src].append(t)
-
+    adj = by_src(a.transitions)
     start = tag(a.initial, f0)
     states = {start}
     transitions: list[Transition] = []
@@ -214,7 +212,7 @@ def fix_names(a: Hra, w: Sequence[Name]) -> Hra:
     seen = {(a.initial, f0)}
     while work:
         q, f = work.popleft()
-        for t in by_src[q]:
+        for t in adj.get(q, ()):
             targets: list[tuple[tuple, Label]] = []
             if isinstance(t.label, Reset):
                 f2 = tuple(fj - t.label.targets for fj in f)
@@ -348,9 +346,7 @@ def registers_to_histories(a: Hra) -> Hra:
 
     f0 = tuple(m + j for j in range(1, n + 1))
     tag = lambda q, f: StateTag("copies", (q, f))
-    by_src: dict[State, list[Transition]] = {q: [] for q in a.states}
-    for t in a.transitions:
-        by_src[t.src].append(t)
+    adj = by_src(a.transitions)
 
     states = {tag(a.initial, f0)}
     transitions: list[Transition] = []
@@ -359,7 +355,7 @@ def registers_to_histories(a: Hra) -> Hra:
     while work:
         q, f = work.popleft()
         src = tag(q, f)
-        for t in by_src[q]:
+        for t in adj.get(q, ()):
             if isinstance(t.label, Reset):
                 nxt = (t.dst, f)
                 transitions.append(Transition(src, Reset(fd(t.label.targets, f)), tag(*nxt)))
@@ -428,15 +424,15 @@ def to_packed(a: Hra) -> PackedHra:
     if a.n > 0:
         raise RegistersPresent("packing needs a history-only automaton")
     summaries = reset_summaries(a)
+    accepts = by_src(t for t in a.transitions if isinstance(t.label, Accept))
     packed = set()
     finals = set()
     for q in a.states:
         for y, p in summaries[q]:
             if p in a.finals:
                 finals.add(q)
-            for t in a.transitions:
-                if t.src == p and isinstance(t.label, Accept):
-                    packed.add(PackedTransition(q, y, t.label.pre, t.label.post, t.dst))
+            for t in accepts.get(p, ()):
+                packed.add(PackedTransition(q, y, t.label.pre, t.label.post, t.dst))
     return PackedHra(
         m=a.m,
         states=a.states,
@@ -464,20 +460,12 @@ def packed_membership(p: PackedHra, word: Sequence[Name]) -> bool:
     return any(q in p.finals for q, _ in frontier)
 
 
-def _powerset(items: Iterable[int]):
-    pool = sorted(items)
-    for r in range(len(pool) + 1):
-        yield from (frozenset(c) for c in combinations(pool, r))
-
-
 def packed_determinism_witness(p: PackedHra) -> Optional[tuple[State, frozenset[int]]]:
     """A (state, place-set) with two matching transitions, or None."""
-    by_src: dict[State, list[PackedTransition]] = {}
-    for t in p.transitions:
-        by_src.setdefault(t.src, []).append(t)
+    adj = by_src(p.transitions)
     for q in sorted(p.states, key=repr):
-        for x in _powerset(range(1, p.m + 1)):
-            hits = [t for t in by_src.get(q, ()) if x - t.reset_first == t.pre]
+        for x in subsets(range(1, p.m + 1)):
+            hits = [t for t in adj.get(q, ()) if x - t.reset_first == t.pre]
             if len(hits) > 1:
                 return (q, x)
     return None
@@ -492,13 +480,11 @@ def complement_deterministic(p: PackedHra) -> PackedHra:
         raise NotDeterministic(f"two transitions match state {q!r} on place-set {sorted(x)}")
     sink = StateTag("sink", ())
     full = frozenset(range(1, p.m + 1))
-    by_src: dict[State, list[PackedTransition]] = {}
-    for t in p.transitions:
-        by_src.setdefault(t.src, []).append(t)
+    adj = by_src(p.transitions)
     extra = []
     for q in p.states:
-        for x in _powerset(range(1, p.m + 1)):
-            if not any(x - t.reset_first == t.pre for t in by_src.get(q, ())):
+        for x in subsets(range(1, p.m + 1)):
+            if not any(x - t.reset_first == t.pre for t in adj.get(q, ())):
                 extra.append(PackedTransition(q, frozenset(), x, frozenset(), sink))
     extra.append(PackedTransition(sink, full, frozenset(), frozenset(), sink))
     return PackedHra(
@@ -538,7 +524,6 @@ def containment_deterministic(a1: Hra, a2: Hra) -> bool:
     """Decide L(a1) ⊆ L(a2) for a2 with a deterministic packed form."""
     from .reductions import emptiness  # local import: reductions builds on this module
 
-    b2 = registers_to_histories(a2) if a2.n else a2
-    comp = complement_deterministic(to_packed(b2))
+    comp = complement_deterministic(to_packed(registers_to_histories(a2)))
     gap = intersection(a1, unpack(comp))
     return bool(emptiness(gap).is_empty)

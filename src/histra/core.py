@@ -171,17 +171,6 @@ class Hra:
     def places(self) -> range:
         return range(1, self.m + self.n + 1)
 
-    def is_register(self, i: int) -> bool:
-        return i > self.m
-
-    @property
-    def history_places(self) -> frozenset[int]:
-        return frozenset(range(1, self.m + 1))
-
-    @property
-    def register_places(self) -> frozenset[int]:
-        return frozenset(range(self.m + 1, self.m + self.n + 1))
-
 
 def make_hra(
     m: int,
@@ -244,11 +233,21 @@ def validate(a: Hra) -> None:
 # operational semantics
 
 
-def _by_src(a: Hra) -> dict[State, list[Transition]]:
-    adj: dict[State, list[Transition]] = {q: [] for q in a.states}
-    for t in a.transitions:
-        adj[t.src].append(t)
+def by_src(transitions: Iterable) -> dict[State, list]:
+    """Group transitions of any kind (anything with a `src`) by source state,
+    keeping their iteration order.  A state with no outgoing transition has
+    no key, so look states up with `.get(q, ())`."""
+    adj: dict[State, list] = {}
+    for t in transitions:
+        adj.setdefault(t.src, []).append(t)
     return adj
+
+
+def subsets(items: Iterable[int]) -> list[frozenset[int]]:
+    """Every subset of `items`, ordered by size and then in `combinations`
+    order over the sorted items; the empty set comes first."""
+    pool = sorted(items)
+    return [frozenset(c) for r in range(len(pool) + 1) for c in combinations(pool, r)]
 
 
 def step(a: Hra, config: Configuration, letter: Name) -> frozenset[Configuration]:
@@ -265,10 +264,10 @@ def eps_closure(a: Hra, configs: Iterable[Configuration]) -> frozenset[Configura
     """Close a configuration set under reset (silent) transitions."""
     seen = set(configs)
     work = deque(seen)
-    adj = _by_src(a)
+    adj = by_src(a.transitions)
     while work:
         q, h = work.popleft()
-        for t in adj[q]:
+        for t in adj.get(q, ()):
             if isinstance(t.label, Reset):
                 nxt = (t.dst, h.reset_places(t.label.targets))
                 if nxt not in seen:
@@ -304,7 +303,7 @@ def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
     membership(a, w) is true exactly when this returns a run.
     """
     word = tuple(word)
-    adj = _by_src(a)
+    adj = by_src(a.transitions)
     start = (initial_config(a), 0)
     parents: dict = {start: None}
     work = deque([start])
@@ -315,7 +314,7 @@ def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
         if k == len(word) and q in a.finals:
             goal = node
             break
-        for t in adj[q]:
+        for t in adj.get(q, ()):
             if isinstance(t.label, Reset):
                 nxt = ((t.dst, h.reset_places(t.label.targets)), k)
                 if nxt not in parents:
@@ -386,17 +385,14 @@ def _fra_shape(a: Hra) -> bool:
 def reset_summaries(a: Hra) -> dict[State, frozenset[tuple[frozenset[int], State]]]:
     """For each state q, all pairs (Y, p) with q reaching p through resets
     whose targets union to Y (includes (empty, q))."""
-    reset_adj: dict[State, list[Transition]] = {q: [] for q in a.states}
-    for t in a.transitions:
-        if isinstance(t.label, Reset):
-            reset_adj[t.src].append(t)
+    resets = by_src(t for t in a.transitions if isinstance(t.label, Reset))
     out = {}
     for q in a.states:
         seen = {(frozenset(), q)}
         work = deque(seen)
         while work:
             y, p = work.popleft()
-            for t in reset_adj[p]:
+            for t in resets.get(p, ()):
                 item = (y | t.label.targets, t.dst)
                 if item not in seen:
                     seen.add(item)
@@ -405,29 +401,20 @@ def reset_summaries(a: Hra) -> dict[State, frozenset[tuple[frozenset[int], State
     return out
 
 
-def _powerset(places: Iterable[int]):
-    items = sorted(places)
-    for r in range(len(items) + 1):
-        yield from (frozenset(c) for c in combinations(items, r))
-
-
 def check_strong_determinism(a: Hra) -> bool:
     """At most one reset-then-accept compound can match any (state, place-set)."""
     summaries = reset_summaries(a)
-    accept_adj: dict[State, list[Transition]] = {q: [] for q in a.states}
-    for t in a.transitions:
-        if isinstance(t.label, Accept):
-            accept_adj[t.src].append(t)
+    accepts = by_src(t for t in a.transitions if isinstance(t.label, Accept))
     all_places = frozenset(a.places)
     for q in a.states:
         matches: dict[frozenset[int], set] = {}
         for y, p in summaries[q]:
-            for t in accept_adj[p]:
+            for t in accepts.get(p, ()):
                 x0 = t.label.pre
                 if x0 & y:
                     continue
                 # compounds fire on names placed at x0 together with any part of y
-                for s in _powerset(y):
+                for s in subsets(y):
                     x = x0 | s
                     if x <= all_places:
                         matches.setdefault(x, set()).add((t.dst, y, t.label.post))

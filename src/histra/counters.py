@@ -72,6 +72,8 @@ class CounterMachine:
         states: Iterable[State],
         transitions: Iterable[tuple[State, Effect, State]],
     ) -> "CounterMachine":
+        """Validate the effects and build the machine; its states are
+        `states` together with every transition endpoint."""
         if dims < 1:
             raise WrongDimension("a counter machine needs at least one dimension")
         ts = []
@@ -90,7 +92,8 @@ class CounterMachine:
                 if not 1 <= eff.dim <= dims:
                     raise WrongDimension(f"{eff!r} out of range for {dims} dims")
             ts.append(CTransition(src, eff, dst))
-        return CounterMachine(dims, frozenset(states), frozenset(ts))
+        ends = {q for t in ts for q in (t.src, t.dst)}
+        return CounterMachine(dims, frozenset(states) | ends, frozenset(ts))
 
     def is_vass(self) -> bool:
         return all(isinstance(t.effect, Add) for t in self.transitions)

@@ -161,7 +161,7 @@ def bounded_bisimulation(a1: Hra, a2: Hra, depth: int) -> bool:
     one canonical fresh name: any other letter is fresh for both sides and
     behaves identically to the canonical one up to renaming.
     """
-    memo: dict = {}
+    memo: dict = {}  # recursion lowers the depth in the key, so no key is re-entered
 
     def can_final(a: Hra, c: Configuration) -> bool:
         return any(q in a.finals for q, _ in eps_closure(a, {c}))
@@ -176,7 +176,6 @@ def bounded_bisimulation(a1: Hra, a2: Hra, depth: int) -> bool:
         key = (c1, c2, d)
         if key in memo:
             return memo[key]
-        memo[key] = True  # provisional, guards cycles at fixed depth
         ok = can_final(a1, c1) == can_final(a2, c2)
         if ok and d > 0:
             present = c1[1].names() | c2[1].names()

@@ -3,7 +3,11 @@ pipeline built on one of them.
 
 The common shape: a place-set X ⊆ histories corresponds to a counter whose
 value tracks how many names sit at exactly X; register structure, being
-finite, is folded into the control state as a skeleton.
+finite, is folded into the control state as a skeleton.  Every translation
+to a counter machine ends the same way: zero-effect edges lead from the
+images of the final states to one target control state, so the language is
+non-empty exactly when that state is coverable from the initial
+configuration.
 
 `emptiness` decides every automaton the same way: the skeleton reduction
 `restricted_hra_to_rvass`, then backward coverability.  On the paper's
@@ -19,11 +23,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import count
 from typing import Iterable, Optional
 
 from .constructions import StateTag
-from .core import Accept, Assignment, Hra, Reset, State, Transition, classify
+from .core import Accept, Assignment, Hra, Reset, State, Transition, by_src, classify, subsets
 from .counters import (
     Add,
     CounterConfig,
@@ -68,24 +72,30 @@ class DimensionMap:
 
 @dataclass(frozen=True)
 class CounterReduction:
+    """A counter machine in which the one control state `target` is
+    coverable from `init` exactly when the source automaton accepts a word."""
+
     machine: CounterMachine
     init: CounterConfig
-    targets: frozenset[State]
+    target: State
     dimension_map: DimensionMap
 
-    @property
-    def target(self) -> State:
-        if len(self.targets) != 1:
-            raise ValueError("reduction has several targets")
-        return next(iter(self.targets))
 
-
-def _sorted_subsets(places: Iterable[int], include_empty: bool) -> list[frozenset[int]]:
-    pool = sorted(places)
-    out = []
-    for r in range(0 if include_empty else 1, len(pool) + 1):
-        out.extend(frozenset(c) for c in combinations(pool, r))
-    return out
+def _reduction(
+    dmap: DimensionMap,
+    states: Iterable[State],
+    transitions: list,
+    finals: Iterable[State],
+    init: CounterConfig,
+) -> CounterReduction:
+    """Close a translation: a zero-effect edge from every final control
+    state to the target `StateTag("target", ())`, then the machine.
+    `states` are the control states, edgeless ones included; chain
+    midpoints come in as transition endpoints."""
+    goal = StateTag("target", ())
+    edges = transitions + [(q, dmap.zero(), goal) for q in finals]
+    mc = CounterMachine.make(len(dmap.placesets), {goal, *states}, edges)
+    return CounterReduction(mc, init, goal, dmap)
 
 
 def _initial_counts(h0: Assignment, placesets) -> tuple[int, ...]:
@@ -105,8 +115,7 @@ def hra_to_trvass(a: Hra) -> CounterReduction:
     letters move a unit of count, resets pour counters between subsets."""
     if a.n > 0:
         raise RegistersPresent("translation expects a history-only automaton")
-    m = a.m
-    placesets = _sorted_subsets(range(1, m + 1), include_empty=False) + [frozenset()]
+    placesets = subsets(range(1, a.m + 1))[1:] + [frozenset()]
     dmap = DimensionMap(tuple(placesets), garbage=len(placesets))
     transitions: list[tuple[State, object, State]] = []
     for t in sorted(a.transitions, key=repr):
@@ -129,13 +138,8 @@ def hra_to_trvass(a: Hra) -> CounterReduction:
             if not steps:
                 steps = [dmap.zero()]
             _chain(transitions, t.src, t.dst, steps, ("rst", t))
-    goal = StateTag("target", ())
-    for q in sorted(a.finals, key=repr):
-        transitions.append((q, dmap.zero(), goal))
-    states = {goal} | {s for s, _, _ in transitions} | {d for _, _, d in transitions} | set(a.states)
-    mc = CounterMachine.make(len(placesets), states, transitions)
     init = (a.initial, _initial_counts(a.initial_assignment, placesets))
-    return CounterReduction(mc, init, frozenset({goal}), dmap)
+    return _reduction(dmap, a.states, transitions, a.finals, init)
 
 
 def _chain(transitions: list, src: State, dst: State, effects: list, tag) -> None:
@@ -262,27 +266,17 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
     makes it a TR-VASS."""
     m, n = a.m, a.n
     hist = frozenset(range(1, m + 1))
-    placesets = _sorted_subsets(range(1, m + 1), include_empty=False)
-    dims = max(len(placesets), 1)
+    placesets = subsets(hist)[1:]
     dmap = DimensionMap(tuple(placesets) or (frozenset(),))
 
     def pure(x: frozenset[int]) -> bool:
         return bool(x) and x <= hist
 
-    def unit(x, sign):
-        v = [0] * dims
-        v[dmap.dim_of(x) - 1] = sign
-        return Add(tuple(v))
-
-    zero = Add((0,) * dims)
-
     def st(q, phi):
         return StateTag("st", (q, phi))
 
     phi0 = skeleton_of(a.initial_assignment, m, n)
-    by_src: dict[State, list[Transition]] = {q: [] for q in a.states}
-    for t in a.transitions:
-        by_src[t.src].append(t)
+    adj = by_src(a.transitions)
 
     transitions: list[tuple[State, object, State]] = []
     seen = {(a.initial, phi0)}
@@ -299,13 +293,13 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
             if yk & wiped:
                 left = yk - wiped
                 if pure(left):
-                    out.append(unit(left, +1))
+                    out.append(dmap.unit(left, +1))
         return out
 
     while work:
         q, phi = work.popleft()
         src = st(q, phi)
-        for t in sorted(by_src[q], key=repr):
+        for t in sorted(adj.get(q, ()), key=repr):
             if isinstance(t.label, Accept):
                 x, x2 = t.label.pre, t.label.post
                 steps: list = []
@@ -316,12 +310,12 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
                     j = next(iter(hits))
                 elif pure(x):
                     j = 0
-                    steps.append(unit(x, -1))
+                    steps.append(dmap.unit(x, -1))
                 else:
                     j = 0
                 steps += evictions(phi, j, x2 - hist)
                 if pure(x2):
-                    steps.append(unit(x2, +1))
+                    steps.append(dmap.unit(x2, +1))
                 phi2 = skel_move(phi, j, x2)
             else:
                 x = t.label.targets
@@ -333,18 +327,15 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
                 steps += evictions(phi, 0, x)
                 phi2 = skel_reset(phi, x)
             if not steps:
-                steps = [zero]
+                steps = [dmap.zero()]
             _chain(transitions, src, st(t.dst, phi2), steps, ("r", next(serial)))
             if (t.dst, phi2) not in seen:
                 seen.add((t.dst, phi2))
                 work.append((t.dst, phi2))
 
-    states = {st(q, phi) for q, phi in seen}
-    states |= {s for s, _, _ in transitions} | {d for _, _, d in transitions}
-    mc = CounterMachine.make(dims, states, transitions)
-    v0 = _initial_counts(a.initial_assignment, placesets) or (0,)
-    targets = frozenset(st(q, phi) for q, phi in seen if q in a.finals)
-    return CounterReduction(mc, (st(a.initial, phi0), v0), targets, dmap)
+    finals = [st(q, phi) for q, phi in seen if q in a.finals]
+    init = (st(a.initial, phi0), _initial_counts(a.initial_assignment, dmap.placesets))
+    return _reduction(dmap, [st(q, phi) for q, phi in seen], transitions, finals, init)
 
 
 def unary_to_one_rvass(a: Hra) -> CounterReduction:
@@ -373,35 +364,22 @@ def nonreset_to_vass(a: Hra) -> CounterReduction:
                 if x:
                     used.add(x)
     placesets = sorted(used, key=lambda s: (len(s), sorted(s)))
-    dims = max(len(placesets), 1)
     dmap = DimensionMap(tuple(placesets) or (frozenset(),))
-
-    def unit(x, sign):
-        v = [0] * dims
-        v[dmap.dim_of(x) - 1] = sign
-        return Add(tuple(v))
-
-    zero = Add((0,) * dims)
     transitions: list[tuple[State, object, State]] = []
     for t in sorted(a.transitions, key=repr):
         if isinstance(t.label, Accept):
             steps = []
             if t.label.pre:
-                steps.append(unit(t.label.pre, -1))
+                steps.append(dmap.unit(t.label.pre, -1))
             if t.label.post:
-                steps.append(unit(t.label.post, +1))
+                steps.append(dmap.unit(t.label.post, +1))
             if not steps:
-                steps = [zero]
+                steps = [dmap.zero()]
         else:
-            steps = [zero]  # empty reset: silent no-op
+            steps = [dmap.zero()]  # empty reset: silent no-op
         _chain(transitions, t.src, t.dst, steps, ("nr", t))
-    states = set(a.states) | {s for s, _, _ in transitions} | {d for _, _, d in transitions}
-    mc = CounterMachine.make(dims, states, transitions)
-    if placesets:
-        v0 = _initial_counts(a.initial_assignment, placesets)
-    else:
-        v0 = (0,)
-    return CounterReduction(mc, (a.initial, v0), frozenset(a.finals), dmap)
+    init = (a.initial, _initial_counts(a.initial_assignment, dmap.placesets))
+    return _reduction(dmap, a.states, transitions, a.finals, init)
 
 
 def vass_to_nonreset_hra(mc: CounterMachine, init: CounterConfig, target_state: State) -> Hra:
@@ -504,9 +482,7 @@ def eliminate_registers_colouring(a: Hra) -> Hra:
         return StateTag("col", (q, f))
 
     f0 = ("",) * n
-    by_src: dict[State, list[Transition]] = {q: [] for q in a.states}
-    for t in a.transitions:
-        by_src[t.src].append(t)
+    adj = by_src(a.transitions)
 
     transitions: list[tuple[State, object, State]] = []
     seen = {(a.initial, f0)}
@@ -514,7 +490,7 @@ def eliminate_registers_colouring(a: Hra) -> Hra:
     while work:
         q, f = work.popleft()
         src = tag(q, f)
-        for t in by_src[q]:
+        for t in adj.get(q, ()):
             if isinstance(t.label, Reset):  # scope guarantees it is empty
                 transitions.append((src, t.label, tag(t.dst, f)))
                 if (t.dst, f) not in seen:
@@ -581,15 +557,6 @@ class EmptinessResult:
     engine: str
 
 
-def _super_target(red: CounterReduction) -> tuple[CounterMachine, State]:
-    goal = StateTag("target", ())
-    zero = Add((0,) * red.machine.dims)
-    ts = [(t.src, t.effect, t.dst) for t in red.machine.transitions]
-    ts += [(q, zero, goal) for q in sorted(red.targets, key=repr)]
-    mc = CounterMachine.make(red.machine.dims, set(red.machine.states) | {goal}, ts)
-    return mc, goal
-
-
 def emptiness(a: Hra, engine: str = "auto", bound: int = 8) -> EmptinessResult:
     """Is the language empty?
 
@@ -600,8 +567,8 @@ def emptiness(a: Hra, engine: str = "auto", bound: int = 8) -> EmptinessResult:
     letters and answers None when that proves nothing."""
     if engine == "auto":
         red = restricted_hra_to_rvass(a)
-        mc, goal = _super_target(red)
-        return EmptinessResult(not backward_coverability(mc, red.init, goal), "restricted")
+        covered = backward_coverability(red.machine, red.init, red.target)
+        return EmptinessResult(not covered, "restricted")
     if engine == "bounded":
         from .oracles import bounded_emptiness
 

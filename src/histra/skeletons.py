@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
-from .core import Assignment
+from .core import Assignment, subsets
 from .errors import NoWitness
 
 
@@ -125,14 +125,7 @@ def enumerate_skeletons(m: int, n: int) -> Iterator[Skeleton]:
 
     for regs in register_labellings(n):
         classes = sorted(set(regs) - {0})
-        for hist_cells in product(*[_subsets(classes) for _ in range(m)]):
+        for hist_cells in product(subsets(classes), repeat=m):
             phi = [set(cell) for cell in hist_cells]
             phi += [set() if v == 0 else {v} for v in regs]
             yield Skeleton(m, n, tuple(frozenset(c) for c in phi))
-
-
-def _subsets(items: list[int]) -> list[frozenset[int]]:
-    out = [frozenset()]
-    for x in items:
-        out += [s | {x} for s in out]
-    return out

@@ -23,12 +23,10 @@ def _translation_verdicts(a):
     flags = classify(a)
     if flags.non_reset and (a.n == 0 or colouring_scope_ok(a)):
         red = nonreset_to_vass(eliminate_registers_colouring(a))
-        out["vass"] = not any(backward_coverability(red.machine, red.init, t) for t in red.targets)
+        out["vass"] = not backward_coverability(red.machine, red.init, red.target)
     if flags.unary:
         red = unary_to_one_rvass(a)
-        out["one_rvass"] = not any(
-            one_dim_rvass_reachability(red.machine, red.init, t) for t in red.targets
-        )
+        out["one_rvass"] = not one_dim_rvass_reachability(red.machine, red.init, red.target)
     return out
 
 

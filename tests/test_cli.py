@@ -11,9 +11,12 @@ from histra import (
     SelfTransfer,
     Transfer,
     classify,
+    kleene_star,
     membership,
+    union,
 )
 from histra.cli import (
+    CounterDocument,
     NameTable,
     ParseError,
     main,
@@ -23,6 +26,7 @@ from histra.cli import (
     print_counters,
     print_hra,
 )
+from histra.oracles import enumerate_words, random_counter_machine, random_hra
 from histra.zoo import generate_then_consume_hra, two_tracks_hra
 
 DISTINCT = """\
@@ -115,6 +119,30 @@ def test_print_covers_generated_automata():
         assert print_hra(parse_hra(print_hra(b))) == print_hra(b)
 
 
+def _random_automata(seeds):
+    for seed in seeds:
+        a = random_hra(seed, max_m=2, max_n=2)
+        yield seed, a
+        yield seed, kleene_star(a)
+        yield seed, union(a, random_hra(seed + 10_000, max_m=2, max_n=2))
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_print_parse_round_trip_on_random_automata(chunk):
+    words = list(enumerate_words((0, 1, 2, 3), 3))
+    for seed, a in _random_automata(range(50 * chunk, 50 * chunk + 50)):
+        names = NameTable()
+        text = print_hra(a, names)
+        b = parse_hra_document(text, names).hra
+        assert (b.m, b.n) == (a.m, a.n), seed
+        assert len(b.states) == len(a.states), seed
+        assert len(b.transitions) == len(a.transitions), seed
+        assert len(b.finals) == len(a.finals), seed
+        assert b.initial_assignment == a.initial_assignment, seed
+        assert print_hra(b, names) == text, seed
+        assert all(membership(b, w) == membership(a, w) for w in words), seed
+
+
 def test_initial_contents_survive_round_trip():
     doc = parse_hra_document(PINNED)
     x = doc.names.intern("x")
@@ -176,6 +204,17 @@ def test_counter_round_trip_is_stable():
     printed = print_counters(parse_counters(TRVASS_FILE))
     assert print_counters(parse_counters(printed)) == printed
     assert printed.startswith("TRVASS 2")
+
+
+def test_counter_round_trip_on_random_machines():
+    for seed in range(200):
+        mc = random_counter_machine(seed, klass="trvass", dims=3)
+        states = sorted(mc.states)
+        text = print_counters(CounterDocument(mc, (states[0], (0, 1, 2), states[-1])))
+        doc = parse_counters(text)
+        assert doc.machine.dims == mc.dims, seed
+        assert len(doc.machine.transitions) == len(mc.transitions), seed
+        assert print_counters(doc) == text, seed
 
 
 def test_printer_infers_tightest_class():
@@ -389,6 +428,32 @@ def test_errors_exit_with_2(tmp_path, capsys):
     f = _file(tmp_path, "bad.hra", "HRA 1 0\nSTATE q\n")
     assert main(["member", f, "a"]) == 2
     assert "INITIAL" in capsys.readouterr().err
+
+
+def test_non_utf8_automaton_file_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "bad.hra"
+    f.write_bytes(b"\xffHRA 1 0\nSTATE q INITIAL\n")
+    assert main(["member", str(f), "a"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
+
+
+def test_non_utf8_counter_file_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "bad.cm"
+    f.write_bytes(b"\xffVASS 1\nQUERY a 0 b\n")
+    assert main(["cover", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "UTF-8" in err
+
+
+def test_to_counters_keeps_an_edgeless_initial_state(tmp_path, capsys):
+    f = _file(tmp_path, "alone.hra", "HRA 1 0\nSTATE q INITIAL\n")
+    for target in ("trvass", "vass", "one_rvass"):
+        out = str(tmp_path / f"{target}.cm")
+        assert main(["to-counters", f, "--target", target, "-o", out]) == 0
+        assert parse_counters(open(out).read()).query is not None
+        assert main(["cover", out]) == 1
+    assert "coverable: false" in capsys.readouterr().out
 
 
 def test_negative_hra_counts_are_a_parse_error(tmp_path, capsys):

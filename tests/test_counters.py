@@ -22,6 +22,7 @@ from histra import (
     one_dim_rvass_reachability,
     pre_basis,
 )
+from histra.cli import CounterDocument, print_counters
 from histra.counters import one_dim_rvass_witness
 from histra.errors import TransfersPresent
 from histra.oracles import random_counter_machine
@@ -53,6 +54,14 @@ def test_make_validates_arity_and_ranges():
         CounterMachine.make(2, ["q"], [("q", Transfer(1, 1), "q")])
     with pytest.raises(NonUnitEffect):
         CounterMachine.make(1, ["q"], [("q", Add((2,)), "q")])
+
+
+def test_make_adds_transition_endpoints_to_the_states():
+    mc = CounterMachine.make(1, ["a"], [("a", Add((1,)), "b"), ("b", Add((-1,)), "c")])
+    assert mc.states == {"a", "b", "c"}
+    assert one_dim_rvass_reachability(mc, ("a", (0,)), "c")
+    printed = print_counters(CounterDocument(mc, ("a", (0,), "c")))
+    assert "TRANS b c ADD -1" in printed
 
 
 def test_counter_step_enumerates_enabled_edges():

@@ -338,9 +338,7 @@ def test_restricted_on_l3_matches_trvass():
     a = generate_then_consume_hra()
     red = restricted_hra_to_rvass(a)
     assert red.machine.is_rvass()
-    covered = any(
-        backward_coverability(red.machine, red.init, t) for t in red.targets
-    )
+    covered = backward_coverability(red.machine, red.init, red.target)
     assert covered == backward_coverability(
         hra_to_trvass(a).machine, hra_to_trvass(a).init, hra_to_trvass(a).target
     )
@@ -349,7 +347,7 @@ def test_restricted_on_l3_matches_trvass():
 def test_restricted_handles_full_history_reset():
     a = anchored_blocks_hra(0)  # resets history 1, i.e. all of [m]
     red = restricted_hra_to_rvass(a)
-    assert any(backward_coverability(red.machine, red.init, t) for t in red.targets)
+    assert backward_coverability(red.machine, red.init, red.target)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +389,7 @@ def test_nonreset_pure_graph_reachability_with_zero_dims():
     )
     red = nonreset_to_vass(a)
     assert red.machine.dims == 1  # padded inert dimension
-    assert any(backward_coverability(red.machine, red.init, t) for t in red.targets)
+    assert backward_coverability(red.machine, red.init, red.target)
 
 
 def test_vass_to_nonreset_hra_bijection_onto_bit_patterns():
@@ -447,7 +445,7 @@ def test_unary_requires_one_history():
 def test_unary_l3_machine_shape_and_verdicts():
     red = unary_to_one_rvass(generate_then_consume_hra())
     assert red.machine.dims == 1
-    assert any(backward_coverability(red.machine, red.init, t) for t in red.targets)
+    assert backward_coverability(red.machine, red.init, red.target)
 
 
 def test_unary_initial_counter_counts_pure_history_names():
