@@ -185,27 +185,100 @@ class UpSet:
         return sum(len(b) for b in self._bases.values())
 
 
+def _live_counters(mc: CounterMachine, init_vec: Vector) -> list[int]:
+    """The 0-based counters that can ever be non-zero from `init_vec`, in
+    order: those non-zero in `init_vec` or incremented by some addition,
+    closed under transfers into their destinations."""
+    live = {i for i, x in enumerate(init_vec) if x}
+    transfers = []
+    for t in mc.transitions:
+        eff = t.effect
+        if isinstance(eff, Add):
+            live.update(i for i, x in enumerate(eff.vector) if x > 0)
+        elif isinstance(eff, Transfer):
+            transfers.append((eff.src - 1, eff.dst - 1))
+    grown = True
+    while grown:
+        grown = False
+        for i, j in transfers:
+            if i in live and j not in live:
+                live.add(j)
+                grown = True
+    return sorted(live)
+
+
 def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state: State) -> bool:
     """Can some configuration with control state `target_state` be covered
     from `init`?  Complete for TR-VASS: transfers and resets are compatible
-    with the component-wise order."""
+    with the component-wise order.
+
+    The search runs on the live counters L only (`_live_counters`).  By
+    induction on run length, every configuration reachable from `init` is
+    zero outside L: a counter outside L starts at zero, no addition
+    increments it, and transfers into it come only from counters outside L.
+    On such configurations an addition that decrements a counter outside L
+    is never enabled, so it is dropped; a reset of a counter outside L, or
+    a transfer out of one, changes nothing, so it becomes the zero
+    addition; every other effect reads and writes L alone (a transfer out
+    of L lands in L).  The machine projected onto L therefore covers
+    `target_state` from the projected `init` exactly when the original
+    machine does.  The search stops as soon as a basis element inserted at
+    the initial state lies below the initial vector.
+    """
     init_state, init_vec = init
     if len(init_vec) != mc.dims:
         raise WrongDimension(f"initial vector has arity {len(init_vec)}, expected {mc.dims}")
-    by_dst: dict[State, list[CTransition]] = {}
-    for t in sorted(mc.transitions, key=repr):
-        by_dst.setdefault(t.dst, []).append(t)
+    if init_state == target_state:
+        return True
+    live = _live_counters(mc, init_vec)
+    slot = {d: k + 1 for k, d in enumerate(live)}
+    dead = [d for d in range(mc.dims) if d not in slot]
+    no_op = Add((0,) * len(live))
+
+    def project(eff: Effect) -> Optional[Effect]:
+        if isinstance(eff, Add):
+            v = eff.vector
+            if any(v[d] < 0 for d in dead):
+                return None
+            return Add(tuple(v[d] for d in live))
+        if isinstance(eff, ResetDim):
+            k = slot.get(eff.dim - 1)
+            return no_op if k is None else ResetDim(k)
+        k = slot.get(eff.src - 1)
+        return no_op if k is None else Transfer(k, slot[eff.dst - 1])
+
+    # states become ints, the initial state 0 and the target 1; predecessor
+    # groups are sorted by name so the search order is the same in every
+    # process
+    ids: dict[State, int] = {init_state: 0, target_state: 1}
+    by_dst: dict[int, set[tuple[int, Effect]]] = {}
+    for t in mc.transitions:
+        eff = project(t.effect)
+        if eff is not None:
+            src = ids.setdefault(t.src, len(ids))
+            dst = ids.setdefault(t.dst, len(ids))
+            by_dst.setdefault(dst, set()).add((src, eff))
+    names = {i: q for q, i in ids.items()}
+    preds = {
+        dst: sorted(group, key=lambda e: (repr(names[e[0]]), repr(e[1])))
+        if len(group) > 1 else list(group)
+        for dst, group in by_dst.items()
+    }
+
+    start = tuple(init_vec[d] for d in live)
     seen = UpSet()
-    zero = (0,) * mc.dims
-    seen.insert(target_state, zero)
-    work = deque([(target_state, zero)])
+    zero = (0,) * len(live)
+    seen.insert(1, zero)
+    work = deque([(1, zero)])
     while work:
         q, b = work.popleft()
-        for t in by_dst.get(q, ()):
-            for c in sorted(pre_basis(t.effect, b)):
-                if seen.insert(t.src, c):
-                    work.append((t.src, c))
-    return seen.covers(init_state, init_vec)
+        for src, eff in preds.get(q, ()):
+            for c in sorted(pre_basis(eff, b)):
+                if seen.insert(src, c):
+                    if src == 0 and all(x <= y for x, y in zip(c, start)):
+                        return True
+                    work.append((src, c))
+    return False
 
 
 # ---------------------------------------------------------------------------

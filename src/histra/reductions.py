@@ -43,6 +43,7 @@ from .errors import (
     ResetsPresent,
     ScopeViolation,
     TransfersOrResetsPresent,
+    WrongDimension,
 )
 from .skeletons import Skeleton, skel_at, skel_move, skel_reset, skeleton_of
 
@@ -187,7 +188,7 @@ def rvass_to_hra(mc: CounterMachine, init: CounterConfig, target_state: State) -
 
     q0, v0 = init
     if len(v0) != mc.dims:
-        raise NonUnitEffect(f"initial vector arity {len(v0)} != {mc.dims}")
+        raise WrongDimension(f"initial vector has arity {len(v0)}, expected {mc.dims}")
 
     transitions: list[tuple[State, object, State]] = []
     states: set[State] = set(mc.states)
@@ -389,7 +390,7 @@ def vass_to_nonreset_hra(mc: CounterMachine, init: CounterConfig, target_state: 
         raise TransfersOrResetsPresent("input must be a plain addition machine")
     q0, v0 = init
     if len(v0) != mc.dims:
-        raise TransfersOrResetsPresent(f"initial vector arity {len(v0)} != {mc.dims}")
+        raise WrongDimension(f"initial vector has arity {len(v0)}, expected {mc.dims}")
     mprime = max(1, math.ceil(math.log2(mc.dims + 1)))
 
     def code(i: int) -> frozenset[int]:

@@ -1,7 +1,10 @@
 """Counter machines: effect semantics, the backward coverability engine,
 and the special-cased one-dimensional procedure."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -190,6 +193,180 @@ def test_backward_agrees_with_forward_on_100_random_trvass():
             assert not back, (seed, init, target)
             checked += 1
     assert checked >= 80  # most instances must be decided forward too
+
+
+def _live(mc, init_vec):
+    """Counters (0-based) that some run from init_vec can make non-zero."""
+    live = {i for i, x in enumerate(init_vec) if x}
+    for t in mc.transitions:
+        if isinstance(t.effect, Add):
+            live |= {i for i, x in enumerate(t.effect.vector) if x > 0}
+    while True:
+        grown = live | {
+            t.effect.dst - 1
+            for t in mc.transitions
+            if isinstance(t.effect, Transfer) and t.effect.src - 1 in live
+        }
+        if grown == live:
+            return live
+        live = grown
+
+
+@pytest.mark.parametrize("klass", ["vass", "rvass", "trvass"])
+def test_backward_agrees_with_forward_on_unit_effect_machines(klass):
+    rng = random.Random(5)
+    checked = pruned = 0
+    for seed in range(200):
+        dims = 1 + seed % 8
+        mc = random_counter_machine(seed, dims=dims, klass=klass, unit_effects=True)
+        init = ("c0", tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(dims)))
+        target = rng.choice(sorted(mc.states))
+        pruned += len(_live(mc, init[1])) < dims
+        probe = forward_witness_search(mc, init, target, step_budget=20_000, counter_cap=8)
+        back = backward_coverability(mc, init, target)
+        if probe.kind == "reachable":
+            assert back, (seed, init, target)
+            checked += 1
+        elif probe.kind == "not_reachable_within_bounds":
+            assert not back, (seed, init, target)
+            checked += 1
+    assert checked >= 160
+    assert pruned >= 100  # most machines have a counter no run can raise
+
+
+# ---------------------------------------------------------------------------
+# the projection onto live counters: one hand-built machine per rule
+
+
+def _decide(mc, init, target):
+    """backward_coverability, checked against an exhaustive forward search."""
+    back = backward_coverability(mc, init, target)
+    probe = forward_witness_search(mc, init, target)
+    assert probe.kind != "bound_exhausted"
+    assert back == (probe.kind == "reachable"), (init, target)
+    return back
+
+
+def test_transfer_from_a_dead_counter_adds_nothing():
+    # counter 1 is never positive; pouring it into live counter 2 is a no-op
+    mc = CounterMachine.make(
+        2,
+        ["p", "q"],
+        [
+            ("p", Add((0, 1)), "a"),
+            ("a", Transfer(1, 2), "b"),
+            ("b", Add((0, -1)), "q"),
+            ("p", Transfer(1, 2), "c"),
+            ("c", Add((0, -1)), "r"),
+        ],
+    )
+    assert _live(mc, (0, 0)) == {1}
+    assert _decide(mc, ("p", (0, 0)), "q")
+    assert not _decide(mc, ("p", (0, 0)), "r")
+
+
+def test_reset_of_a_dead_counter_still_fires():
+    mc = CounterMachine.make(
+        2,
+        ["p", "q"],
+        [("p", Add((1, 0)), "a"), ("a", ResetDim(2), "b"), ("b", Add((-1, 0)), "q")],
+    )
+    assert _live(mc, (0, 0)) == {0}
+    assert _decide(mc, ("p", (0, 0)), "q")
+
+
+def test_decrement_of_a_dead_counter_never_fires():
+    mc = CounterMachine.make(2, ["p", "q"], [("p", Add((1, -1)), "q")])
+    assert _live(mc, (0, 0)) == {0}
+    assert not _decide(mc, ("p", (0, 0)), "q")
+
+
+def test_initial_entry_alone_makes_a_counter_live():
+    # counter 2 is never incremented: only init can make it, and through the
+    # transfer counter 1, positive
+    mc = CounterMachine.make(
+        2,
+        ["p", "q"],
+        [("p", Transfer(2, 1), "a"), ("a", Add((-1, 0)), "q"), ("p", Add((0, -1)), "r")],
+    )
+    assert _live(mc, (0, 1)) == {0, 1}
+    assert _decide(mc, ("p", (0, 1)), "q")
+    assert _decide(mc, ("p", (0, 1)), "r")
+    assert _live(mc, (0, 0)) == set()
+    assert not _decide(mc, ("p", (0, 0)), "q")
+    assert not _decide(mc, ("p", (0, 0)), "r")
+
+
+def test_machine_without_live_counters_is_graph_reachability():
+    mc = CounterMachine.make(
+        2,
+        ["p", "island"],
+        [
+            ("p", Add((0, 0)), "a"),
+            ("a", ResetDim(1), "b"),
+            ("b", Transfer(1, 2), "q"),
+            ("p", Add((-1, 0)), "r"),
+        ],
+    )
+    assert _live(mc, (0, 0)) == set()
+    assert _decide(mc, ("p", (0, 0)), "q")
+    assert not _decide(mc, ("p", (0, 0)), "r")
+    assert not _decide(mc, ("p", (0, 0)), "island")
+
+
+# ---------------------------------------------------------------------------
+# search order and early exit
+
+
+def test_search_stops_once_the_initial_configuration_is_covered(monkeypatch):
+    # init reaches the target in one edge; a chain of 200 other states also
+    # leads there, and none of it needs to be explored
+    chain = [f"c{i}" for i in range(200)]
+    edges = [("init", Add((0,)), "target")]
+    edges += [(a, Add((0,)), b) for a, b in zip(chain, chain[1:] + ["target"])]
+    mc = CounterMachine.make(1, [], edges)
+    inserts = []
+    insert = UpSet.insert
+
+    def counting(self, q, v):
+        inserts.append(q)
+        return insert(self, q, v)
+
+    monkeypatch.setattr(UpSet, "insert", counting)
+    assert backward_coverability(mc, ("init", (0,)), "target")
+    assert len(inserts) <= 3
+
+
+_RECORD_INSERTS = """
+from histra import UpSet, backward_coverability, hra_to_trvass, kleene_star
+from histra.constructions import registers_to_histories
+from histra.zoo import anchored_distinct_hra
+
+red = hra_to_trvass(registers_to_histories(kleene_star(anchored_distinct_hra(0))))
+inserted = []
+insert = UpSet.insert
+def recording(self, q, v):
+    inserted.append(v)
+    return insert(self, q, v)
+UpSet.insert = recording
+print(backward_coverability(red.machine, red.init, red.target), len(inserted))
+print(inserted)
+"""
+
+
+def test_search_order_does_not_depend_on_the_hash_seed():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _RECORD_INSERTS],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    verdict, inserts = outputs[0].split()[:2]
+    assert verdict == "True" and int(inserts) > 1
 
 
 # ---------------------------------------------------------------------------

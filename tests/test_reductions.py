@@ -18,6 +18,7 @@ from histra import (
     StateTag,
     Transfer,
     TransfersOrResetsPresent,
+    WrongDimension,
     backward_coverability,
     check_strong_determinism,
     colouring_scope_ok,
@@ -257,6 +258,12 @@ def test_rvass_to_hra_rejects_wide_effects():
         rvass_to_hra(mc2, ("q", (0, 0)), "q")
 
 
+def test_rvass_to_hra_rejects_a_wrong_initial_arity():
+    mc = CounterMachine.make(2, ["q"], [("q", Add((1, 0)), "q")])
+    with pytest.raises(WrongDimension):
+        rvass_to_hra(mc, ("q", (0,)), "q")
+
+
 def test_rvass_to_hra_simple_pump():
     mc = CounterMachine.make(
         1, ["q0", "q1", "qf"], [("q0", Add((1,)), "q1"), ("q1", Add((-1,)), "qf")]
@@ -406,6 +413,12 @@ def test_vass_to_nonreset_hra_rejects_resets():
     mc = CounterMachine.make(1, ["q"], [("q", __import__("histra").ResetDim(1), "q")])
     with pytest.raises(TransfersOrResetsPresent):
         vass_to_nonreset_hra(mc, ("q", (0,)), "q")
+
+
+def test_vass_to_nonreset_hra_rejects_a_wrong_initial_arity():
+    mc = CounterMachine.make(2, ["q"], [("q", Add((1, -1)), "q")])
+    with pytest.raises(WrongDimension):
+        vass_to_nonreset_hra(mc, ("q", (0, 0, 0)), "q")
 
 
 def test_vass_staging_consumes_dims_in_order():
