@@ -12,13 +12,16 @@ where X and X' are comma-separated 1-based place indices, or `-` for the
 empty set.  Counter-machine files:
 
     TRVASS|RVASS|VASS <m>
-    TRANS <src> <dst> ADD <v1> ... <vm>
-    TRANS <src> <dst> TRANSFER <i> <j>
-    TRANS <src> <dst> RESET <i>
+    TRANS <src> <dst> [ADD <v1> ... <vm>] (TRANSFER <i> <j> | RESET <i>)* [ADD <v1> ... <vm>]
     QUERY <q0> <v1> ... <vm> <target>
 
-ADD entries may be arbitrary integers; they are normalized to unit steps
-(decrements first) through intermediate states at parse time.
+Each TRANS line is one edge, read left to right.  A lone ADD adds its
+vector, which must leave every counter non-negative; its entries may be
+any integers.  Otherwise the first ADD, if it comes before everything
+else, must have no positive entries and is taken away first; then the
+transfers and resets act together; then the last ADD, which must have no
+negative entries, is added.  A transfer may not pour into a counter that
+the same line moves or resets.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .core import (
     trace,
     validate,
 )
-from .counters import Add, CounterMachine, ResetDim, Transfer, backward_coverability
+from .counters import Add, CounterMachine, Effect, backward_coverability
 from .errors import BadPlaceIndex, HistraError
 from .reductions import emptiness, hra_to_trvass, nonreset_to_vass, unary_to_one_rvass
 
@@ -288,35 +291,7 @@ def parse_counters(text: str) -> CounterDocument:
         if kind == "TRANS":
             if len(toks) < 4:
                 raise ParseError(f"line {ln}: truncated TRANS line")
-            src, dst, op = toks[1], toks[2], toks[3].upper()
-            if op == "ADD":
-                if len(toks) != 4 + dims:
-                    raise ParseError(f"line {ln}: ADD expects {dims} entries")
-                try:
-                    vec = [int(x) for x in toks[4:]]
-                except ValueError:
-                    raise ParseError(f"line {ln}: ADD entries must be integers") from None
-                prev: object = src
-                for eff, mid_dst in _normalize_add(vec, dst, ln):
-                    transitions.append((prev, eff, mid_dst))
-                    prev = mid_dst
-            elif op == "TRANSFER":
-                if klass != "TRVASS":
-                    raise ParseError(f"line {ln}: TRANSFER not allowed in a {klass} file")
-                if len(toks) != 6:
-                    raise ParseError(f"line {ln}: expected TRANSFER <i> <j>")
-                i, j = _ints(toks[4:6], ln)
-                if i == j:
-                    raise ParseError(f"line {ln}: TRANSFER needs two different counters")
-                transitions.append((src, Transfer(i, j), dst))
-            elif op == "RESET":
-                if klass == "VASS":
-                    raise ParseError(f"line {ln}: RESET not allowed in a VASS file")
-                if len(toks) != 5:
-                    raise ParseError(f"line {ln}: expected RESET <i>")
-                transitions.append((src, ResetDim(*_ints(toks[4:5], ln)), dst))
-            else:
-                raise ParseError(f"line {ln}: unknown effect {op}")
+            transitions.append((toks[1], _parse_effect(toks[3:], klass, dims, ln), toks[2]))
         elif kind == "QUERY":
             if len(toks) != 3 + dims:
                 raise ParseError(f"line {ln}: QUERY expects <q0> <{dims} entries> <target>")
@@ -345,24 +320,59 @@ def _ints(tokens: Sequence[str], ln: int) -> tuple[int, ...]:
         raise ParseError(f"line {ln}: expected integers, got {' '.join(tokens)}") from None
 
 
-def _normalize_add(vec: list[int], dst, ln: int):
-    """Split a general integer vector into unit steps, decrements first."""
-    dims = len(vec)
-    if all(x in (-1, 0, 1) for x in vec):
-        yield Add(tuple(vec)), dst
-        return
-    steps = []
-    for d in range(dims):
-        for _ in range(-min(vec[d], 0)):
-            steps.append((d, -1))
-    for d in range(dims):
-        for _ in range(max(vec[d], 0)):
-            steps.append((d, +1))
-    for k, (d, sign) in enumerate(steps):
-        unit = [0] * dims
-        unit[d] = sign
-        last = k == len(steps) - 1
-        yield Add(tuple(unit)), (dst if last else ("add", ln, k))
+_ARITY = {"TRANSFER": 2, "RESET": 1}
+
+
+def _parse_effect(toks: Sequence[str], klass: str, dims: int, ln: int) -> Effect:
+    """The effect of one TRANS line from its phases (the tokens after the
+    two states)."""
+    words: list[tuple[str, list[str]]] = []
+    for tok in toks:
+        if tok.upper() in ("ADD", "TRANSFER", "RESET"):
+            words.append((tok.upper(), []))
+        elif words:
+            words[-1][1].append(tok)
+        else:
+            raise ParseError(f"line {ln}: unknown effect {tok}")
+    for op, args in words:
+        if op == "TRANSFER" and klass != "TRVASS":
+            raise ParseError(f"line {ln}: TRANSFER not allowed in a {klass} file")
+        if op == "RESET" and klass == "VASS":
+            raise ParseError(f"line {ln}: RESET not allowed in a VASS file")
+        if len(args) != _ARITY.get(op, dims):
+            raise ParseError(f"line {ln}: {op} expects {_ARITY.get(op, dims)} entries")
+    phases = [(op, _ints(args, ln)) for op, args in words]
+    if len(phases) == 1 and phases[0][0] == "ADD":
+        eff = Add(phases[0][1])
+    else:
+        pre = post = ()
+        if phases[0][0] == "ADD":
+            pre = tuple(-x for x in phases.pop(0)[1])
+        if phases and phases[-1][0] == "ADD":
+            post = phases.pop()[1]
+        if min(pre + post, default=0) < 0 or any(op == "ADD" for op, _ in phases):
+            raise ParseError(
+                f"line {ln}: out of phase: expected [ADD <no positive entries>] "
+                "(TRANSFER <i> <j> | RESET <i>)* [ADD <no negative entries>]"
+            )
+        moves = tuple(args if op == "TRANSFER" else (args[0], 0) for op, args in phases)
+        eff = Effect(pre, moves, post)
+    try:
+        return eff.canonical(dims)
+    except HistraError as exc:
+        raise ParseError(f"line {ln}: {exc}") from None
+
+
+def _print_effect(e: Effect) -> str:
+    """An effect as the phases of a TRANS line: a lone ADD when it has no
+    moves and no counter that it both takes from and adds to."""
+    if not e.dest and not any(x and y for x, y in zip(e.pre, e.post)):
+        return "ADD " + " ".join(str(y - x) for x, y in zip(e.pre, e.post))
+    phases = ["ADD " + " ".join(str(-x) for x in e.pre)] if any(e.pre) else []
+    phases += [f"TRANSFER {i} {j}" if j else f"RESET {i}" for i, j in e.dest]
+    if any(e.post):
+        phases.append("ADD " + " ".join(str(x) for x in e.post))
+    return " ".join(phases)
 
 
 def print_counters(doc: CounterDocument) -> str:
@@ -372,13 +382,7 @@ def print_counters(doc: CounterDocument) -> str:
     out = [f"{klass} {mc.dims}"]
     lines = []
     for t in mc.transitions:
-        if isinstance(t.effect, Add):
-            body = "ADD " + " ".join(str(x) for x in t.effect.vector)
-        elif isinstance(t.effect, Transfer):
-            body = f"TRANSFER {t.effect.src} {t.effect.dst}"
-        else:
-            body = f"RESET {t.effect.dim}"
-        lines.append(f"TRANS {tok[t.src]} {tok[t.dst]} {body}")
+        lines.append(f"TRANS {tok[t.src]} {tok[t.dst]} {_print_effect(t.effect)}")
     out.extend(sorted(lines))
     if doc.query is not None:
         q0, vec, target = doc.query

@@ -1,56 +1,78 @@
-"""Counter machines with vector-addition, transfer, and reset effects,
-plus the decision engines used by the automata reductions.
+"""Counter machines whose edges are reset/transfer-net steps, plus the
+decision engines used by the automata reductions.
 
-Configurations are (state, vector) pairs over non-negative ints.  The
-machine class is determined by which effects appear: additions only give a
-plain VASS, additions+resets an R-VASS, and all three a TR-VASS.
+Configurations are (state, vector) pairs over non-negative ints.  Every
+edge carries one `Effect`, the affine step v ↦ M(v − pre) + post of
+Finkel, McKenzie and Picaronny (*A well-structured framework for analysing
+Petri net extensions*, Inf. Comput. 2004): take `pre` away, move or zero
+some counters all at once, add `post`.  `Add`, `Transfer` and `ResetDim`
+build the three classic special cases.  The machine class follows from the
+moves: none gives a plain VASS, zeroing only an R-VASS, and transfers a
+TR-VASS.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from itertools import product
+from typing import Hashable, Iterable, NamedTuple, Optional
 
-from .errors import NonUnitEffect, SelfTransfer, TransfersPresent, WrongDimension
+from .errors import SelfTransfer, TransfersPresent, ValidationError, WrongDimension
 
 State = Hashable
 Vector = tuple[int, ...]
 CounterConfig = tuple[State, Vector]
 
 
-@dataclass(frozen=True)
-class Add:
-    """Component-wise addition; entries restricted to -1, 0, 1."""
+class Effect(NamedTuple):
+    """Subtract `pre`, which must leave every counter ≥ 0; then, all at
+    once, send counter i to counter j for each pair (i, j) of `dest`, or
+    zero it when j = 0, while the counters not listed stay put; then add
+    `post`.  Counters are numbered from 1 in `dest`.  `pre` and `post` are
+    non-negative vectors; () stands for the zero vector of any arity, and
+    `CounterMachine.make` spells it out."""
 
-    vector: Vector
+    pre: Vector
+    dest: tuple[tuple[int, int], ...]
+    post: Vector
 
-    def __repr__(self) -> str:
-        return f"Add({','.join(map(str, self.vector))})"
+    def canonical(self, dims: int) -> "Effect":
+        """This effect as an edge of a `dims`-counter machine: both vectors
+        spelled out and `dest` sorted.  Raises when it is no such edge."""
+        zero = (0,) * dims
+        pre, dest, post = self.pre or zero, self.dest, self.post or zero
+        if len(pre) != dims or len(post) != dims:
+            raise WrongDimension(f"{self!r} does not have arity {dims}")
+        if min(pre) < 0 or min(post) < 0:
+            raise ValidationError([f"{self!r}: pre and post must be non-negative"])
+        sources = [i for i, _ in dest]
+        for i, j in dest:
+            if not (1 <= i <= dims and 0 <= j <= dims):
+                raise WrongDimension(f"{self!r} out of range for {dims} dims")
+            if i == j:
+                raise SelfTransfer(f"{self!r}: source and destination must differ")
+            if j and j in sources:
+                raise ValidationError([f"{self!r}: counter {j} is moved and also receives"])
+        if len(set(sources)) < len(sources):
+            raise ValidationError([f"{self!r}: a counter is moved twice"])
+        return Effect(pre, tuple(sorted(dest)), post)
 
 
-@dataclass(frozen=True)
-class Transfer:
+def Add(vector: Iterable[int]) -> Effect:
+    """Component-wise addition; the result must stay non-negative."""
+    v = tuple(vector)
+    return Effect(tuple(max(-x, 0) for x in v), (), tuple(max(x, 0) for x in v))
+
+
+def Transfer(src: int, dst: int) -> Effect:
     """Pour counter `src` into counter `dst`, zeroing `src`."""
-
-    src: int
-    dst: int
-
-    def __repr__(self) -> str:
-        return f"Transfer({self.src}->{self.dst})"
+    return Effect((), ((src, dst),), ())
 
 
-@dataclass(frozen=True)
-class ResetDim:
+def ResetDim(dim: int) -> Effect:
     """Zero one counter."""
-
-    dim: int
-
-    def __repr__(self) -> str:
-        return f"Reset({self.dim})"
-
-
-Effect = Add | Transfer | ResetDim
+    return Effect((), ((dim, 0),), ())
 
 
 @dataclass(frozen=True)
@@ -76,46 +98,30 @@ class CounterMachine:
         `states` together with every transition endpoint."""
         if dims < 1:
             raise WrongDimension("a counter machine needs at least one dimension")
-        ts = []
-        for src, eff, dst in transitions:
-            if isinstance(eff, Add):
-                if len(eff.vector) != dims:
-                    raise WrongDimension(f"{eff!r} has arity {len(eff.vector)}, expected {dims}")
-                if any(x not in (-1, 0, 1) for x in eff.vector):
-                    raise NonUnitEffect(f"{eff!r} must have entries in -1,0,1")
-            elif isinstance(eff, Transfer):
-                if not (1 <= eff.src <= dims and 1 <= eff.dst <= dims):
-                    raise WrongDimension(f"{eff!r} out of range for {dims} dims")
-                if eff.src == eff.dst:
-                    raise SelfTransfer(f"{eff!r}: source and destination must differ")
-            elif isinstance(eff, ResetDim):
-                if not 1 <= eff.dim <= dims:
-                    raise WrongDimension(f"{eff!r} out of range for {dims} dims")
-            ts.append(CTransition(src, eff, dst))
+        ts = [CTransition(src, eff.canonical(dims), dst) for src, eff, dst in transitions]
         ends = {q for t in ts for q in (t.src, t.dst)}
         return CounterMachine(dims, frozenset(states) | ends, frozenset(ts))
 
     def is_vass(self) -> bool:
-        return all(isinstance(t.effect, Add) for t in self.transitions)
+        return not any(t.effect.dest for t in self.transitions)
 
     def is_rvass(self) -> bool:
-        return all(not isinstance(t.effect, Transfer) for t in self.transitions)
+        return not any(j for t in self.transitions for _, j in t.effect.dest)
 
 
 def apply_effect(effect: Effect, v: Vector) -> Optional[Vector]:
-    """The successor vector, or None when an addition would go negative."""
-    if isinstance(effect, Add):
-        out = tuple(a + b for a, b in zip(v, effect.vector))
-        return out if all(x >= 0 for x in out) else None
-    if isinstance(effect, Transfer):
-        i, j = effect.src - 1, effect.dst - 1
-        slots = list(v)
-        slots[j] = v[i] + v[j]
-        slots[i] = 0
-        return tuple(slots)
-    slots = list(v)
-    slots[effect.dim - 1] = 0
-    return tuple(slots)
+    """The successor vector, or None when taking `pre` away goes negative."""
+    zero = (0,) * len(v)
+    out = [x - y for x, y in zip(v, effect.pre or zero)]
+    if min(out, default=0) < 0:
+        return None
+    moved = [(j, out[i - 1]) for i, j in effect.dest]
+    for i, _ in effect.dest:
+        out[i - 1] = 0
+    for j, x in moved:
+        if j:
+            out[j - 1] += x
+    return tuple(x + y for x, y in zip(out, effect.post or zero))
 
 
 def counter_step(mc: CounterMachine, config: CounterConfig) -> frozenset[CounterConfig]:
@@ -133,27 +139,47 @@ def counter_step(mc: CounterMachine, config: CounterConfig) -> frozenset[Counter
 # backward coverability
 
 
+def _splits(n: int, parts: int) -> list[tuple[int, ...]]:
+    """Every way to write n as an ordered sum of `parts` naturals."""
+    if parts == 1:
+        return [(n,)]
+    return [(k,) + rest for k in range(n + 1) for rest in _splits(n - k, parts - 1)]
+
+
 def pre_basis(effect: Effect, b: Vector) -> frozenset[Vector]:
     """Minimal vectors whose successors under `effect` dominate `b`.
 
     The returned set is a basis of the upward-closed predecessor set of
-    the upward closure of `b`.
+    the upward closure of `b`.  After the moves, counter k must hold
+    need[k] = max(b[k] − post[k], 0).  A counter that no pair of `dest`
+    touches holds what it held, so it needs need[k] + pre[k] before.  Any
+    other counter holds the sum of the counters sent to it (itself
+    included, unless it moves): its need is split in every way over them,
+    or has no predecessor when nothing is sent to it, and `pre` is added
+    back.
     """
-    if isinstance(effect, Add):
-        return frozenset({tuple(max(x - d, 0) for x, d in zip(b, effect.vector))})
-    if isinstance(effect, ResetDim):
-        if b[effect.dim - 1] > 0:
-            return frozenset()
-        return frozenset({b})
-    i, j = effect.src - 1, effect.dst - 1
-    if b[i] > 0:
-        return frozenset()
+    zero = (0,) * len(b)
+    pre, post = effect.pre or zero, effect.post or zero
+    v = [(x - y if x > y else 0) + p for x, y, p in zip(b, post, pre)]
+    into: dict[int, list[int]] = {i - 1: [] for i, _ in effect.dest}
+    for i, j in effect.dest:
+        if j:
+            into.setdefault(j - 1, [j - 1]).append(i - 1)
+    spread = []
+    for k, sources in into.items():
+        need = max(b[k] - post[k], 0)
+        v[k] = pre[k]
+        if need:
+            if not sources:
+                return frozenset()
+            spread.append((sources, _splits(need, len(sources))))
     out = set()
-    for k in range(b[j] + 1):
-        slots = list(b)
-        slots[i] = k
-        slots[j] = b[j] - k
-        out.add(tuple(slots))
+    for choice in product(*(splits for _, splits in spread)):
+        u = v[:]
+        for (sources, _), split in zip(spread, choice):
+            for i, x in zip(sources, split):
+                u[i] += x
+        out.add(tuple(u))
     return frozenset(out)
 
 
@@ -187,20 +213,17 @@ class UpSet:
 
 def _live_counters(mc: CounterMachine, init_vec: Vector) -> list[int]:
     """The 0-based counters that can ever be non-zero from `init_vec`, in
-    order: those non-zero in `init_vec` or incremented by some addition,
-    closed under transfers into their destinations."""
+    order: those non-zero in `init_vec` or raised by some `post`, closed
+    under the moves into their destinations."""
     live = {i for i, x in enumerate(init_vec) if x}
-    transfers = []
+    moves = []
     for t in mc.transitions:
-        eff = t.effect
-        if isinstance(eff, Add):
-            live.update(i for i, x in enumerate(eff.vector) if x > 0)
-        elif isinstance(eff, Transfer):
-            transfers.append((eff.src - 1, eff.dst - 1))
+        live.update(i for i, x in enumerate(t.effect.post) if x)
+        moves.extend((i - 1, j - 1) for i, j in t.effect.dest if j)
     grown = True
     while grown:
         grown = False
-        for i, j in transfers:
+        for i, j in moves:
             if i in live and j not in live:
                 live.add(j)
                 grown = True
@@ -214,16 +237,16 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
 
     The search runs on the live counters L only (`_live_counters`).  By
     induction on run length, every configuration reachable from `init` is
-    zero outside L: a counter outside L starts at zero, no addition
-    increments it, and transfers into it come only from counters outside L.
-    On such configurations an addition that decrements a counter outside L
-    is never enabled, so it is dropped; a reset of a counter outside L, or
-    a transfer out of one, changes nothing, so it becomes the zero
-    addition; every other effect reads and writes L alone (a transfer out
-    of L lands in L).  The machine projected onto L therefore covers
-    `target_state` from the projected `init` exactly when the original
-    machine does.  The search stops as soon as a basis element inserted at
-    the initial state lies below the initial vector.
+    zero outside L: a counter outside L starts at zero, no `post` raises
+    it, and moves into it come only from counters outside L.  On such
+    configurations an edge whose `pre` takes from a counter outside L is
+    never enabled, so it is dropped; moving or zeroing a counter outside L
+    changes nothing, so that pair is dropped; everything else reads and
+    writes L alone (a move out of L lands in L).  The machine projected
+    onto L therefore covers `target_state` from the projected `init`
+    exactly when the original machine does.  The search stops as soon as a
+    basis element inserted at the initial state lies below the initial
+    vector.
     """
     init_state, init_vec = init
     if len(init_vec) != mc.dims:
@@ -233,19 +256,13 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
     live = _live_counters(mc, init_vec)
     slot = {d: k + 1 for k, d in enumerate(live)}
     dead = [d for d in range(mc.dims) if d not in slot]
-    no_op = Add((0,) * len(live))
 
     def project(eff: Effect) -> Optional[Effect]:
-        if isinstance(eff, Add):
-            v = eff.vector
-            if any(v[d] < 0 for d in dead):
-                return None
-            return Add(tuple(v[d] for d in live))
-        if isinstance(eff, ResetDim):
-            k = slot.get(eff.dim - 1)
-            return no_op if k is None else ResetDim(k)
-        k = slot.get(eff.src - 1)
-        return no_op if k is None else Transfer(k, slot[eff.dst - 1])
+        pre, dest, post = eff
+        if any(pre[d] for d in dead):
+            return None
+        dest = tuple((slot[i - 1], slot[j - 1] if j else 0) for i, j in dest if i - 1 in slot)
+        return Effect(tuple([pre[d] for d in live]), dest, tuple([post[d] for d in live]))
 
     # states become ints, the initial state 0 and the target 1; predecessor
     # groups are sorted by name so the search order is the same in every
@@ -260,7 +277,7 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
             by_dst.setdefault(dst, set()).add((src, eff))
     names = {i: q for q, i in ids.items()}
     preds = {
-        dst: sorted(group, key=lambda e: (repr(names[e[0]]), repr(e[1])))
+        dst: sorted(group, key=lambda e: (repr(names[e[0]]), e[1]))
         if len(group) > 1 else list(group)
         for dst, group in by_dst.items()
     }
@@ -293,14 +310,17 @@ def one_dim_rvass_witness(
     The initial counter is truncated to |Q|^2 - 1 (larger values are
     interchangeable for state reachability), intermediate counters are
     capped at that plus |Q|^2, and paths are cut off at |Q|^2 edges;
-    within those bounds the search is exhaustive.
+    within those bounds the search is exhaustive.  |Q| counts the states
+    of the machine that spells each edge as unit steps: an edge with
+    |pre|₁ + #resets + |post|₁ = k > 1 adds k − 1 midpoints.
     """
     if mc.dims != 1:
         raise WrongDimension(f"expected 1 dimension, got {mc.dims}")
-    if any(isinstance(t.effect, Transfer) for t in mc.transitions):
+    if not mc.is_rvass():
         raise TransfersPresent("one-dimensional engine handles additions and resets only")
     q0, vec = init
-    nsq = len(mc.states) ** 2
+    units = [sum(t.effect.pre) + len(t.effect.dest) + sum(t.effect.post) for t in mc.transitions]
+    nsq = (len(mc.states) + sum(max(k - 1, 0) for k in units)) ** 2
     n0 = min(vec[0], nsq - 1)
     cap = n0 + nsq
     start = (q0, (n0,))

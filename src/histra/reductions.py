@@ -4,10 +4,14 @@ pipeline built on one of them.
 The common shape: a place-set X ⊆ histories corresponds to a counter whose
 value tracks how many names sit at exactly X; register structure, being
 finite, is folded into the control state as a skeleton.  Every translation
-to a counter machine ends the same way: zero-effect edges lead from the
-images of the final states to one target control state, so the language is
-non-empty exactly when that state is coverable from the initial
-configuration.
+to a counter machine emits exactly one edge per automaton transition (per
+reached skeleton pair in `restricted_hra_to_rvass`): taking a name from X,
+the pours and wipes of a reset, names released from registers and putting
+a name at X′ together form one `Effect`, since its takes come first, then
+its moves, then its puts.  Each translation ends the same way: zero-effect
+edges lead from the images of the final states to one target control
+state, so the language is non-empty exactly when that state is coverable
+from the initial configuration.
 
 `emptiness` decides every automaton the same way: the skeleton reduction
 `restricted_hra_to_rvass`, then backward coverability.  On the paper's
@@ -28,14 +32,7 @@ from typing import Iterable, Optional
 
 from .constructions import StateTag
 from .core import Accept, Assignment, Hra, Reset, State, Transition, by_src, classify, subsets
-from .counters import (
-    Add,
-    CounterConfig,
-    CounterMachine,
-    ResetDim,
-    Transfer,
-    backward_coverability,
-)
+from .counters import CounterConfig, CounterMachine, Effect, Vector, backward_coverability
 from .errors import (
     NonUnitEffect,
     NotUnary,
@@ -62,13 +59,12 @@ class DimensionMap:
     def dim_of(self, x: frozenset[int]) -> int:
         return self.placesets.index(x) + 1
 
-    def unit(self, x: frozenset[int], sign: int) -> Add:
+    def vector(self, xs: Iterable[frozenset[int]]) -> Vector:
+        """One unit at the dimension of each place-set in `xs`."""
         v = [0] * len(self.placesets)
-        v[self.dim_of(x) - 1] = sign
-        return Add(tuple(v))
-
-    def zero(self) -> Add:
-        return Add((0,) * len(self.placesets))
+        for x in xs:
+            v[self.dim_of(x) - 1] += 1
+        return tuple(v)
 
 
 @dataclass(frozen=True)
@@ -91,10 +87,9 @@ def _reduction(
 ) -> CounterReduction:
     """Close a translation: a zero-effect edge from every final control
     state to the target `StateTag("target", ())`, then the machine.
-    `states` are the control states, edgeless ones included; chain
-    midpoints come in as transition endpoints."""
+    `states` are the control states, edgeless ones included."""
     goal = StateTag("target", ())
-    edges = transitions + [(q, dmap.zero(), goal) for q in finals]
+    edges = transitions + [(q, Effect((), (), ()), goal) for q in finals]
     mc = CounterMachine.make(len(dmap.placesets), {goal, *states}, edges)
     return CounterReduction(mc, init, goal, dmap)
 
@@ -112,44 +107,26 @@ def _initial_counts(h0: Assignment, placesets) -> tuple[int, ...]:
 
 
 def hra_to_trvass(a: Hra) -> CounterReduction:
-    """One counter per subset of histories (the empty one collects garbage);
-    letters move a unit of count, resets pour counters between subsets."""
+    """One counter per subset of histories (the empty one collects garbage).
+    Each transition is one edge: a letter takes a unit from the counter of
+    its pre-set and puts one on the counter of its post-set, and a reset of
+    Y pours every counter X that meets Y into the counter of X∖Y."""
     if a.n > 0:
         raise RegistersPresent("translation expects a history-only automaton")
     placesets = subsets(range(1, a.m + 1))[1:] + [frozenset()]
     dmap = DimensionMap(tuple(placesets), garbage=len(placesets))
     transitions: list[tuple[State, object, State]] = []
-    for t in sorted(a.transitions, key=repr):
+    for t in a.transitions:
         if isinstance(t.label, Accept):
             x, x2 = t.label.pre, t.label.post
-            steps = []
-            if x:
-                steps.append(dmap.unit(x, -1))
-            if x2:
-                steps.append(dmap.unit(x2, +1))
-            if not steps:
-                steps = [dmap.zero()]
-            _chain(transitions, t.src, t.dst, steps, ("acc", t))
+            eff = Effect(dmap.vector([x] if x else []), (), dmap.vector([x2] if x2 else []))
         else:
             x = t.label.targets
-            movers = [ps for ps in placesets if ps and ps & x]
-            steps = [
-                Transfer(dmap.dim_of(ps), dmap.dim_of(ps - x)) for ps in movers
-            ]
-            if not steps:
-                steps = [dmap.zero()]
-            _chain(transitions, t.src, t.dst, steps, ("rst", t))
+            moves = ((dmap.dim_of(ps), dmap.dim_of(ps - x)) for ps in placesets if ps & x)
+            eff = Effect((), tuple(moves), ())
+        transitions.append((t.src, eff, t.dst))
     init = (a.initial, _initial_counts(a.initial_assignment, placesets))
     return _reduction(dmap, a.states, transitions, a.finals, init)
-
-
-def _chain(transitions: list, src: State, dst: State, effects: list, tag) -> None:
-    """Append a linear sequence of effect edges through fresh midpoints."""
-    cur = src
-    for i, eff in enumerate(effects):
-        nxt = dst if i == len(effects) - 1 else StateTag("mid", (tag, i))
-        transitions.append((cur, eff, nxt))
-        cur = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +149,14 @@ def rvass_to_hra(mc: CounterMachine, init: CounterConfig, target_state: State) -
     and to 4 when some state carries resets on two distinct dimensions
     (with only 3, those neighborhoods collide and determinism would break).
     """
-    for t in mc.transitions:
-        if isinstance(t.effect, Transfer):
-            raise NonUnitEffect("transfers cannot be encoded")
-        if isinstance(t.effect, Add):
-            nz = [x for x in t.effect.vector if x]
-            if len(nz) > 1 or any(abs(x) > 1 for x in nz):
-                raise NonUnitEffect(f"{t.effect!r} touches more than one unit")
+    if not mc.is_rvass():
+        raise NonUnitEffect("transfers cannot be encoded")
     by_state_resets: dict[State, set[int]] = {}
     for t in mc.transitions:
-        if isinstance(t.effect, ResetDim):
-            by_state_resets.setdefault(t.src, set()).add(t.effect.dim)
+        e = t.effect
+        if sum(e.pre) + len(e.dest) + sum(e.post) > 1:
+            raise NonUnitEffect(f"{e!r} is more than one unit step")
+        by_state_resets.setdefault(t.src, set()).update(i for i, _ in e.dest)
     multi = any(len(d) >= 2 for d in by_state_resets.values())
     m = max(mc.dims, 4 if multi else 3)
 
@@ -192,34 +166,19 @@ def rvass_to_hra(mc: CounterMachine, init: CounterConfig, target_state: State) -
 
     transitions: list[tuple[State, object, State]] = []
     states: set[State] = set(mc.states)
-    serial = count()
-    for t in sorted(mc.transitions, key=repr):
-        if isinstance(t.effect, Add):
-            nz = [(i + 1, x) for i, x in enumerate(t.effect.vector) if x]
-            if not nz:
-                transitions.append((t.src, Reset(frozenset()), t.dst))
-            else:
-                d, sign = nz[0]
-                lab = Accept(frozenset(), frozenset({d})) if sign > 0 else Accept(
-                    frozenset({d}), frozenset()
-                )
-                transitions.append((t.src, lab, t.dst))
+    for t in mc.transitions:
+        take = frozenset(i + 1 for i, x in enumerate(t.effect.pre) if x)
+        put = frozenset(i + 1 for i, x in enumerate(t.effect.post) if x)
+        if not t.effect.dest:
+            lab = Accept(take, put) if take or put else Reset(frozenset())
+            transitions.append((t.src, lab, t.dst))
         else:
-            i = t.effect.dim
+            ((i, _),) = t.effect.dest
             hops = [_neigh((i - 2) % m + 1, m), _neigh(i, m), _neigh(i % m + 1, m)]
-            cur: State = t.src
-            chain_id = next(serial)
-            mid = StateTag("mid", ("reset", chain_id, 0))
-            states.add(mid)
-            transitions.append((cur, Reset(frozenset({i})), mid))
-            cur = mid
-            for step, nb in enumerate(hops):
-                nxt = t.dst if step == len(hops) - 1 else StateTag(
-                    "mid", ("reset", chain_id, step + 1)
-                )
-                states.add(nxt)
-                transitions.append((cur, Accept(nb - {i}, nb), nxt))
-                cur = nxt
+            labels = [Reset(frozenset({i}))] + [Accept(nb - {i}, nb) for nb in hops]
+            path = [t.src] + [StateTag("mid", ("reset", t, k)) for k in range(3)] + [t.dst]
+            transitions += zip(path, labels, path[1:])
+            states.update(path)
 
     contents: dict[int, set[int]] = {i: set() for i in range(1, m + 1)}
     name = count()
@@ -282,10 +241,9 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
     transitions: list[tuple[State, object, State]] = []
     seen = {(a.initial, phi0)}
     work = deque(seen)
-    serial = count()
 
     def evictions(phi: Skeleton, skip: int, wiped: frozenset[int]) -> list:
-        """Unit increments for register names released into pure history sets."""
+        """The pure history sets that register names are released into."""
         out = []
         for k in sorted(phi.classes()):
             if k == skip:
@@ -294,42 +252,33 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
             if yk & wiped:
                 left = yk - wiped
                 if pure(left):
-                    out.append(dmap.unit(left, +1))
+                    out.append(left)
         return out
 
     while work:
         q, phi = work.popleft()
         src = st(q, phi)
-        for t in sorted(adj.get(q, ()), key=repr):
+        for t in adj.get(q, ()):
             if isinstance(t.label, Accept):
                 x, x2 = t.label.pre, t.label.post
-                steps: list = []
+                j = 0
                 if x and not x <= hist:
                     hits = skel_at(phi, x)
                     if not hits:
                         continue  # no register name can sit at exactly x here
                     j = next(iter(hits))
-                elif pure(x):
-                    j = 0
-                    steps.append(dmap.unit(x, -1))
-                else:
-                    j = 0
-                steps += evictions(phi, j, x2 - hist)
-                if pure(x2):
-                    steps.append(dmap.unit(x2, +1))
+                released = evictions(phi, j, x2 - hist) + ([x2] if pure(x2) else [])
+                eff = Effect(dmap.vector([x] if pure(x) else []), (), dmap.vector(released))
                 phi2 = skel_move(phi, j, x2)
             else:
                 x = t.label.targets
-                steps = [
-                    ResetDim(dmap.dim_of(ps)) if ps <= x
-                    else Transfer(dmap.dim_of(ps), dmap.dim_of(ps - x))
+                moves = tuple(
+                    (dmap.dim_of(ps), 0 if ps <= x else dmap.dim_of(ps - x))
                     for ps in placesets if ps & x
-                ]  # ps - x never meets x, so the order does not matter
-                steps += evictions(phi, 0, x)
+                )  # ps - x never meets x, so no counter both moves and receives
+                eff = Effect((), moves, dmap.vector(evictions(phi, 0, x)))
                 phi2 = skel_reset(phi, x)
-            if not steps:
-                steps = [dmap.zero()]
-            _chain(transitions, src, st(t.dst, phi2), steps, ("r", next(serial)))
+            transitions.append((src, eff, st(t.dst, phi2)))
             if (t.dst, phi2) not in seen:
                 seen.add((t.dst, phi2))
                 work.append((t.dst, phi2))
@@ -367,25 +316,21 @@ def nonreset_to_vass(a: Hra) -> CounterReduction:
     placesets = sorted(used, key=lambda s: (len(s), sorted(s)))
     dmap = DimensionMap(tuple(placesets) or (frozenset(),))
     transitions: list[tuple[State, object, State]] = []
-    for t in sorted(a.transitions, key=repr):
+    for t in a.transitions:
         if isinstance(t.label, Accept):
-            steps = []
-            if t.label.pre:
-                steps.append(dmap.unit(t.label.pre, -1))
-            if t.label.post:
-                steps.append(dmap.unit(t.label.post, +1))
-            if not steps:
-                steps = [dmap.zero()]
+            x, x2 = t.label.pre, t.label.post
+            eff = Effect(dmap.vector([x] if x else []), (), dmap.vector([x2] if x2 else []))
         else:
-            steps = [dmap.zero()]  # empty reset: silent no-op
-        _chain(transitions, t.src, t.dst, steps, ("nr", t))
+            eff = Effect((), (), ())  # empty reset: silent no-op
+        transitions.append((t.src, eff, t.dst))
     init = (a.initial, _initial_counts(a.initial_assignment, dmap.placesets))
     return _reduction(dmap, a.states, transitions, a.finals, init)
 
 
 def vass_to_nonreset_hra(mc: CounterMachine, init: CounterConfig, target_state: State) -> Hra:
     """Counter i becomes the population of the place-set with bit pattern i
-    over ceil(log2(m+1)) histories; effects stage through shared suffixes."""
+    over ceil(log2(m+1)) histories.  An edge stages through shared suffixes
+    as one single-name step per unit: its `pre` first, then its `post`."""
     if not mc.is_vass():
         raise TransfersOrResetsPresent("input must be a plain addition machine")
     q0, v0 = init
@@ -403,8 +348,10 @@ def vass_to_nonreset_hra(mc: CounterMachine, init: CounterConfig, target_state: 
         return StateTag("vstage", (q, rest))
 
     transitions: list[tuple[State, object, State]] = []
-    for t in sorted(mc.transitions, key=repr):
-        pending = tuple((i + 1, x) for i, x in enumerate(t.effect.vector) if x)
+    for t in mc.transitions:
+        e = t.effect
+        pending = tuple((i + 1, -1) for i, x in enumerate(e.pre) for _ in range(x))
+        pending += tuple((i + 1, +1) for i, x in enumerate(e.post) for _ in range(x))
         if not pending:
             transitions.append((node(t.src), Accept(frozenset(), frozenset()), node(t.dst)))
             continue

@@ -6,19 +6,29 @@ from histra import (
     Add,
     BadPlaceIndex,
     CounterMachine,
+    Effect,
     HistraError,
     NonUnitEffect,
     SelfTransfer,
     Transfer,
+    apply_effect,
+    backward_coverability,
     classify,
+    emptiness,
+    hra_to_trvass,
     kleene_star,
     membership,
+    nonreset_to_vass,
+    registers_to_histories,
+    rvass_to_hra,
+    unary_to_one_rvass,
     union,
 )
 from histra.cli import (
     CounterDocument,
     NameTable,
     ParseError,
+    _state_tokens,
     main,
     parse_counters,
     parse_hra,
@@ -196,8 +206,8 @@ def test_parse_counter_file():
     doc = parse_counters(TRVASS_FILE)
     assert doc.machine.dims == 2
     assert doc.query == ("a", (0, 0), "b")
-    effects = {type(t.effect) for t in doc.machine.transitions}
-    assert effects == {Add, Transfer}
+    effects = {t.effect for t in doc.machine.transitions}
+    assert effects == {Add((1, 0)), Transfer(1, 2).canonical(2)}
 
 
 def test_counter_round_trip_is_stable():
@@ -217,6 +227,44 @@ def test_counter_round_trip_on_random_machines():
         assert print_counters(doc) == text, seed
 
 
+_TO_COUNTERS = {
+    "trvass": lambda a: hra_to_trvass(registers_to_histories(a)),
+    "vass": nonreset_to_vass,
+    "one_rvass": unary_to_one_rvass,
+}
+
+
+def test_to_counters_round_trip_and_cover_on_random_automata(tmp_path, capsys):
+    written = dict.fromkeys(_TO_COUNTERS, 0)
+    for seed in range(100):
+        f = _file(tmp_path, "a.hra", print_hra(random_hra(seed, max_m=2, max_n=1)))
+        a = parse_hra(open(f).read())
+        empty = emptiness(a).is_empty
+        for target, reduce in _TO_COUNTERS.items():
+            out = str(tmp_path / f"{target}.cm")
+            try:
+                red = reduce(a)
+            except HistraError:
+                assert main(["to-counters", f, "--target", target, "-o", out]) == 2
+                continue
+            assert main(["to-counters", f, "--target", target, "-o", out]) == 0
+            written[target] += 1
+            # the file names states by the printer's tokens, and it only
+            # lists the states on an edge or in the query
+            mc = red.machine
+            tok = _state_tokens(mc.states)
+            renamed = CounterMachine.make(
+                mc.dims, {tok[red.init[0]], tok[red.target]},
+                [(tok[t.src], t.effect, tok[t.dst]) for t in mc.transitions],
+            )
+            doc = parse_counters(open(out).read())
+            assert doc.machine == renamed, (seed, target)
+            assert doc.query == (tok[red.init[0]], red.init[1], tok[red.target]), (seed, target)
+            assert main(["cover", out]) == (1 if empty else 0), (seed, target)
+    capsys.readouterr()
+    assert min(written.values()) >= 10, written
+
+
 def test_printer_infers_tightest_class():
     doc = parse_counters("TRVASS 1\nTRANS a b ADD 1\n")
     assert print_counters(doc).startswith("VASS 1")
@@ -224,17 +272,56 @@ def test_printer_infers_tightest_class():
     assert print_counters(doc2).startswith("RVASS 1")
 
 
-def test_wide_add_entries_become_unit_steps():
+def test_wide_add_entries_are_one_edge():
     doc = parse_counters("VASS 1\nTRANS a b ADD -2\n")
-    assert len(doc.machine.transitions) == 2
-    assert all(t.effect == Add((-1,)) for t in doc.machine.transitions)
-    doc2 = parse_counters("VASS 2\nTRANS a b ADD 2 -3\n")
-    assert len(doc2.machine.transitions) == 5
-    # decrements are applied before increments so intermediate values stay low
-    first = next(t for t in doc2.machine.transitions if t.src == "a")
-    assert first.effect == Add((0, -1))
-    doc3 = parse_counters("VASS 2\nTRANS a b ADD 1 -1\n")
-    assert len(doc3.machine.transitions) == 1
+    assert [t.effect for t in doc.machine.transitions] == [Add((-2,))]
+    doc2 = parse_counters("VASS 2\nTRANS a b ADD 2 -3\nTRANS b a ADD -1 1\n")
+    assert {t.effect for t in doc2.machine.transitions} == {Add((2, -3)), Add((-1, 1))}
+    # the same machine spelled as unit steps, decrements first
+    units = [(0, -1)] * 3 + [(1, 0)] * 2
+    hops = ["a"] + [f"m{k}" for k in range(len(units) - 1)] + ["b"]
+    chain = CounterMachine.make(
+        2, [], [(p, Add(u), q) for p, u, q in zip(hops, units, hops[1:])]
+        + [("b", Add((-1, 1)), "a")]
+    )
+    for v in [(x, y) for x in range(4) for y in range(6)]:
+        for q0, target in [("a", "b"), ("b", "a"), ("b", "b")]:
+            assert backward_coverability(doc2.machine, (q0, v), target) == (
+                backward_coverability(chain, (q0, v), target)
+            ), (v, q0, target)
+
+
+def test_trans_line_with_phases_is_one_edge():
+    text = "TRVASS 3\nTRANS a b ADD -1 0 0 TRANSFER 2 3 RESET 1 ADD 0 0 2\nQUERY a 1 1 0 b\n"
+    doc = parse_counters(text)
+    (t,) = doc.machine.transitions
+    assert t.effect == Effect((1, 0, 0), ((1, 0), (2, 3)), (0, 0, 2))
+    assert apply_effect(t.effect, (1, 1, 0)) == (0, 0, 3)
+    printed = print_counters(doc)
+    assert "TRANS a b ADD -1 0 0 RESET 1 TRANSFER 2 3 ADD 0 0 2" in printed
+    assert parse_counters(printed).machine == doc.machine
+    # taking from and putting on the same counter needs two phases
+    doc2 = parse_counters("VASS 1\nTRANS a b ADD -1 ADD 1\n")
+    assert "TRANS a b ADD -1 ADD 1" in print_counters(doc2)
+    assert parse_counters("VASS 1\nTRANS a b ADD 0\n").machine != doc2.machine
+
+
+@pytest.mark.parametrize("line,reason", [
+    ("TRANS a b ADD 1 0 TRANSFER 1 2", "out of phase"),  # increases before the moves
+    ("TRANS a b TRANSFER 1 2 ADD 0 -1", "out of phase"),  # decreases after the moves
+    ("TRANS a b RESET 1 ADD 0 1 RESET 2", "out of phase"),  # an ADD between moves
+    ("TRANS a b ADD 0 0 ADD 0 0 ADD 0 0", "out of phase"),
+    ("TRANS a b TRANSFER 1 2 TRANSFER 2 1", "counter 2 is moved and also receives"),
+    ("TRANS a b RESET 2 TRANSFER 1 2", "counter 2 is moved and also receives"),
+    ("TRANS a b RESET 1 RESET 1", "moved twice"),
+    ("TRANS a b TRANSFER 1 2 2", "TRANSFER expects 2 entries"),
+])
+def test_out_of_phase_trans_lines_are_parse_errors(line, reason, tmp_path, capsys):
+    text = f"TRVASS 2\n{line}\nQUERY a 0 0 b\n"
+    with pytest.raises(ParseError, match=f"line 2: .*{reason}"):
+        parse_counters(text)
+    assert main(["cover", _file(tmp_path, "m.cm", text)]) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_counter_class_violations_rejected():
@@ -480,8 +567,9 @@ def test_self_transfer_is_a_parse_error(tmp_path, capsys):
 
 
 def test_counter_machine_effect_errors_are_histra_errors():
+    mc = CounterMachine.make(1, ["q"], [("q", Add((2,)), "q")])
     with pytest.raises(NonUnitEffect) as wide:
-        CounterMachine.make(1, ["q"], [("q", Add((2,)), "q")])
+        rvass_to_hra(mc, ("q", (0,)), "q")
     with pytest.raises(SelfTransfer) as loop:
         CounterMachine.make(2, ["q"], [("q", Transfer(1, 1), "q")])
     assert isinstance(wide.value, HistraError) and isinstance(loop.value, HistraError)

@@ -12,11 +12,12 @@ import pytest
 from histra import (
     Add,
     CounterMachine,
-    NonUnitEffect,
+    Effect,
     ResetDim,
     SelfTransfer,
     Transfer,
     UpSet,
+    ValidationError,
     WrongDimension,
     apply_effect,
     backward_coverability,
@@ -55,8 +56,17 @@ def test_make_validates_arity_and_ranges():
         CounterMachine.make(2, ["q"], [("q", ResetDim(3), "q")])
     with pytest.raises(SelfTransfer):
         CounterMachine.make(2, ["q"], [("q", Transfer(1, 1), "q")])
-    with pytest.raises(NonUnitEffect):
-        CounterMachine.make(1, ["q"], [("q", Add((2,)), "q")])
+    # wide entries are one edge; rvass_to_hra is what rejects them
+    wide = CounterMachine.make(1, ["q"], [("q", Add((2,)), "q")])
+    assert [t.effect for t in wide.transitions] == [Add((2,))]
+    with pytest.raises(WrongDimension):
+        CounterMachine.make(2, ["q"], [("q", Effect((1,), (), ()), "q")])
+    with pytest.raises(ValidationError):
+        CounterMachine.make(1, ["q"], [("q", Effect((-1,), (), ()), "q")])
+    with pytest.raises(ValidationError):
+        CounterMachine.make(2, ["q"], [("q", Effect((), ((1, 2), (2, 0)), ()), "q")])
+    with pytest.raises(ValidationError):
+        CounterMachine.make(2, ["q"], [("q", Effect((), ((1, 2), (1, 0)), ()), "q")])
 
 
 def test_make_adds_transition_endpoints_to_the_states():
@@ -116,6 +126,50 @@ def test_pre_basis_exhaustive(dims, cap):
                 out = apply_effect(eff, u)
                 hits = out is not None and _dominates(out, b)
                 assert hits == any(_dominates(u, v) for v in basis), (eff, b, u)
+
+
+def _random_effect(rng, dims):
+    """A compound effect as `CounterMachine.make` accepts it: some counters
+    move to a counter that does not move, or are zeroed."""
+    moved = [i for i in range(1, dims + 1) if rng.random() < 0.5]
+    still = [j for j in range(1, dims + 1) if j not in moved]
+    dest = tuple((i, rng.choice([0] + still)) for i in moved)
+    pre, post = (tuple(rng.randint(0, 3) for _ in range(dims)) for _ in "ab")
+    return Effect(pre, dest, post).canonical(dims)
+
+
+def test_pre_basis_is_the_minimal_predecessors_of_random_compound_effects():
+    # every basis vector lies in [0, 6]^d when b and the entries are at most
+    # 3, so the minimal elements found in that box are the whole basis
+    rng = random.Random(11)
+    for _ in range(200):
+        dims = rng.randint(1, 4)
+        eff = _random_effect(rng, dims)
+        b = tuple(rng.randint(0, 3) for _ in range(dims))
+        hits = {
+            v for v in _box(dims, 6)
+            if (out := apply_effect(eff, v)) is not None and _dominates(out, b)
+        }
+        minimal = {
+            v for v in hits
+            if not any(v[i] and v[:i] + (v[i] - 1,) + v[i + 1:] in hits for i in range(dims))
+        }
+        assert pre_basis(eff, b) == minimal, (eff, b)
+
+
+def test_compound_effect_is_its_phases_one_at_a_time():
+    rng = random.Random(12)
+    for _ in range(300):
+        dims = rng.randint(1, 4)
+        eff = _random_effect(rng, dims)
+        phases = [Add(tuple(-x for x in eff.pre))]
+        phases += [Transfer(i, j) if j else ResetDim(i) for i, j in eff.dest]
+        phases.append(Add(eff.post))
+        v = tuple(rng.randint(0, 4) for _ in range(dims))
+        w = v
+        for phase in phases:
+            w = apply_effect(phase, w) if w is not None else None
+        assert apply_effect(eff, v) == w, (eff, v)
 
 
 def test_upset_antichain_behaviour():
@@ -199,13 +253,13 @@ def _live(mc, init_vec):
     """Counters (0-based) that some run from init_vec can make non-zero."""
     live = {i for i, x in enumerate(init_vec) if x}
     for t in mc.transitions:
-        if isinstance(t.effect, Add):
-            live |= {i for i, x in enumerate(t.effect.vector) if x > 0}
+        live |= {i for i, x in enumerate(t.effect.post) if x > 0}
     while True:
         grown = live | {
-            t.effect.dst - 1
+            j - 1
             for t in mc.transitions
-            if isinstance(t.effect, Transfer) and t.effect.src - 1 in live
+            for i, j in t.effect.dest
+            if j and i - 1 in live
         }
         if grown == live:
             return live
@@ -408,6 +462,16 @@ def test_one_dim_witness_length_bound():
         if w is not None:
             assert w[0] == init and w[-1][0] == target
             assert len(w) - 1 <= len(mc.states) ** 2, seed
+
+
+def test_one_dim_caps_count_the_unit_steps_of_wide_edges():
+    # two states, but q needs four pumps of +5: the caps must be those of
+    # the machine spelled as unit steps (25 states), not of this one
+    mc = CounterMachine.make(1, [], [("p", Add((5,)), "p"), ("p", Add((-20,)), "q")])
+    assert backward_coverability(mc, ("p", (0,)), "q")
+    assert one_dim_rvass_reachability(mc, ("p", (0,)), "q")
+    path = one_dim_rvass_witness(mc, ("p", (0,)), "q")
+    assert [v for _, (v,) in path] == [0, 5, 10, 15, 20, 0]
 
 
 def test_one_dim_large_initial_counter_is_clipped_soundly():

@@ -36,7 +36,8 @@ from histra import (
     vass_to_nonreset_hra,
 )
 from histra.core import initial_config
-from histra.counters import CounterMachine, apply_effect
+from histra.cli import parse_counters
+from histra.counters import CounterMachine, counter_step
 from histra.oracles import (
     Lang,
     bounded_emptiness,
@@ -107,37 +108,8 @@ def test_trvass_decides_l3():
 
 
 # ---------------------------------------------------------------------------
-# co-simulation: the counters track |H@X| exactly
-
-
-def _machine_hops(mc: CounterMachine, cfg):
-    """All configurations reachable by one chain of effects, where every
-    intermediate state is a hidden midpoint."""
-
-    def hidden(q):
-        return isinstance(q, StateTag) and q.kind == "mid"
-
-    assert not hidden(cfg[0])
-
-    out = set()
-    work = [cfg]
-    seen = {cfg}
-    while work:
-        q, v = work.pop()
-        for t in mc.transitions:
-            if t.src != q:
-                continue
-            v2 = apply_effect(t.effect, v)
-            if v2 is None:
-                continue
-            nxt = (t.dst, v2)
-            if hidden(t.dst):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    work.append(nxt)
-            else:
-                out.add(nxt)
-    return out
+# co-simulation: the counters track |H@X| exactly, one machine edge per
+# automaton transition
 
 
 def _random_walk(a, rng, steps):
@@ -183,7 +155,7 @@ def test_trvass_cosimulation_random_walks(seed):
     assert mcfg[1][: len(tracked)] == _counts(a.initial_assignment, tracked)
     for _cfg, t, _letter, (q2, h2) in _random_walk(a, rng, 12):
         want = _counts(h2, tracked)
-        hops = _machine_hops(red.machine, mcfg)
+        hops = counter_step(red.machine, mcfg)
         matches = [hop for hop in hops if hop[0] == q2 and hop[1][:-1] == want]
         assert matches, (seed, t, q2, want, hops)
         mcfg = matches[0]
@@ -227,7 +199,7 @@ def test_restricted_cosimulation_tracks_skeleton_and_counts(seed):
         for _cfg, t, _letter, (q2, h2) in _random_walk(a, rng, 16):
             want_state = StateTag("st", (q2, skeleton_of(h2, a.m, a.n)))
             want = _counts(h2, red.dimension_map.placesets)
-            hops = _machine_hops(red.machine, mcfg)
+            hops = counter_step(red.machine, mcfg)
             matches = [hop for hop in hops if hop == (want_state, want)]
             assert matches, (seed, t, want_state, want, hops)
             mcfg = matches[0]
@@ -256,6 +228,9 @@ def test_rvass_to_hra_rejects_wide_effects():
     mc2 = CounterMachine.make(2, ["q"], [("q", Transfer(1, 2), "q")])
     with pytest.raises(NonUnitEffect):
         rvass_to_hra(mc2, ("q", (0, 0)), "q")
+    mc3 = parse_counters("RVASS 2\nTRANS q q ADD 2 -3\n").machine
+    with pytest.raises(NonUnitEffect):
+        rvass_to_hra(mc3, ("q", (0, 3)), "q")
 
 
 def test_rvass_to_hra_rejects_a_wrong_initial_arity():
@@ -434,6 +409,19 @@ def test_vass_staging_consumes_dims_in_order():
     assert emptiness(a2).is_empty
 
 
+def test_vass_to_nonreset_hra_stages_wide_entries_unit_by_unit():
+    # a -> b needs three units of counter 2 and leaves two of counter 1,
+    # which b -> c then needs
+    mc = parse_counters("VASS 2\nTRANS a b ADD 2 -3\nTRANS b c ADD -2 0\n").machine
+    for init in [(x, y) for x in range(2) for y in range(5)]:
+        for target in ("b", "c"):
+            a = vass_to_nonreset_hra(mc, ("a", init), target)
+            validate(a)
+            covered = backward_coverability(mc, ("a", init), target)
+            assert covered == (init[1] >= 3), (init, target)
+            assert emptiness(a).is_empty == (not covered), (init, target)
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_vass_round_trip_50_random(seed):
     mc = random_counter_machine(seed, dims=3, klass="vass")
@@ -546,8 +534,9 @@ def test_auto_routing_by_class():
     )
     res = emptiness(unrestricted)
     assert res.engine == "restricted"
-    effects = {type(t.effect) for t in restricted_hra_to_rvass(unrestricted).machine.transitions}
-    assert Transfer in effects
+    moves = {m for t in restricted_hra_to_rvass(unrestricted).machine.transitions
+             for m in t.effect.dest}
+    assert any(j for _, j in moves)  # the reset of history 1 pours {1,2} into {2}
     assert bounded_emptiness(unrestricted, 8).kind == "nonempty"
     assert res.is_empty is False
 
