@@ -55,7 +55,7 @@ from .core import (
 )
 from .counters import Add, CounterMachine, Effect, backward_coverability
 from .errors import BadPlaceIndex, HistraError
-from .reductions import emptiness, hra_to_trvass, nonreset_to_vass, unary_to_one_rvass
+from .reductions import emptiness, hra_to_trvass, nonreset_to_vass, restricted_hra_to_rvass
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -497,7 +497,7 @@ def _cmd_to_counters(args) -> int:
     elif args.target == "vass":
         red = nonreset_to_vass(a)
     else:
-        red = unary_to_one_rvass(a)
+        red = restricted_hra_to_rvass(a)
     q0, v0 = red.init
     _write(args.output, print_counters(CounterDocument(red.machine, (q0, v0, red.target))))
     print(f"wrote {args.output}")
@@ -579,7 +579,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("to-counters", help="translate to a counter machine")
     sp.add_argument("file")
-    sp.add_argument("--target", choices=["trvass", "vass", "one_rvass"], default="trvass")
+    sp.add_argument("--target", choices=["restricted", "trvass", "vass"], default="restricted",
+                    help="restricted (default) is the machine `histra empty` solves")
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(func=_cmd_to_counters)
 

@@ -2,8 +2,8 @@
 
 Everything here is a pure function from automata to automata.  Constructed
 states are `StateTag` values so the provenance of a state (product pair,
-tracking function, sink, ...) stays inspectable; midpoint states introduced
-by two-step translations are tagged "mid" and count as hidden.
+tracking function, sink, ...) stays inspectable; a translation that spells
+one step as two tags the state between them "mid".
 """
 
 from __future__ import annotations

@@ -379,7 +379,7 @@ def _fra_shape(a: Hra) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# determinism
+# reset summaries
 
 
 def reset_summaries(a: Hra) -> dict[State, frozenset[tuple[frozenset[int], State]]]:
@@ -399,76 +399,6 @@ def reset_summaries(a: Hra) -> dict[State, frozenset[tuple[frozenset[int], State
                     work.append(item)
         out[q] = frozenset(seen)
     return out
-
-
-def check_strong_determinism(a: Hra) -> bool:
-    """At most one reset-then-accept compound can match any (state, place-set)."""
-    summaries = reset_summaries(a)
-    accepts = by_src(t for t in a.transitions if isinstance(t.label, Accept))
-    all_places = frozenset(a.places)
-    for q in a.states:
-        matches: dict[frozenset[int], set] = {}
-        for y, p in summaries[q]:
-            for t in accepts.get(p, ()):
-                x0 = t.label.pre
-                if x0 & y:
-                    continue
-                # compounds fire on names placed at x0 together with any part of y
-                for s in subsets(y):
-                    x = x0 | s
-                    if x <= all_places:
-                        matches.setdefault(x, set()).add((t.dst, y, t.label.post))
-        if any(len(v) > 1 for v in matches.values()):
-            return False
-    return True
-
-
-def bounded_determinism_check(
-    a: Hra, depth: int
-) -> tuple[bool, Optional[tuple[Configuration, Name, tuple[Configuration, ...]]]]:
-    """Search configurations reachable within `depth` letters for a state,
-    letter pair admitting two distinct silent-then-letter successors.
-
-    Names are drawn from the initial assignment plus `depth` canonical fresh
-    ones, which suffices up to renaming.
-    """
-    base = sorted(a.initial_assignment.names())
-    fresh, k = [], 0
-    while len(fresh) < depth:
-        if k not in a.initial_assignment.names():
-            fresh.append(k)
-        k += 1
-    supply = base + fresh
-
-    closure_cache: dict[Configuration, frozenset[Configuration]] = {}
-
-    def closure(c: Configuration) -> frozenset[Configuration]:
-        if c not in closure_cache:
-            closure_cache[c] = eps_closure(a, {c})
-        return closure_cache[c]
-
-    seen = set()
-    work = deque([(initial_config(a), 0)])
-    while work:
-        c, used = work.popleft()
-        if c in seen:
-            continue
-        seen.add(c)
-        for letter in supply:
-            succs = set()
-            for c2 in closure(c):
-                succs.update(step(a, c2, letter))
-            if len(succs) > 1:
-                return False, (c, letter, tuple(sorted(succs, key=repr)))
-            if used < depth:
-                for s in succs:
-                    if s not in seen:
-                        work.append((s, used + 1))
-        # silent successors are reachable configurations in their own right
-        for c2 in closure(c):
-            if c2 not in seen:
-                work.append((c2, used))
-    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -308,49 +308,30 @@ def one_dim_rvass_witness(
     """A reaching path for the one-dimensional case, or None.
 
     The initial counter is truncated to |Q|^2 - 1 (larger values are
-    interchangeable for state reachability), intermediate counters are
-    capped at that plus |Q|^2, and paths are cut off at |Q|^2 edges;
-    within those bounds the search is exhaustive.  |Q| counts the states
-    of the machine that spells each edge as unit steps: an edge with
-    |pre|₁ + #resets + |post|₁ = k > 1 adds k − 1 midpoints.
+    interchangeable for state reachability) and the counter is capped at
+    that plus |Q|^2.  `forward_witness_search` then explores the capped
+    space breadth-first; its step budget is the size of that space, so it
+    never stops early, and the path it returns is a shortest one within
+    the cap.  |Q| counts the states of the machine that spells each edge
+    as unit steps: an edge with |pre|₁ + #resets + |post|₁ = k > 1 adds
+    k − 1 midpoints.
     """
     if mc.dims != 1:
         raise WrongDimension(f"expected 1 dimension, got {mc.dims}")
     if not mc.is_rvass():
         raise TransfersPresent("one-dimensional engine handles additions and resets only")
     q0, vec = init
+    if len(vec) != 1:
+        raise WrongDimension(f"initial vector has arity {len(vec)}, expected 1")
     units = [sum(t.effect.pre) + len(t.effect.dest) + sum(t.effect.post) for t in mc.transitions]
-    nsq = (len(mc.states) + sum(max(k - 1, 0) for k in units)) ** 2
+    nq = len(mc.states) + sum(max(k - 1, 0) for k in units)
+    nsq = nq * nq
     n0 = min(vec[0], nsq - 1)
     cap = n0 + nsq
-    start = (q0, (n0,))
-    parents: dict[CounterConfig, Optional[CounterConfig]] = {start: None}
-    depth = {start: 0}
-    work = deque([start])
-    goal = None
-    if q0 == target_state:
-        goal = start
-    while work and goal is None:
-        c = work.popleft()
-        if depth[c] >= nsq:
-            continue
-        for nxt in sorted(counter_step(mc, c), key=repr):
-            if nxt[1][0] > cap or nxt in parents:
-                continue
-            parents[nxt] = c
-            depth[nxt] = depth[c] + 1
-            if nxt[0] == target_state:
-                goal = nxt
-                break
-            work.append(nxt)
-    if goal is None:
-        return None
-    path = []
-    node: Optional[CounterConfig] = goal
-    while node is not None:
-        path.append(node)
-        node = parents[node]
-    return tuple(reversed(path))
+    probe = forward_witness_search(
+        mc, (q0, (n0,)), target_state, counter_cap=cap, step_budget=nq * (cap + 1) + 1
+    )
+    return probe.path if probe.kind == "reachable" else None
 
 
 def one_dim_rvass_reachability(
@@ -360,7 +341,7 @@ def one_dim_rvass_reachability(
 
 
 # ---------------------------------------------------------------------------
-# forward search (semi-decision, used for cross-checks)
+# forward search (a semi-decision; exact when the caps are known to suffice)
 
 
 @dataclass(frozen=True)
@@ -383,6 +364,8 @@ def forward_witness_search(
     was exhausted without ever clipping a successor, so that verdict is
     definite.
     """
+    if len(init[1]) != mc.dims:
+        raise WrongDimension(f"initial vector has arity {len(init[1])}, expected {mc.dims}")
     parents: dict[CounterConfig, Optional[CounterConfig]] = {init: None}
 
     def path_to(c: CounterConfig) -> tuple[CounterConfig, ...]:

@@ -3,14 +3,14 @@
 The language predicates here are written straight from the word-level
 definitions, with no automata involved, so they can serve as independent
 ground truth for the machinery in the rest of the library.  The bounded
-engines (emptiness, bisimulation) only use the one-step semantics from
-`core`, never the constructions under test.
+engines (emptiness, bisimulation, determinism) only use the one-step
+semantics from `core`, never the constructions under test.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -148,7 +148,15 @@ def bounded_emptiness(a: Hra, max_letters: int = 8) -> EmptinessProbe:
 
 
 # ---------------------------------------------------------------------------
-# bounded bisimulation game
+# silent-then-letter moves: bounded bisimulation and determinism
+
+
+def moves(a: Hra, c: Configuration, letter: Name) -> frozenset[Configuration]:
+    """Every configuration reached from `c` by resets and then `letter`."""
+    out = set()
+    for c2 in eps_closure(a, {c}):
+        out.update(step(a, c2, letter))
+    return frozenset(out)
 
 
 def bounded_bisimulation(a1: Hra, a2: Hra, depth: int) -> bool:
@@ -165,12 +173,6 @@ def bounded_bisimulation(a1: Hra, a2: Hra, depth: int) -> bool:
 
     def can_final(a: Hra, c: Configuration) -> bool:
         return any(q in a.finals for q, _ in eps_closure(a, {c}))
-
-    def moves(a: Hra, c: Configuration, letter: Name) -> frozenset[Configuration]:
-        out = set()
-        for c2 in eps_closure(a, {c}):
-            out.update(step(a, c2, letter))
-        return frozenset(out)
 
     def related(c1: Configuration, c2: Configuration, d: int) -> bool:
         key = (c1, c2, d)
@@ -194,6 +196,45 @@ def bounded_bisimulation(a1: Hra, a2: Hra, depth: int) -> bool:
         return ok
 
     return related(initial_config(a1), initial_config(a2), depth)
+
+
+def bounded_determinism_check(
+    a: Hra, depth: int
+) -> tuple[bool, Optional[tuple[Configuration, Name, tuple[Configuration, ...]]]]:
+    """Search configurations reachable within `depth` letters for a state,
+    letter pair admitting two distinct silent-then-letter successors.
+
+    Names are drawn from the initial assignment plus `depth` canonical fresh
+    ones, which suffices up to renaming.
+    """
+    base = sorted(a.initial_assignment.names())
+    fresh, k = [], 0
+    while len(fresh) < depth:
+        if k not in a.initial_assignment.names():
+            fresh.append(k)
+        k += 1
+    supply = base + fresh
+
+    seen = set()
+    work = deque([(initial_config(a), 0)])
+    while work:
+        c, used = work.popleft()
+        if c in seen:
+            continue
+        seen.add(c)
+        for letter in supply:
+            succs = moves(a, c, letter)
+            if len(succs) > 1:
+                return False, (c, letter, tuple(sorted(succs, key=repr)))
+            if used < depth:
+                for s in succs:
+                    if s not in seen:
+                        work.append((s, used + 1))
+        # silent successors are reachable configurations in their own right
+        for c2 in eps_closure(a, {c}):
+            if c2 not in seen:
+                work.append((c2, used))
+    return True, None
 
 
 # ---------------------------------------------------------------------------

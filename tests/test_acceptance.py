@@ -16,7 +16,6 @@ from histra import (
     Transfer,
     backward_coverability,
     bounded_bisimulation,
-    check_strong_determinism,
     complement_deterministic,
     concatenation,
     containment_deterministic,
@@ -301,7 +300,7 @@ def test_counter_machine_to_automaton_round_trip_preserves_verdicts():
             seed, dims=2, klass="rvass", unit_effects=True, deterministic=True
         )
         a = rvass_to_hra(mc, ("c0", (1, 0)), sorted(mc.states)[-1])
-        assert check_strong_determinism(a), seed
+        assert packed_determinism_witness(to_packed(a)) is None, seed
 
 
 # ---------------------------------------------------------------------------

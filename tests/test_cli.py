@@ -20,6 +20,7 @@ from histra import (
     membership,
     nonreset_to_vass,
     registers_to_histories,
+    restricted_hra_to_rvass,
     rvass_to_hra,
     unary_to_one_rvass,
     union,
@@ -228,9 +229,9 @@ def test_counter_round_trip_on_random_machines():
 
 
 _TO_COUNTERS = {
+    "restricted": restricted_hra_to_rvass,
     "trvass": lambda a: hra_to_trvass(registers_to_histories(a)),
     "vass": nonreset_to_vass,
-    "one_rvass": unary_to_one_rvass,
 }
 
 
@@ -263,6 +264,8 @@ def test_to_counters_round_trip_and_cover_on_random_automata(tmp_path, capsys):
             assert main(["cover", out]) == (1 if empty else 0), (seed, target)
     capsys.readouterr()
     assert min(written.values()) >= 10, written
+    # the machine `emptiness` solves exists for every automaton
+    assert written["restricted"] == 100, written
 
 
 def test_printer_infers_tightest_class():
@@ -478,11 +481,14 @@ def test_to_counters_then_cover(tmp_path, capsys):
 
 
 def test_to_counters_one_rvass_target(tmp_path, capsys):
+    # on a unary automaton the restricted target is the one-counter R-VASS
     f = _file(tmp_path, "consume.hra", CONSUME)
     out = str(tmp_path / "machine.cm")
-    assert main(["to-counters", f, "--target", "one_rvass", "-o", out]) == 0
+    assert main(["to-counters", f, "--target", "restricted", "-o", out]) == 0
     text = open(out).read()
     assert text.split()[1] == "1"  # single counter
+    red = unary_to_one_rvass(parse_hra(CONSUME))
+    assert text == print_counters(CounterDocument(red.machine, (*red.init, red.target)))
     assert main(["cover", out]) == 0
 
 
@@ -535,7 +541,7 @@ def test_non_utf8_counter_file_is_an_input_error(tmp_path, capsys):
 
 def test_to_counters_keeps_an_edgeless_initial_state(tmp_path, capsys):
     f = _file(tmp_path, "alone.hra", "HRA 1 0\nSTATE q INITIAL\n")
-    for target in ("trvass", "vass", "one_rvass"):
+    for target in ("restricted", "trvass", "vass"):
         out = str(tmp_path / f"{target}.cm")
         assert main(["to-counters", f, "--target", target, "-o", out]) == 0
         assert parse_counters(open(out).read()).query is not None

@@ -14,12 +14,13 @@ from histra import (
     Transition,
     ValidationError,
     bounded_determinism_check,
-    check_strong_determinism,
     classify,
     make_hra,
     membership,
+    packed_determinism_witness,
     permute_word,
     reset_summaries,
+    to_packed,
     trace,
     validate,
 )
@@ -191,7 +192,7 @@ def test_reset_summaries_fixpoint():
 
 
 def test_strong_determinism_of_deterministic_automaton():
-    assert check_strong_determinism(all_distinct_hra())
+    assert packed_determinism_witness(to_packed(all_distinct_hra())) is None
 
 
 def test_strong_determinism_rejects_double_edge():
@@ -206,7 +207,7 @@ def test_strong_determinism_rejects_double_edge():
         ],
         finals=["r"],
     )
-    assert not check_strong_determinism(a)
+    assert packed_determinism_witness(to_packed(a)) == ("q", frozenset())
     ok, witness = bounded_determinism_check(a, 3)
     assert not ok and witness is not None
 
@@ -214,7 +215,7 @@ def test_strong_determinism_rejects_double_edge():
 def test_bounded_determinism_agrees_on_zoo():
     for a in (all_distinct_hra(), two_tracks_hra(), generate_then_consume_hra()):
         ok, _ = bounded_determinism_check(a, 4)
-        assert ok == check_strong_determinism(a)
+        assert ok == (packed_determinism_witness(to_packed(a)) is None)
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,16 @@ def test_backward_agrees_with_forward_on_100_random_trvass():
     assert checked >= 80  # most instances must be decided forward too
 
 
+def test_forward_search_refuses_a_wrong_initial_arity():
+    # a one-entry vector for two counters is an input error, not a vector
+    # whose missing entry the search may ignore
+    mc = CounterMachine.make(2, [], [("p", Add((1, 0)), "q"), ("q", Add((0, -1)), "r")])
+    with pytest.raises(WrongDimension):
+        forward_witness_search(mc, ("p", (0,)), "r")
+    with pytest.raises(WrongDimension):
+        backward_coverability(mc, ("p", (0,)), "r")
+
+
 def _live(mc, init_vec):
     """Counters (0-based) that some run from init_vec can make non-zero."""
     live = {i for i, x in enumerate(init_vec) if x}
@@ -431,6 +441,9 @@ def test_one_dim_rejects_wrong_inputs():
     mc = CounterMachine.make(2, ["q"], [("q", Add((0, 0)), "q")])
     with pytest.raises(WrongDimension):
         one_dim_rvass_reachability(mc, ("q", (0, 0)), "q")
+    one = CounterMachine.make(1, ["q"], [("q", Add((-1,)), "r")])
+    with pytest.raises(WrongDimension):
+        one_dim_rvass_witness(one, ("q", (1, 0)), "r")
     # a transfer smuggled past make() must still be refused
     from histra.counters import CTransition
 
@@ -472,6 +485,15 @@ def test_one_dim_caps_count_the_unit_steps_of_wide_edges():
     assert one_dim_rvass_reachability(mc, ("p", (0,)), "q")
     path = one_dim_rvass_witness(mc, ("p", (0,)), "q")
     assert [v for _, (v,) in path] == [0, 5, 10, 15, 20, 0]
+
+
+def test_one_dim_search_budget_comes_from_the_caps():
+    # q needs 100,001 pumps: more nodes than the forward search's default
+    # budget, but well inside the capped space the one-counter caps give
+    mc = CounterMachine.make(1, [], [("p", Add((1,)), "p"), ("p", Add((-100_001,)), "q")])
+    assert forward_witness_search(mc, ("p", (0,)), "q").kind == "bound_exhausted"
+    assert backward_coverability(mc, ("p", (0,)), "q")
+    assert one_dim_rvass_reachability(mc, ("p", (0,)), "q")
 
 
 def test_one_dim_large_initial_counter_is_clipped_soundly():

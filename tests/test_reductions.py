@@ -20,7 +20,6 @@ from histra import (
     TransfersOrResetsPresent,
     WrongDimension,
     backward_coverability,
-    check_strong_determinism,
     colouring_scope_ok,
     eliminate_registers_colouring,
     emptiness,
@@ -28,9 +27,11 @@ from histra import (
     make_hra,
     membership,
     nonreset_to_vass,
+    packed_determinism_witness,
     restricted_hra_to_rvass,
     restriction_ok,
     rvass_to_hra,
+    to_packed,
     unary_to_one_rvass,
     validate,
     vass_to_nonreset_hra,
@@ -294,7 +295,7 @@ def test_rvass_to_hra_strong_determinism_for_deterministic_sources(seed):
         seed, dims=2, klass="rvass", unit_effects=True, deterministic=True
     )
     a = rvass_to_hra(mc, ("c0", (1, 0)), sorted(mc.states)[-1])
-    assert check_strong_determinism(a), seed
+    assert packed_determinism_witness(to_packed(a)) is None, seed
 
 
 # ---------------------------------------------------------------------------
