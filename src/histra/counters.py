@@ -46,7 +46,7 @@ class Effect(NamedTuple):
             raise WrongDimension(f"{self!r} does not have arity {dims}")
         if min(pre) < 0 or min(post) < 0:
             raise ValidationError([f"{self!r}: pre and post must be non-negative"])
-        sources = [i for i, _ in dest]
+        sources = {i for i, _ in dest}
         for i, j in dest:
             if not (1 <= i <= dims and 0 <= j <= dims):
                 raise WrongDimension(f"{self!r} out of range for {dims} dims")
@@ -54,7 +54,7 @@ class Effect(NamedTuple):
                 raise SelfTransfer(f"{self!r}: source and destination must differ")
             if j and j in sources:
                 raise ValidationError([f"{self!r}: counter {j} is moved and also receives"])
-        if len(set(sources)) < len(sources):
+        if len(sources) < len(dest):
             raise ValidationError([f"{self!r}: a counter is moved twice"])
         return Effect(pre, tuple(sorted(dest)), post)
 
@@ -312,9 +312,10 @@ def one_dim_rvass_witness(
     that plus |Q|^2.  `forward_witness_search` then explores the capped
     space breadth-first; its step budget is the size of that space, so it
     never stops early, and the path it returns is a shortest one within
-    the cap.  |Q| counts the states of the machine that spells each edge
-    as unit steps: an edge with |pre|₁ + #resets + |post|₁ = k > 1 adds
-    k − 1 midpoints.
+    the cap.  |Q| counts the initial state and the states of the machine
+    that spells each edge as unit steps: an edge with |pre|₁ + #resets +
+    |post|₁ = k > 1 adds k − 1 midpoints.  So |Q| ≥ 1, and the truncated
+    counter is never negative.
     """
     if mc.dims != 1:
         raise WrongDimension(f"expected 1 dimension, got {mc.dims}")
@@ -324,7 +325,7 @@ def one_dim_rvass_witness(
     if len(vec) != 1:
         raise WrongDimension(f"initial vector has arity {len(vec)}, expected 1")
     units = [sum(t.effect.pre) + len(t.effect.dest) + sum(t.effect.post) for t in mc.transitions]
-    nq = len(mc.states) + sum(max(k - 1, 0) for k in units)
+    nq = len(mc.states | {q0}) + sum(max(k - 1, 0) for k in units)
     nsq = nq * nq
     n0 = min(vec[0], nsq - 1)
     cap = n0 + nsq

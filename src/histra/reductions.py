@@ -51,13 +51,37 @@ from .skeletons import Skeleton, skel_at, skel_move, skel_reset, skeleton_of
 
 @dataclass(frozen=True)
 class DimensionMap:
-    """Which place-set each counter dimension stands for."""
+    """Which place-set each counter dimension stands for.  The place-set →
+    dimension index and the moves of each reset are built once per map;
+    neither is a field, so equality, hashing and repr see `placesets` and
+    `garbage` only."""
 
     placesets: tuple[frozenset[int], ...]
     garbage: Optional[int] = None  # 1-based dimension for the ∅ bucket
 
+    def __post_init__(self) -> None:
+        index = {x: d for d, x in enumerate(self.placesets, 1)}
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_resets", {})
+
     def dim_of(self, x: frozenset[int]) -> int:
-        return self.placesets.index(x) + 1
+        try:
+            return self._index[x]
+        except KeyError:
+            raise ValueError(f"place-set {sorted(x)} has no dimension") from None
+
+    def reset_moves(self, y: frozenset[int]) -> tuple[tuple[int, int], ...]:
+        """The moves of a reset of `y`: every counter whose place-set X
+        meets `y` goes to the counter of X∖Y, or is zeroed (0) when X∖Y has
+        no counter.  X∖Y never meets `y`, so no counter both moves and
+        receives."""
+        moves = self._resets.get(y)
+        if moves is None:
+            moves = self._resets[y] = tuple(
+                (d, self._index.get(x - y, 0))
+                for x, d in self._index.items() if x & y
+            )
+        return moves
 
     def vector(self, xs: Iterable[frozenset[int]]) -> Vector:
         """One unit at the dimension of each place-set in `xs`."""
@@ -121,9 +145,7 @@ def hra_to_trvass(a: Hra) -> CounterReduction:
             x, x2 = t.label.pre, t.label.post
             eff = Effect(dmap.vector([x] if x else []), (), dmap.vector([x2] if x2 else []))
         else:
-            x = t.label.targets
-            moves = ((dmap.dim_of(ps), dmap.dim_of(ps - x)) for ps in placesets if ps & x)
-            eff = Effect((), tuple(moves), ())
+            eff = Effect((), dmap.reset_moves(t.label.targets), ())
         transitions.append((t.src, eff, t.dst))
     init = (a.initial, _initial_counts(a.initial_assignment, placesets))
     return _reduction(dmap, a.states, transitions, a.finals, init)
@@ -226,8 +248,7 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
     makes it a TR-VASS."""
     m, n = a.m, a.n
     hist = frozenset(range(1, m + 1))
-    placesets = subsets(hist)[1:]
-    dmap = DimensionMap(tuple(placesets) or (frozenset(),))
+    dmap = DimensionMap(tuple(subsets(hist)[1:]) or (frozenset(),))
 
     def pure(x: frozenset[int]) -> bool:
         return bool(x) and x <= hist
@@ -272,11 +293,7 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
                 phi2 = skel_move(phi, j, x2)
             else:
                 x = t.label.targets
-                moves = tuple(
-                    (dmap.dim_of(ps), 0 if ps <= x else dmap.dim_of(ps - x))
-                    for ps in placesets if ps & x
-                )  # ps - x never meets x, so no counter both moves and receives
-                eff = Effect((), moves, dmap.vector(evictions(phi, 0, x)))
+                eff = Effect((), dmap.reset_moves(x), dmap.vector(evictions(phi, 0, x)))
                 phi2 = skel_reset(phi, x)
             transitions.append((src, eff, st(t.dst, phi2)))
             if (t.dst, phi2) not in seen:

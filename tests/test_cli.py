@@ -235,6 +235,19 @@ _TO_COUNTERS = {
 }
 
 
+def _as_printed(red):
+    """The machine and query a `to-counters` file holds for `red`: states
+    are named by the printer's tokens, and only those on an edge or in the
+    query are listed."""
+    mc = red.machine
+    tok = _state_tokens(mc.states)
+    renamed = CounterMachine.make(
+        mc.dims, {tok[red.init[0]], tok[red.target]},
+        [(tok[t.src], t.effect, tok[t.dst]) for t in mc.transitions],
+    )
+    return renamed, (tok[red.init[0]], red.init[1], tok[red.target])
+
+
 def test_to_counters_round_trip_and_cover_on_random_automata(tmp_path, capsys):
     written = dict.fromkeys(_TO_COUNTERS, 0)
     for seed in range(100):
@@ -250,22 +263,28 @@ def test_to_counters_round_trip_and_cover_on_random_automata(tmp_path, capsys):
                 continue
             assert main(["to-counters", f, "--target", target, "-o", out]) == 0
             written[target] += 1
-            # the file names states by the printer's tokens, and it only
-            # lists the states on an edge or in the query
-            mc = red.machine
-            tok = _state_tokens(mc.states)
-            renamed = CounterMachine.make(
-                mc.dims, {tok[red.init[0]], tok[red.target]},
-                [(tok[t.src], t.effect, tok[t.dst]) for t in mc.transitions],
-            )
             doc = parse_counters(open(out).read())
-            assert doc.machine == renamed, (seed, target)
-            assert doc.query == (tok[red.init[0]], red.init[1], tok[red.target]), (seed, target)
+            assert (doc.machine, doc.query) == _as_printed(red), (seed, target)
             assert main(["cover", out]) == (1 if empty else 0), (seed, target)
     capsys.readouterr()
     assert min(written.values()) >= 10, written
     # the machine `emptiness` solves exists for every automaton
     assert written["restricted"] == 100, written
+
+
+def test_to_counters_trvass_round_trip_and_cover_at_1024_counters(tmp_path, capsys):
+    # six histories and two registers: the full translation has 2^10 counters
+    text = print_hra(random_hra(6, max_m=6, max_n=2, max_states=12, max_transitions=40))
+    f = _file(tmp_path, "a.hra", text)
+    a = parse_hra(text)
+    red = hra_to_trvass(registers_to_histories(a))
+    assert red.machine.dims == 1024
+    out = str(tmp_path / "a.cm")
+    assert main(["to-counters", f, "--target", "trvass", "-o", out]) == 0
+    doc = parse_counters(open(out).read())
+    assert (doc.machine, doc.query) == _as_printed(red)
+    assert main(["cover", out]) == (1 if emptiness(a).is_empty else 0)
+    capsys.readouterr()
 
 
 def test_printer_infers_tightest_class():

@@ -12,7 +12,9 @@ import pytest
 from histra import (
     Add,
     CounterMachine,
+    DimensionMap,
     Effect,
+    HistraError,
     ResetDim,
     SelfTransfer,
     Transfer,
@@ -27,6 +29,7 @@ from histra import (
     pre_basis,
 )
 from histra.cli import CounterDocument, print_counters
+from histra.core import subsets
 from histra.counters import one_dim_rvass_witness
 from histra.errors import TransfersPresent
 from histra.oracles import random_counter_machine
@@ -67,6 +70,30 @@ def test_make_validates_arity_and_ranges():
         CounterMachine.make(2, ["q"], [("q", Effect((), ((1, 2), (2, 0)), ()), "q")])
     with pytest.raises(ValidationError):
         CounterMachine.make(2, ["q"], [("q", Effect((), ((1, 2), (1, 0)), ()), "q")])
+
+
+@pytest.mark.parametrize("dest, error, message", [
+    # each pair is checked in order (range, self-transfer, moved and also
+    # receives) before any counter is reported as moved twice
+    (((1, 2), (1, 3), (4, 4)), SelfTransfer, "source and destination must differ"),
+    (((1, 2), (1, 3), (5, 1)), WrongDimension, "out of range for 4 dims"),
+    (((1, 2), (1, 3)), ValidationError, "a counter is moved twice"),
+    (((1, 2), (3, 1)), ValidationError, "counter 1 is moved and also receives"),
+])
+def test_canonical_reports_the_first_fault_in_a_fixed_order(dest, error, message):
+    with pytest.raises(HistraError, match=message) as err:
+        Effect((), dest, ()).canonical(4)
+    assert type(err.value) is error
+
+
+def test_canonical_sorts_a_wide_reset():
+    # the reset of every history on eight: 255 counters pour into the
+    # garbage counter of a 256-counter map
+    dmap = DimensionMap(tuple(subsets(range(1, 9))[1:]) + (frozenset(),), garbage=256)
+    dest = dmap.reset_moves(frozenset(range(1, 9)))
+    assert len(dest) == 255 and {j for _, j in dest} == {256}
+    eff = Effect((), tuple(reversed(dest)), ()).canonical(256)
+    assert eff.dest == tuple(sorted(dest)) and eff.pre == eff.post == (0,) * 256
 
 
 def test_make_adds_transition_endpoints_to_the_states():
@@ -452,6 +479,14 @@ def test_one_dim_rejects_wrong_inputs():
     )
     with pytest.raises(TransfersPresent):
         one_dim_rvass_reachability(smuggled, ("q", (0,)), "q")
+
+
+def test_one_dim_witness_counts_the_initial_state():
+    # an edgeless machine with no states: the initial state alone makes
+    # |Q| = 1, so the counter is truncated to 0, not to |Q|^2 - 1 = -1
+    path = one_dim_rvass_witness(CounterMachine.make(1, [], []), ("p", (3,)), "p")
+    assert path is not None and path[0][0] == "p"
+    assert all(x >= 0 for _, v in path for x in v)
 
 
 def test_one_dim_agrees_with_backward_on_100_random():

@@ -8,6 +8,8 @@ import pytest
 from histra import (
     Accept,
     Add,
+    DimensionMap,
+    Effect,
     NonUnitEffect,
     NotUnary,
     RegistersPresent,
@@ -28,6 +30,7 @@ from histra import (
     membership,
     nonreset_to_vass,
     packed_determinism_witness,
+    registers_to_histories,
     restricted_hra_to_rvass,
     restriction_ok,
     rvass_to_hra,
@@ -36,7 +39,7 @@ from histra import (
     validate,
     vass_to_nonreset_hra,
 )
-from histra.core import initial_config
+from histra.core import initial_config, subsets
 from histra.cli import parse_counters
 from histra.counters import CounterMachine, counter_step
 from histra.oracles import (
@@ -77,6 +80,38 @@ def test_trvass_dimensions_include_garbage():
     assert red.dimension_map.garbage == 2
 
 
+@pytest.mark.parametrize("garbage", [False, True], ids=["no_garbage", "garbage"])
+@pytest.mark.parametrize("m", range(5))
+def test_reset_moves_match_their_definition(m, garbage):
+    # the maps of restricted_hra_to_rvass (no ∅ counter) and of
+    # hra_to_trvass (∅ last, as the garbage counter)
+    hist = range(1, m + 1)
+    placesets = tuple(subsets(hist)[1:]) + ((s(),) if garbage else ())
+    dmap = DimensionMap(placesets or (s(),), garbage=len(placesets) if garbage else None)
+    n = len(dmap.placesets)
+    for y in subsets(hist):
+        for targets in (y, y | {m + 1}):  # a register place changes nothing
+            moves = dmap.reset_moves(targets)
+            expected = {
+                (dmap.dim_of(x), dmap.dim_of(x - y) if x - y in dmap.placesets else 0)
+                for x in dmap.placesets if x & y
+            }
+            assert len(moves) == len(expected) and set(moves) == expected, (m, y)
+            assert Effect((), moves, ()).canonical(n).dest == tuple(sorted(moves))
+            assert dmap.reset_moves(targets) is moves  # one list per reset set
+
+
+def test_dimension_map_value_is_its_fields():
+    p = (s(1), s(2), s(1, 2))
+    a, b = DimensionMap(p), DimensionMap(p)
+    a.reset_moves(s(1))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == f"DimensionMap(placesets={p!r}, garbage=None)"
+    assert [a.dim_of(x) for x in p] == [1, 2, 3]
+    with pytest.raises(ValueError, match="no dimension"):
+        a.dim_of(s(3))
+
+
 def test_trvass_initial_vector_counts_placesets():
     a = make_hra(
         2,
@@ -101,6 +136,15 @@ def test_trvass_rejects_registers():
 def test_trvass_no_finals_is_uncoverable():
     red = hra_to_trvass(_strip_finals(generate_then_consume_hra()))
     assert not backward_coverability(red.machine, red.init, red.target)
+
+
+def test_trvass_on_ten_histories_agrees_with_emptiness():
+    # six histories and two registers become ten histories: 1,024 counters
+    a = random_hra(6, max_m=6, max_n=2, max_states=12, max_transitions=40)
+    red = hra_to_trvass(registers_to_histories(a))
+    assert red.machine.dims == 1024
+    covered = backward_coverability(red.machine, red.init, red.target)
+    assert covered == (not emptiness(a).is_empty)
 
 
 def test_trvass_decides_l3():
