@@ -275,6 +275,7 @@ def parse_counters(text: str) -> CounterDocument:
     states: set = set()
     transitions: list[tuple[object, object, object]] = []
     query: Optional[tuple[object, tuple[int, ...], object]] = None
+    effects: dict[tuple[str, ...], Effect] = {}  # one parse per distinct spelling
     for ln, toks in _lines(text):
         kind = toks[0].upper()
         if kind in ("TRVASS", "RVASS", "VASS"):
@@ -291,7 +292,11 @@ def parse_counters(text: str) -> CounterDocument:
         if kind == "TRANS":
             if len(toks) < 4:
                 raise ParseError(f"line {ln}: truncated TRANS line")
-            transitions.append((toks[1], _parse_effect(toks[3:], klass, dims, ln), toks[2]))
+            words = tuple(toks[3:])
+            eff = effects.get(words)
+            if eff is None:
+                eff = effects[words] = _parse_effect(words, klass, dims, ln)
+            transitions.append((toks[1], eff, toks[2]))
         elif kind == "QUERY":
             if len(toks) != 3 + dims:
                 raise ParseError(f"line {ln}: QUERY expects <q0> <{dims} entries> <target>")
@@ -320,28 +325,36 @@ def _ints(tokens: Sequence[str], ln: int) -> tuple[int, ...]:
         raise ParseError(f"line {ln}: expected integers, got {' '.join(tokens)}") from None
 
 
-_ARITY = {"TRANSFER": 2, "RESET": 1}
+_ARITY = {"ADD": None, "TRANSFER": 2, "RESET": 1}
 
 
 def _parse_effect(toks: Sequence[str], klass: str, dims: int, ln: int) -> Effect:
     """The effect of one TRANS line from its phases (the tokens after the
-    two states)."""
-    words: list[tuple[str, list[str]]] = []
-    for tok in toks:
-        if tok.upper() in ("ADD", "TRANSFER", "RESET"):
-            words.append((tok.upper(), []))
-        elif words:
-            words[-1][1].append(tok)
-        else:
-            raise ParseError(f"line {ln}: unknown effect {tok}")
-    for op, args in words:
+    two states), read in one pass over its words.  The faults reported are
+    the leading token that is no word, then the first word that the class
+    forbids or that has the wrong number of entries, then the first word
+    with an entry that is no integer, then the phase order."""
+    starts = [k for k, tok in enumerate(toks) if tok.upper() in _ARITY]
+    if not starts or starts[0]:
+        raise ParseError(f"line {ln}: unknown effect {toks[0]}")
+    phases: list[tuple[str, tuple[int, ...]]] = []
+    bad_ints = None
+    for start, end in zip(starts, starts[1:] + [len(toks)]):
+        op, args = toks[start].upper(), toks[start + 1:end]
         if op == "TRANSFER" and klass != "TRVASS":
             raise ParseError(f"line {ln}: TRANSFER not allowed in a {klass} file")
         if op == "RESET" and klass == "VASS":
             raise ParseError(f"line {ln}: RESET not allowed in a VASS file")
-        if len(args) != _ARITY.get(op, dims):
-            raise ParseError(f"line {ln}: {op} expects {_ARITY.get(op, dims)} entries")
-    phases = [(op, _ints(args, ln)) for op, args in words]
+        arity = _ARITY[op] or dims
+        if len(args) != arity:
+            raise ParseError(f"line {ln}: {op} expects {arity} entries")
+        if bad_ints is None:
+            try:
+                phases.append((op, tuple(map(int, args))))
+            except ValueError:
+                bad_ints = args
+    if bad_ints is not None:
+        raise ParseError(f"line {ln}: expected integers, got {' '.join(bad_ints)}")
     if len(phases) == 1 and phases[0][0] == "ADD":
         eff = Add(phases[0][1])
     else:

@@ -30,10 +30,27 @@ from .errors import DuplicateFixName, NotDeterministic, RegistersPresent
 
 @dataclass(frozen=True)
 class StateTag:
-    """Constructed-state annotation; `payload` is construction-specific."""
+    """Constructed-state annotation; `payload` is construction-specific.
+
+    Tags nest (a "copies" tag of a product pair, a "mid" tag holding a
+    whole transition), so the hash of `(kind, payload)` is computed on
+    first use and kept.  The kept value is not a field: `==` and `repr`
+    ignore it, and it is left out of the pickled state, so an unpickled
+    tag rehashes under its own process's hash seed."""
 
     kind: str
     payload: tuple
+    _hash = None  # not a field: no annotation
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.kind, self.payload))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        return {"kind": self.kind, "payload": self.payload}
 
     def __repr__(self) -> str:
         inner = ",".join(repr(p) for p in self.payload)

@@ -62,7 +62,8 @@ class Effect(NamedTuple):
 def Add(vector: Iterable[int]) -> Effect:
     """Component-wise addition; the result must stay non-negative."""
     v = tuple(vector)
-    return Effect(tuple(max(-x, 0) for x in v), (), tuple(max(x, 0) for x in v))
+    pre = tuple([-x if x < 0 else 0 for x in v])
+    return Effect(pre, (), tuple([x if x > 0 else 0 for x in v]))
 
 
 def Transfer(src: int, dst: int) -> Effect:
@@ -95,10 +96,23 @@ class CounterMachine:
         transitions: Iterable[tuple[State, Effect, State]],
     ) -> "CounterMachine":
         """Validate the effects and build the machine; its states are
-        `states` together with every transition endpoint."""
+        `states` together with every transition endpoint.
+
+        Each distinct effect is validated once, and every edge whose effect
+        is equal (before or after `Effect.canonical`) shares one canonical
+        object.  An invalid effect raises at its first edge, so the error is
+        that of the first invalid edge in input order."""
         if dims < 1:
             raise WrongDimension("a counter machine needs at least one dimension")
-        ts = [CTransition(src, eff.canonical(dims), dst) for src, eff, dst in transitions]
+        shared: dict[Effect, Effect] = {}
+        ts = []
+        for src, eff, dst in transitions:
+            canon = shared.get(eff)
+            if canon is None:
+                canon = eff.canonical(dims)
+                canon = shared.setdefault(canon, canon)  # () and (0, …) spell one vector
+                shared[eff] = canon
+            ts.append(CTransition(src, canon, dst))
         ends = {q for t in ts for q in (t.src, t.dst)}
         return CounterMachine(dims, frozenset(states) | ends, frozenset(ts))
 

@@ -49,12 +49,16 @@ from .skeletons import Skeleton, skel_at, skel_move, skel_reset, skeleton_of
 # dimension bookkeeping
 
 
+def _mask(x: frozenset[int]) -> int:
+    return sum([1 << p for p in x])
+
+
 @dataclass(frozen=True)
 class DimensionMap:
     """Which place-set each counter dimension stands for.  The place-set →
-    dimension index and the moves of each reset are built once per map;
-    neither is a field, so equality, hashing and repr see `placesets` and
-    `garbage` only."""
+    dimension index, the same index keyed by place bitmask (bit p for place
+    p) and the moves of each reset are built once per map; none is a field,
+    so equality, hashing and repr see `placesets` and `garbage` only."""
 
     placesets: tuple[frozenset[int], ...]
     garbage: Optional[int] = None  # 1-based dimension for the ∅ bucket
@@ -62,6 +66,7 @@ class DimensionMap:
     def __post_init__(self) -> None:
         index = {x: d for d, x in enumerate(self.placesets, 1)}
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_masks", {_mask(x): d for x, d in index.items()})
         object.__setattr__(self, "_resets", {})
 
     def dim_of(self, x: frozenset[int]) -> int:
@@ -77,9 +82,9 @@ class DimensionMap:
         receives."""
         moves = self._resets.get(y)
         if moves is None:
+            masks, my = self._masks, _mask(y)
             moves = self._resets[y] = tuple(
-                (d, self._index.get(x - y, 0))
-                for x, d in self._index.items() if x & y
+                [(d, masks.get(mx & ~my, 0)) for mx, d in masks.items() if mx & my]
             )
         return moves
 

@@ -1,7 +1,11 @@
 """Closure constructions: products, star, name fixing, register elimination,
 packing, complementation, containment."""
 
+import copy
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -24,7 +28,7 @@ from histra import (
     unpack,
     validate,
 )
-from histra.constructions import packed_determinism_witness, packed_membership
+from histra.constructions import StateTag, packed_determinism_witness, packed_membership
 from histra.core import eps_closure, initial_config, step
 from histra.oracles import (
     Lang,
@@ -202,6 +206,69 @@ def test_fix_names_pins_registers_forever():
         for q, h in frontier:
             for p in pinned:
                 assert h.place(p) == expect[p], (depth, p)
+
+
+# ---------------------------------------------------------------------------
+# state tags
+
+
+def _nested_states():
+    # "copies" tags of product pairs, and "mid" tags holding a transition
+    return registers_to_histories(
+        intersection(kleene_star(anchored_distinct_hra(0)), anchored_distinct_hra(0))
+    ).states
+
+
+def test_equal_state_tags_hash_equal():
+    one, two = _nested_states(), _nested_states()
+    assert one == two and {t.kind for t in one} == {"copies", "mid"}
+    by_repr = {repr(t): t for t in two}
+    for t in one:
+        twin = by_repr[repr(t)]
+        assert t == twin and t is not twin and hash(t) == hash(twin)
+    tag = StateTag("pair", ("p", 1))
+    assert hash(tag) == hash(StateTag("pair", ("p", 1))) == hash(("pair", ("p", 1)))
+
+
+def test_deepcopy_of_a_state_tag_is_equal_and_hashes_equal():
+    for t in _nested_states():
+        hash(t)
+        twin = copy.deepcopy(t)
+        assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+
+
+_PICKLE_STATES = """
+import pickle, sys
+from histra import intersection, kleene_star, registers_to_histories
+from histra.zoo import anchored_distinct_hra
+
+def states():
+    a = intersection(kleene_star(anchored_distinct_hra(0)), anchored_distinct_hra(0))
+    return registers_to_histories(a).states
+
+if sys.argv[1] == "dump":
+    tags = sorted(states(), key=repr)
+    set(tags)  # every tag keeps its hash under this seed
+    sys.stdout.buffer.write(pickle.dumps(tags))
+else:
+    tags = pickle.loads(sys.stdin.buffer.read())
+    fresh = set(states())
+    print(len(tags), sum(t in fresh for t in tags))
+"""
+
+
+def test_a_pickled_state_tag_rehashes_under_the_loading_seed():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+    def run(seed, mode, data=None):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", _PICKLE_STATES, mode], input=data, env=env,
+            capture_output=True, timeout=120, check=True,
+        ).stdout
+
+    n, found = run("1", "load", run("0", "dump")).split()
+    assert int(n) == 43 and found == n
 
 
 # ---------------------------------------------------------------------------

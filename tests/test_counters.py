@@ -96,6 +96,36 @@ def test_canonical_sorts_a_wide_reset():
     assert eff.dest == tuple(sorted(dest)) and eff.pre == eff.post == (0,) * 256
 
 
+def test_make_shares_one_canonical_object_per_effect():
+    # equal before canonical form (two separate objects) or only after it
+    # (the zero vector spelled () or in full): one object on every edge
+    edges = [
+        ("a", Effect((), ((2, 1),), ()), "b"),
+        ("b", Effect((), ((2, 1),), ()), "c"),
+        ("c", Effect((0, 0), ((2, 1),), (0, 0)), "a"),
+        ("a", Add((1, -1)), "c"),
+        ("b", Add((1, -1)), "a"),
+    ]
+    mc = CounterMachine.make(2, [], edges)
+    by_src_dst = {(t.src, t.dst): t.effect for t in mc.transitions}
+    moved = [by_src_dst[k] for k in [("a", "b"), ("b", "c"), ("c", "a")]]
+    assert moved[0] == Effect((0, 0), ((2, 1),), (0, 0))
+    assert moved[0] is moved[1] is moved[2]
+    assert by_src_dst["a", "c"] is by_src_dst["b", "a"] == Add((1, -1))
+
+
+def test_make_raises_the_error_of_the_first_invalid_edge():
+    ok = ("q", Add((1, 0)), "q")
+    wrong_dim = ("q", Effect((), ((3, 1),), ()), "r")  # counter 3 of 2
+    self_transfer = ("r", Transfer(2, 2), "q")
+    with pytest.raises(HistraError) as err:
+        CounterMachine.make(2, [], [ok, wrong_dim, ok, ok, self_transfer])
+    assert type(err.value) is WrongDimension
+    with pytest.raises(HistraError) as err:
+        CounterMachine.make(2, [], [ok, self_transfer, ok, ok, wrong_dim])
+    assert type(err.value) is SelfTransfer
+
+
 def test_make_adds_transition_endpoints_to_the_states():
     mc = CounterMachine.make(1, ["a"], [("a", Add((1,)), "b"), ("b", Add((-1,)), "c")])
     assert mc.states == {"a", "b", "c"}

@@ -81,15 +81,20 @@ def test_trvass_dimensions_include_garbage():
 
 
 @pytest.mark.parametrize("garbage", [False, True], ids=["no_garbage", "garbage"])
-@pytest.mark.parametrize("m", range(5))
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 8])
 def test_reset_moves_match_their_definition(m, garbage):
     # the maps of restricted_hra_to_rvass (no ∅ counter) and of
-    # hra_to_trvass (∅ last, as the garbage counter)
+    # hra_to_trvass (∅ last, as the garbage counter); every reset set up
+    # to m = 4, and 20 seeded ones on the 256 counters of m = 8
     hist = range(1, m + 1)
     placesets = tuple(subsets(hist)[1:]) + ((s(),) if garbage else ())
     dmap = DimensionMap(placesets or (s(),), garbage=len(placesets) if garbage else None)
     n = len(dmap.placesets)
-    for y in subsets(hist):
+    ys = subsets(hist)
+    if m > 4:
+        rng = random.Random(m)
+        ys = [frozenset(p for p in hist if rng.random() < 0.5) for _ in range(20)]
+    for y in ys:
         for targets in (y, y | {m + 1}):  # a register place changes nothing
             moves = dmap.reset_moves(targets)
             expected = {
