@@ -70,15 +70,20 @@ class NameTable:
 
     by_token: dict[str, int] = field(default_factory=dict)
     by_name: dict[int, str] = field(default_factory=dict)
+    _free = 0  # not a field: every number below it is taken
 
     def intern(self, token: str) -> int:
+        """The number of `token`; a new token takes the least free number.
+        Numbers are never freed, so the search resumes where the last one
+        stopped."""
         if token in self.by_token:
             return self.by_token[token]
         if not _IDENT.fullmatch(token):
             raise ParseError(f"bad name token {token!r}")
-        name = 0
+        name = self._free
         while name in self.by_name:
             name += 1
+        self._free = name + 1
         self.by_token[token] = name
         self.by_name[name] = token
         return name

@@ -518,7 +518,7 @@ def unpack(p: PackedHra) -> Hra:
     """Expand each folded transition back into reset-then-accept."""
     states = set(p.states)
     transitions = []
-    for t in sorted(p.transitions, key=repr):
+    for t in p.transitions:
         if t.reset_first:
             mid = StateTag("mid", (t,))
             states.add(mid)

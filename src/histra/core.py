@@ -13,7 +13,7 @@ Names are plain ints; words are sequences of ints.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, combinations
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -86,6 +86,8 @@ class Assignment:
         """Build an assignment over `size` places, empty except for `filled` (1-based)."""
         slots = [frozenset()] * size
         for place, names in (filled or {}).items():
+            if not 1 <= place <= size:
+                raise BadPlaceIndex(f"place {place} out of range 1..{size}")
             slots[place - 1] = frozenset(names)
         return Assignment(tuple(slots))
 
@@ -159,6 +161,12 @@ Configuration = tuple[State, Assignment]
 
 @dataclass(frozen=True)
 class Hra:
+    """An automaton of type (m, n).
+
+    It keeps an index of its reset transitions by source state, built on
+    first use (`reset_index`).  The index is not a field: `==`, `hash` and
+    `repr` ignore it, and it is left out of the pickled state."""
+
     m: int
     n: int
     states: frozenset[State]
@@ -166,10 +174,23 @@ class Hra:
     initial_assignment: Assignment
     transitions: frozenset[Transition]
     finals: frozenset[State]
+    _resets = None  # not a field: no annotation
 
     @property
     def places(self) -> range:
         return range(1, self.m + self.n + 1)
+
+    def reset_index(self) -> dict[State, list[Transition]]:
+        """The reset transitions grouped by source state (`by_src`), built on
+        the first call and kept.  Do not mutate the lists."""
+        index = self._resets
+        if index is None:
+            index = by_src(t for t in self.transitions if isinstance(t.label, Reset))
+            object.__setattr__(self, "_resets", index)
+        return index
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def make_hra(
@@ -261,18 +282,20 @@ def step(a: Hra, config: Configuration, letter: Name) -> frozenset[Configuration
 
 
 def eps_closure(a: Hra, configs: Iterable[Configuration]) -> frozenset[Configuration]:
-    """Close a configuration set under reset (silent) transitions."""
+    """Close a configuration set under reset (silent) transitions.
+
+    Walks the automaton's kept reset index (`Hra.reset_index`) instead of
+    regrouping its transitions on every call."""
     seen = set(configs)
     work = deque(seen)
-    adj = by_src(a.transitions)
+    resets = a.reset_index()
     while work:
         q, h = work.popleft()
-        for t in adj.get(q, ()):
-            if isinstance(t.label, Reset):
-                nxt = (t.dst, h.reset_places(t.label.targets))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    work.append(nxt)
+        for t in resets.get(q, ()):
+            nxt = (t.dst, h.reset_places(t.label.targets))
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
     return frozenset(seen)
 
 
@@ -385,7 +408,7 @@ def _fra_shape(a: Hra) -> bool:
 def reset_summaries(a: Hra) -> dict[State, frozenset[tuple[frozenset[int], State]]]:
     """For each state q, all pairs (Y, p) with q reaching p through resets
     whose targets union to Y (includes (empty, q))."""
-    resets = by_src(t for t in a.transitions if isinstance(t.label, Reset))
+    resets = a.reset_index()
     out = {}
     for q in a.states:
         seen = {(frozenset(), q)}

@@ -373,6 +373,19 @@ def test_name_table_prints_unknown_ints_distinctly():
     assert names.token(99) != names.token(98)
 
 
+def test_name_table_numbering_with_interleaved_tokens():
+    # token() takes an arbitrary number; intern() then takes the least free one
+    names = NameTable()
+    calls = [("intern", "a"), ("token", 2), ("intern", "b"), ("intern", "c"),
+             ("token", 5), ("intern", "d"), ("intern", "n2"), ("intern", "e"),
+             ("token", 0), ("token", 7), ("intern", "n7"), ("intern", "f"),
+             ("intern", "n13"), ("token", 13), ("intern", "g"), ("token", 3)]
+    got = [getattr(names, op)(arg) for op, arg in calls]
+    assert got == [0, "n2", 1, 3, "n5", 4, 2, 6, "a", "n7", 7, 8, 9, "n13_", 10, "c"]
+    assert names.by_name == {0: "a", 1: "b", 2: "n2", 3: "c", 4: "d", 5: "n5", 6: "e",
+                             7: "n7", 8: "f", 9: "n13", 10: "g", 13: "n13_"}
+
+
 # ---------------------------------------------------------------------------
 # command-line behaviour
 

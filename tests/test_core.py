@@ -1,5 +1,7 @@
 """One-step semantics, membership, classification, determinism."""
 
+import copy
+import pickle
 import types
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from histra import (
     Accept,
     Assignment,
+    BadPlaceIndex,
     Hra,
     Reset,
     Transition,
@@ -25,7 +28,7 @@ from histra import (
     validate,
 )
 from histra.core import eps_closure, initial_config, step
-from histra.oracles import random_hra
+from histra.oracles import enumerate_words, random_hra
 from histra.zoo import (
     all_distinct_hra,
     anchored_blocks_hra,
@@ -87,6 +90,13 @@ def test_reset_places_empties_targets_only():
     assert r.place(3) == frozenset({3})
 
 
+def test_assignment_rejects_places_out_of_range():
+    with pytest.raises(BadPlaceIndex):
+        make_hra(1, 1, ["q"], "q", [], ["q"], initial_contents={0: [7]})
+    with pytest.raises(BadPlaceIndex):
+        Assignment.of(2, {3: [5]})
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -139,6 +149,74 @@ def test_eps_closure_includes_reset_chains():
     a = generate_then_consume_hra()
     closure = eps_closure(a, {initial_config(a)})
     assert len(closure) == 2  # both states reachable before any letter
+
+
+def _replay(a, word, run):
+    """Check an accepting run move by move: each letter against `step`, each
+    silent move against the closure of the configuration it started from."""
+    config = initial_config(a)
+    closed = eps_closure(a, {config})
+    letters = []
+    for move in run:
+        t = move.transition
+        assert t.src == config[0]
+        if move.letter is None:
+            assert isinstance(t.label, Reset)
+            assert move.config == (t.dst, config[1].reset_places(t.label.targets))
+            assert move.config in closed
+        else:
+            letters.append(move.letter)
+            assert move.config in step(a, config, move.letter)
+            closed = eps_closure(a, {move.config})
+        config = move.config
+    assert tuple(letters) == tuple(word)
+    assert config[0] in a.finals
+
+
+def _closure_by_search(a, configs):
+    """The reset closure by a search that scans every transition at each step."""
+    seen = set(configs)
+    work = list(seen)
+    while work:
+        q, h = work.pop()
+        for t in a.transitions:
+            if t.src == q and isinstance(t.label, Reset):
+                nxt = (t.dst, h.reset_places(t.label.targets))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    work.append(nxt)
+    return frozenset(seen)
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_closure_agrees_with_the_run_search(chunk):
+    letters = (0, 1, 2, 3)
+    words = list(enumerate_words(letters, 3))
+    for seed in range(25 * chunk, 25 * chunk + 25):
+        a = random_hra(seed, max_m=2, max_n=1, max_states=4)
+        for w in words:
+            run = trace(a, w)
+            assert membership(a, w) == (run is not None), (seed, w)
+            if run is not None:
+                _replay(a, w, run)
+        # every configuration that a word of at most 3 letters reaches
+        reached = {initial_config(a)}
+        for _ in range(3):
+            reached |= {c2 for c in _closure_by_search(a, reached)
+                        for x in letters for c2 in step(a, c, x)}
+        for c in reached:
+            assert eps_closure(a, {c}) == _closure_by_search(a, {c}), (seed, c)
+
+
+def test_the_reset_index_is_invisible():
+    a, b = anchored_blocks_hra(), anchored_blocks_hra()
+    eps_closure(a, {initial_config(a)})
+    assert a.reset_index() is a.reset_index()
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert pickle.dumps(a) == pickle.dumps(b)
+    a2, b2 = copy.deepcopy(a), copy.deepcopy(b)
+    assert a2 == a and vars(a2) == vars(b2) and hash(a2) == hash(b2)
+    assert pickle.dumps(a2) == pickle.dumps(b2)
 
 
 def test_membership_epsilon_word():
