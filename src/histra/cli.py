@@ -53,7 +53,7 @@ from .core import (
     trace,
     validate,
 )
-from .counters import Add, CounterMachine, Effect, backward_coverability
+from .counters import Add, CounterMachine, CTransition, Effect, backward_coverability
 from .errors import BadPlaceIndex, HistraError
 from .reductions import emptiness, hra_to_trvass, nonreset_to_vass, restricted_hra_to_rvass
 
@@ -278,9 +278,10 @@ def parse_counters(text: str) -> CounterDocument:
     klass: Optional[str] = None
     dims = 0
     states: set = set()
-    transitions: list[tuple[object, object, object]] = []
+    transitions: list[CTransition] = []
     query: Optional[tuple[object, tuple[int, ...], object]] = None
     effects: dict[tuple[str, ...], Effect] = {}  # one parse per distinct spelling
+    shared: dict[Effect, Effect] = {}  # one object per distinct effect, as in `make`
     for ln, toks in _lines(text):
         kind = toks[0].upper()
         if kind in ("TRVASS", "RVASS", "VASS"):
@@ -300,8 +301,9 @@ def parse_counters(text: str) -> CounterDocument:
             words = tuple(toks[3:])
             eff = effects.get(words)
             if eff is None:
-                eff = effects[words] = _parse_effect(words, klass, dims, ln)
-            transitions.append((toks[1], eff, toks[2]))
+                eff = _parse_effect(words, klass, dims, ln)
+                eff = effects[words] = shared.setdefault(eff, eff)
+            transitions.append(CTransition(toks[1], eff, toks[2]))
         elif kind == "QUERY":
             if len(toks) != 3 + dims:
                 raise ParseError(f"line {ln}: QUERY expects <q0> <{dims} entries> <target>")
@@ -319,7 +321,9 @@ def parse_counters(text: str) -> CounterDocument:
             raise ParseError(f"line {ln}: unknown directive {toks[0]}")
     if klass is None:
         raise ParseError("missing machine header")
-    mc = CounterMachine.make(dims, states, transitions)
+    # every effect is canonical already: build the machine without `make`,
+    # which would validate each one a second time
+    mc = CounterMachine(dims, frozenset(states), frozenset(transitions))
     return CounterDocument(mc, query)
 
 

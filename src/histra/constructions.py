@@ -3,12 +3,13 @@
 Everything here is a pure function from automata to automata.  Constructed
 states are `StateTag` values so the provenance of a state (product pair,
 tracking function, sink, ...) stays inspectable; a translation that spells
-one step as two tags the state between them "mid".
+one step as two tags the state between them "mid".  The constructions that
+annotate states (name fixing, register doubling) build only the pairs
+`core.explore` reaches from the initial one.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -22,6 +23,7 @@ from .core import (
     State,
     Transition,
     by_src,
+    explore,
     reset_summaries,
     subsets,
 )
@@ -221,39 +223,20 @@ def fix_names(a: Hra, w: Sequence[Name]) -> Hra:
     tag = lambda q, f: StateTag("fix", (q, f))
     overwritten = lambda post: frozenset(i for i in post if i > m)
 
-    adj = by_src(a.transitions)
-    start = tag(a.initial, f0)
-    states = {start}
-    transitions: list[Transition] = []
-    work = deque([(a.initial, f0)])
-    seen = {(a.initial, f0)}
-    while work:
-        q, f = work.popleft()
-        for t in adj.get(q, ()):
-            targets: list[tuple[tuple, Label]] = []
-            if isinstance(t.label, Reset):
-                f2 = tuple(fj - t.label.targets for fj in f)
-                targets.append((f2, t.label))
-            else:
-                wiped = overwritten(t.label.post)
-                f_pass = tuple(fj - wiped for fj in f)
-                targets.append((f_pass, t.label))
-                for j in range(k):
-                    if f[j] == t.label.pre:
-                        pinned = size + 1 + j
-                        f_move = tuple(
-                            t.label.post if l == j else f[l] - wiped for l in range(k)
-                        )
-                        targets.append(
-                            (f_move, Accept(frozenset({pinned}), frozenset({pinned})))
-                        )
-            for f2, lab in targets:
-                dst = tag(t.dst, f2)
-                states.add(dst)
-                transitions.append(Transition(tag(q, f), lab, dst))
-                if (t.dst, f2) not in seen:
-                    seen.add((t.dst, f2))
-                    work.append((t.dst, f2))
+    def moves(q, f, t):
+        if isinstance(t.label, Reset):
+            return [(t.label, tuple(fj - t.label.targets for fj in f))]
+        wiped = overwritten(t.label.post)
+        out = [(t.label, tuple(fj - wiped for fj in f))]
+        for j in range(k):
+            if f[j] == t.label.pre:
+                pinned = frozenset({size + 1 + j})
+                f_move = tuple(t.label.post if l == j else f[l] - wiped for l in range(k))
+                out.append((Accept(pinned, pinned), f_move))
+        return out
+
+    reached, edges = explore(by_src(a.transitions), (a.initial, f0), moves)
+    tags = {p: tag(*p) for p in reached}
 
     contents: dict[int, Iterable[Name]] = {}
     for i in range(1, size + 1):
@@ -265,11 +248,11 @@ def fix_names(a: Hra, w: Sequence[Name]) -> Hra:
     return Hra(
         m=m,
         n=n + k,
-        states=frozenset(states),
-        initial=start,
+        states=frozenset(tags.values()),
+        initial=tags[reached[0]],
         initial_assignment=Assignment.of(size + k, contents),
-        transitions=frozenset(transitions),
-        finals=frozenset(s for s in states if s.payload[0] in a.finals),
+        transitions=frozenset(Transition(tags[p], lab, tags[d]) for p, lab, d in edges),
+        finals=frozenset(tags[p] for p in reached if p[0] in a.finals),
     )
 
 
@@ -363,35 +346,27 @@ def registers_to_histories(a: Hra) -> Hra:
 
     f0 = tuple(m + j for j in range(1, n + 1))
     tag = lambda q, f: StateTag("copies", (q, f))
-    adj = by_src(a.transitions)
 
-    states = {tag(a.initial, f0)}
+    def moves(q, f, t):
+        if isinstance(t.label, Reset):
+            return [((Reset(fd(t.label.targets, f)), None, None), f)]
+        fbar = tuple(
+            flip(f, j) if (m + j + 1) in (t.label.pre | t.label.post) else f[j]
+            for j in range(n)
+        )
+        letter = Accept(fd(t.label.pre, f), fd(t.label.post, fbar))
+        return [((Reset(copy_places - frozenset(f)), StateTag("mid", (q, f, t)), letter), fbar)]
+
+    reached, edges = explore(by_src(a.transitions), (a.initial, f0), moves)
+    tags = {p: tag(*p) for p in reached}
+    states = set(tags.values())
     transitions: list[Transition] = []
-    seen = {(a.initial, f0)}
-    work = deque(seen)
-    while work:
-        q, f = work.popleft()
-        src = tag(q, f)
-        for t in adj.get(q, ()):
-            if isinstance(t.label, Reset):
-                nxt = (t.dst, f)
-                transitions.append(Transition(src, Reset(fd(t.label.targets, f)), tag(*nxt)))
-            else:
-                garbage = copy_places - frozenset(f)
-                fbar = tuple(
-                    flip(f, j) if (m + j + 1) in (t.label.pre | t.label.post) else f[j]
-                    for j in range(n)
-                )
-                mid = StateTag("mid", (q, f, t))
-                states.add(mid)
-                lab = Accept(fd(t.label.pre, f), fd(t.label.post, fbar))
-                transitions.append(Transition(src, Reset(garbage), mid))
-                nxt = (t.dst, fbar)
-                transitions.append(Transition(mid, lab, tag(*nxt)))
-            states.add(tag(*nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                work.append(nxt)
+    for p, (reset, mid, letter), d in edges:
+        if mid is None:
+            transitions.append(Transition(tags[p], reset, tags[d]))
+        else:
+            states.add(mid)
+            transitions += [Transition(tags[p], reset, mid), Transition(mid, letter, tags[d])]
 
     contents: dict[int, Iterable[Name]] = {}
     for i in range(1, m + n + 1):
@@ -401,12 +376,10 @@ def registers_to_histories(a: Hra) -> Hra:
         m=size,
         n=0,
         states=frozenset(states),
-        initial=tag(a.initial, f0),
+        initial=tags[reached[0]],
         initial_assignment=Assignment.of(size, contents),
         transitions=frozenset(transitions),
-        finals=frozenset(
-            tag(q, f) for (q, f) in seen if q in a.finals
-        ),
+        finals=frozenset(tags[p] for p in reached if p[0] in a.finals),
     )
 
 
@@ -458,23 +431,6 @@ def to_packed(a: Hra) -> PackedHra:
         transitions=frozenset(packed),
         finals=frozenset(finals),
     )
-
-
-def packed_membership(p: PackedHra, word: Sequence[Name]) -> bool:
-    frontier = {(p.initial, p.initial_assignment)}
-    for letter in word:
-        nxt = set()
-        for q, h in frontier:
-            for t in p.transitions:
-                if t.src != q:
-                    continue
-                h2 = h.reset_places(t.reset_first)
-                if h2.placeset_of(letter) == t.pre:
-                    nxt.add((t.dst, h2.move_name(letter, t.post, p.m)))
-        if not nxt:
-            return False
-        frontier = nxt
-    return any(q in p.finals for q, _ in frontier)
 
 
 def packed_determinism_witness(p: PackedHra) -> Optional[tuple[State, frozenset[int]]]:

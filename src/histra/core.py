@@ -264,6 +264,31 @@ def by_src(transitions: Iterable) -> dict[State, list]:
     return adj
 
 
+def explore(adj: Mapping[State, Sequence], start: tuple, moves) -> tuple[list, list]:
+    """Breadth-first search over (state, annotation) pairs, from `start`.
+
+    A reached pair (q, f) follows every transition t in `adj.get(q, ())`
+    (`by_src(...)` or `Hra.reset_index()`); `moves(q, f, t)` lists the
+    pairs (x, f2) that t allows from there, each one an edge
+    ((q, f), x, (t.dst, f2)) whose payload x is whatever the caller emits.
+    Returns the reached pairs in discovery order and every edge in the
+    order it was found, so the first edge into a pair is the one that
+    discovered it."""
+    reached = [start]
+    seen = {start}
+    edges = []
+    for node in reached:  # the list grows behind the loop: a FIFO queue
+        q, f = node
+        for t in adj.get(q, ()):
+            for x, f2 in moves(q, f, t):
+                nxt = (t.dst, f2)
+                edges.append((node, x, nxt))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    reached.append(nxt)
+    return reached, edges
+
+
 def subsets(items: Iterable[int]) -> list[frozenset[int]]:
     """Every subset of `items`, ordered by size and then in `combinations`
     order over the sorted items; the empty set comes first."""
@@ -323,38 +348,34 @@ class TraceStep:
 def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
     """An accepting run over `word`, or None.
 
-    membership(a, w) is true exactly when this returns a run.
+    membership(a, w) is true exactly when this returns a run.  The search
+    is `explore` over (state, (assignment, letters read)), so the run is
+    the first-discovered path to the first accepting pair discovered: no
+    accepting run has fewer moves, resets and letters alike.
     """
     word = tuple(word)
-    adj = by_src(a.transitions)
-    start = (initial_config(a), 0)
-    parents: dict = {start: None}
-    work = deque([start])
-    goal = None
-    while work:
-        node = work.popleft()
-        (q, h), k = node
-        if k == len(word) and q in a.finals:
-            goal = node
-            break
-        for t in adj.get(q, ()):
-            if isinstance(t.label, Reset):
-                nxt = ((t.dst, h.reset_places(t.label.targets)), k)
-                if nxt not in parents:
-                    parents[nxt] = (node, t, None)
-                    work.append(nxt)
-            elif k < len(word) and h.placeset_of(word[k]) == t.label.pre:
-                nxt = ((t.dst, h.move_name(word[k], t.label.post, a.m)), k + 1)
-                if nxt not in parents:
-                    parents[nxt] = (node, t, word[k])
-                    work.append(nxt)
+
+    def moves(q, f, t):
+        h, k = f
+        if isinstance(t.label, Reset):
+            return [((t, None), (h.reset_places(t.label.targets), k))]
+        if k < len(word) and h.placeset_of(word[k]) == t.label.pre:
+            return [((t, word[k]), (h.move_name(word[k], t.label.post, a.m), k + 1))]
+        return []
+
+    start = (a.initial, (a.initial_assignment, 0))
+    reached, edges = explore(by_src(a.transitions), start, moves)
+    goal = next((p for p in reached if p[0] in a.finals and p[1][1] == len(word)), None)
     if goal is None:
         return None
+    parents: dict = {start: None}
+    for src, x, dst in edges:
+        parents.setdefault(dst, (src, x))
     steps = []
     node = goal
     while parents[node] is not None:
-        prev, t, letter = parents[node]
-        steps.append(TraceStep(t, letter, node[0]))
+        prev, (t, letter) = parents[node]
+        steps.append(TraceStep(t, letter, (node[0], node[1][0])))
         node = prev
     return tuple(reversed(steps))
 
@@ -409,19 +430,14 @@ def reset_summaries(a: Hra) -> dict[State, frozenset[tuple[frozenset[int], State
     """For each state q, all pairs (Y, p) with q reaching p through resets
     whose targets union to Y (includes (empty, q))."""
     resets = a.reset_index()
-    out = {}
-    for q in a.states:
-        seen = {(frozenset(), q)}
-        work = deque(seen)
-        while work:
-            y, p = work.popleft()
-            for t in resets.get(p, ()):
-                item = (y | t.label.targets, t.dst)
-                if item not in seen:
-                    seen.add(item)
-                    work.append(item)
-        out[q] = frozenset(seen)
-    return out
+
+    def moves(p, y, t):
+        return [(None, y | t.label.targets)]
+
+    return {
+        q: frozenset((y, p) for p, y in explore(resets, (q, frozenset()), moves)[0])
+        for q in a.states
+    }
 
 
 # ---------------------------------------------------------------------------

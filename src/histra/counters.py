@@ -85,9 +85,17 @@ class CTransition:
 
 @dataclass(frozen=True)
 class CounterMachine:
+    """Its states are the given ones together with every transition
+    endpoint.  The constructor takes the edges as they are; `make`
+    validates them first."""
+
     dims: int
     states: frozenset[State]
     transitions: frozenset[CTransition]
+
+    def __post_init__(self) -> None:
+        ends = {q for t in self.transitions for q in (t.src, t.dst)}
+        object.__setattr__(self, "states", frozenset(self.states) | ends)
 
     @staticmethod
     def make(
@@ -95,8 +103,7 @@ class CounterMachine:
         states: Iterable[State],
         transitions: Iterable[tuple[State, Effect, State]],
     ) -> "CounterMachine":
-        """Validate the effects and build the machine; its states are
-        `states` together with every transition endpoint.
+        """Validate the effects and build the machine.
 
         Each distinct effect is validated once, and every edge whose effect
         is equal (before or after `Effect.canonical`) shares one canonical
@@ -113,8 +120,7 @@ class CounterMachine:
                 canon = shared.setdefault(canon, canon)  # () and (0, …) spell one vector
                 shared[eff] = canon
             ts.append(CTransition(src, canon, dst))
-        ends = {q for t in ts for q in (t.src, t.dst)}
-        return CounterMachine(dims, frozenset(states) | ends, frozenset(ts))
+        return CounterMachine(dims, frozenset(states), frozenset(ts))
 
     def is_vass(self) -> bool:
         return not any(t.effect.dest for t in self.transitions)

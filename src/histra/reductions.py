@@ -25,13 +25,14 @@ cross-checks.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Optional
 
 from .constructions import StateTag
-from .core import Accept, Assignment, Hra, Reset, State, Transition, by_src, classify, subsets
+from .core import (
+    Accept, Assignment, Hra, Reset, State, Transition, by_src, classify, explore, subsets,
+)
 from .counters import CounterConfig, CounterMachine, Effect, Vector, backward_coverability
 from .errors import (
     NonUnitEffect,
@@ -261,13 +262,6 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
     def st(q, phi):
         return StateTag("st", (q, phi))
 
-    phi0 = skeleton_of(a.initial_assignment, m, n)
-    adj = by_src(a.transitions)
-
-    transitions: list[tuple[State, object, State]] = []
-    seen = {(a.initial, phi0)}
-    work = deque(seen)
-
     def evictions(phi: Skeleton, skip: int, wiped: frozenset[int]) -> list:
         """The pure history sets that register names are released into."""
         out = []
@@ -281,33 +275,29 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
                     out.append(left)
         return out
 
-    while work:
-        q, phi = work.popleft()
-        src = st(q, phi)
-        for t in adj.get(q, ()):
-            if isinstance(t.label, Accept):
-                x, x2 = t.label.pre, t.label.post
-                j = 0
-                if x and not x <= hist:
-                    hits = skel_at(phi, x)
-                    if not hits:
-                        continue  # no register name can sit at exactly x here
-                    j = next(iter(hits))
-                released = evictions(phi, j, x2 - hist) + ([x2] if pure(x2) else [])
-                eff = Effect(dmap.vector([x] if pure(x) else []), (), dmap.vector(released))
-                phi2 = skel_move(phi, j, x2)
-            else:
-                x = t.label.targets
-                eff = Effect((), dmap.reset_moves(x), dmap.vector(evictions(phi, 0, x)))
-                phi2 = skel_reset(phi, x)
-            transitions.append((src, eff, st(t.dst, phi2)))
-            if (t.dst, phi2) not in seen:
-                seen.add((t.dst, phi2))
-                work.append((t.dst, phi2))
+    def moves(q, phi, t):
+        if isinstance(t.label, Reset):
+            x = t.label.targets
+            eff = Effect((), dmap.reset_moves(x), dmap.vector(evictions(phi, 0, x)))
+            return [(eff, skel_reset(phi, x))]
+        x, x2 = t.label.pre, t.label.post
+        j = 0
+        if x and not x <= hist:
+            hits = skel_at(phi, x)
+            if not hits:
+                return []  # no register name can sit at exactly x here
+            j = next(iter(hits))
+        released = evictions(phi, j, x2 - hist) + ([x2] if pure(x2) else [])
+        eff = Effect(dmap.vector([x] if pure(x) else []), (), dmap.vector(released))
+        return [(eff, skel_move(phi, j, x2))]
 
-    finals = [st(q, phi) for q, phi in seen if q in a.finals]
-    init = (st(a.initial, phi0), _initial_counts(a.initial_assignment, dmap.placesets))
-    return _reduction(dmap, [st(q, phi) for q, phi in seen], transitions, finals, init)
+    phi0 = skeleton_of(a.initial_assignment, m, n)
+    reached, edges = explore(by_src(a.transitions), (a.initial, phi0), moves)
+    tags = {p: st(*p) for p in reached}
+    transitions = [(tags[p], eff, tags[d]) for p, eff, d in edges]
+    finals = [tags[p] for p in reached if p[0] in a.finals]
+    init = (tags[reached[0]], _initial_counts(a.initial_assignment, dmap.placesets))
+    return _reduction(dmap, tags.values(), transitions, finals, init)
 
 
 def unary_to_one_rvass(a: Hra) -> CounterReduction:
@@ -451,55 +441,37 @@ def eliminate_registers_colouring(a: Hra) -> Hra:
     def tag(q, f):
         return StateTag("col", (q, f))
 
-    f0 = ("",) * n
-    adj = by_src(a.transitions)
-
-    transitions: list[tuple[State, object, State]] = []
-    seen = {(a.initial, f0)}
-    work = deque(seen)
-    while work:
-        q, f = work.popleft()
-        src = tag(q, f)
-        for t in adj.get(q, ()):
-            if isinstance(t.label, Reset):  # scope guarantees it is empty
-                transitions.append((src, t.label, tag(t.dst, f)))
-                if (t.dst, f) not in seen:
-                    seen.add((t.dst, f))
-                    work.append((t.dst, f))
+    def moves(q, f, t):
+        if isinstance(t.label, Reset):  # scope guarantees it is empty
+            return [(t.label, f)]
+        xh, xr = t.label.pre & hist, t.label.pre - hist
+        x2h, x2r = t.label.post & hist, t.label.post - hist
+        reads: list[tuple[frozenset[int], tuple]] = []
+        if xr:
+            i = next(iter(xr)) - m
+            if f[i - 1] == "r":
+                f_read = f[: i - 1] + ("",) + f[i:]
+                reads.append((xh | {pool(i, "r")}, f_read))
+        else:
+            reads.append((xh, f))
+            for i in range(1, n + 1):
+                for c in ("b", "y"):
+                    if c != f[i - 1]:
+                        reads.append((xh | {pool(i, c)}, f))
+        out = []
+        for pre, f2 in reads:
+            if not x2r:
+                out.append((Accept(pre, x2h), f2))
                 continue
-            xh, xr = t.label.pre & hist, t.label.pre - hist
-            x2h, x2r = t.label.post & hist, t.label.post - hist
-            reads: list[tuple[frozenset[int], tuple]] = []
-            if xr:
-                i = next(iter(xr)) - m
-                if f[i - 1] == "r":
-                    f_read = f[: i - 1] + ("",) + f[i:]
-                    reads.append((xh | {pool(i, "r")}, f_read))
-            else:
-                reads.append((xh, f))
-                for i in range(1, n + 1):
-                    for c in ("b", "y"):
-                        if c != f[i - 1]:
-                            reads.append((xh | {pool(i, c)}, f))
-            for pre, f2 in reads:
-                if x2r:
-                    j = next(iter(x2r)) - m
-                    if f2[j - 1] == "r":
-                        continue  # would overwrite a name promised to a read
-                    for c in _COLOURS:
-                        f3 = f2[: j - 1] + (c,) + f2[j:]
-                        post = x2h | {pool(j, c)}
-                        dst = (t.dst, f3)
-                        transitions.append((src, Accept(pre, post), tag(*dst)))
-                        if dst not in seen:
-                            seen.add(dst)
-                            work.append(dst)
-                else:
-                    dst = (t.dst, f2)
-                    transitions.append((src, Accept(pre, x2h), tag(*dst)))
-                    if dst not in seen:
-                        seen.add(dst)
-                        work.append(dst)
+            j = next(iter(x2r)) - m
+            if f2[j - 1] == "r":
+                continue  # would overwrite a name promised to a read
+            for c in _COLOURS:
+                out.append((Accept(pre, x2h | {pool(j, c)}), f2[: j - 1] + (c,) + f2[j:]))
+        return out
+
+    reached, edges = explore(by_src(a.transitions), (a.initial, ("",) * n), moves)
+    tags = {p: tag(*p) for p in reached}
 
     contents = {
         i: a.initial_assignment.place(i)
@@ -509,11 +481,11 @@ def eliminate_registers_colouring(a: Hra) -> Hra:
     return Hra(
         m=size,
         n=0,
-        states=frozenset(tag(q, f) for q, f in seen),
-        initial=tag(a.initial, f0),
+        states=frozenset(tags.values()),
+        initial=tags[reached[0]],
         initial_assignment=Assignment.of(size, contents),
-        transitions=frozenset(Transition(s, lab, d) for s, lab, d in transitions),
-        finals=frozenset(tag(q, f) for q, f in seen if q in a.finals),
+        transitions=frozenset(Transition(tags[p], lab, tags[d]) for p, lab, d in edges),
+        finals=frozenset(tags[p] for p in reached if p[0] in a.finals),
     )
 
 

@@ -211,6 +211,22 @@ def test_parse_counter_file():
     assert effects == {Add((1, 0)), Transfer(1, 2).canonical(2)}
 
 
+def test_parse_counters_validates_each_distinct_effect_once(monkeypatch):
+    from histra.counters import Effect
+
+    calls = []
+    canonical = Effect.canonical
+    monkeypatch.setattr(Effect, "canonical", lambda e, dims: calls.append(e) or canonical(e, dims))
+    text = TRVASS_FILE + "TRANS b c ADD 1 0\nTRANS c a ADD 0 0 ADD 1 0\nTRANS a a RESET 2\n"
+    doc = parse_counters(text)
+    assert len(calls) == 4  # four spellings, three distinct effects
+    effects = {t.effect for t in doc.machine.transitions}
+    assert len(effects) == 3
+    shared = [t.effect for t in doc.machine.transitions if t.effect == Add((1, 0))]
+    assert len(shared) == 3 and all(e is shared[0] for e in shared)
+    assert doc.machine.states == {"a", "b", "c"}
+
+
 def test_counter_round_trip_is_stable():
     printed = print_counters(parse_counters(TRVASS_FILE))
     assert print_counters(parse_counters(printed)) == printed

@@ -28,7 +28,7 @@ from histra import (
     unpack,
     validate,
 )
-from histra.constructions import StateTag, packed_determinism_witness, packed_membership
+from histra.constructions import StateTag, packed_determinism_witness
 from histra.core import eps_closure, initial_config, step
 from histra.oracles import (
     Lang,
@@ -309,7 +309,6 @@ def test_to_packed_and_unpack_preserve_language():
         u = unpack(p)
         validate(u)
         for w in enumerate_words(ALPHA, 4):
-            assert membership(a, w) == packed_membership(p, w), (a, w)
             assert membership(a, w) == membership(u, w), (a, w)
 
 

@@ -208,6 +208,45 @@ def test_closure_agrees_with_the_run_search(chunk):
             assert eps_closure(a, {c}) == _closure_by_search(a, {c}), (seed, c)
 
 
+def _moves_by_scan(a, node, word):
+    """Every move from ((q, h), letters read) along `word`, found by scanning
+    all transitions."""
+    (q, h), k = node
+    for t in a.transitions:
+        if t.src != q:
+            continue
+        if isinstance(t.label, Reset):
+            yield ((t.dst, h.reset_places(t.label.targets)), k)
+        elif k < len(word) and h.placeset_of(word[k]) == t.label.pre:
+            yield ((t.dst, h.move_name(word[k], t.label.post, a.m)), k + 1)
+
+
+def _fewest_moves(a, word, cap):
+    """The fewest moves of an accepting run over `word`, or None when no run
+    of at most `cap` moves accepts: layer d holds every node that some
+    sequence of exactly d moves reaches."""
+    layer = {(initial_config(a), 0)}
+    for d in range(cap + 1):
+        if any(q in a.finals and k == len(word) for (q, _), k in layer):
+            return d
+        layer = {nxt for node in layer for nxt in _moves_by_scan(a, node, word)}
+    return None
+
+
+@pytest.mark.parametrize("chunk", range(2))
+def test_trace_finds_an_accepting_run_with_the_fewest_moves(chunk):
+    words = list(enumerate_words((0, 1, 2, 3), 3))
+    for seed in range(50 * chunk, 50 * chunk + 50):
+        a = random_hra(seed, max_m=2, max_n=1, max_states=4)
+        for w in words:
+            run = trace(a, w)
+            if run is None:
+                assert _fewest_moves(a, w, 8) is None, (seed, w)
+            else:
+                _replay(a, w, run)
+                assert _fewest_moves(a, w, len(run)) == len(run), (seed, w)
+
+
 def test_the_reset_index_is_invisible():
     a, b = anchored_blocks_hra(), anchored_blocks_hra()
     eps_closure(a, {initial_config(a)})

@@ -25,6 +25,7 @@ from histra import (
     colouring_scope_ok,
     eliminate_registers_colouring,
     emptiness,
+    fix_names,
     hra_to_trvass,
     make_hra,
     membership,
@@ -554,6 +555,46 @@ def test_colouring_random_in_scope_agreement(seed):
     validate(col)
     for w in enumerate_words((0, 1, 2), 5):
         assert membership(a, w) == membership(col, w), (seed, w)
+
+
+# ---------------------------------------------------------------------------
+# explored outputs
+
+
+def _reachable(initial, arcs):
+    """The states reachable from `initial` along the (src, dst) pairs `arcs`."""
+    succ = {}
+    for src, dst in arcs:
+        succ.setdefault(src, []).append(dst)
+    seen, todo = {initial}, [initial]
+    while todo:
+        for q in succ.get(todo.pop(), ()):
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return seen
+
+
+@pytest.mark.parametrize("subclass", [None, "restricted", "colouring"])
+def test_explored_outputs_reach_every_state(subclass):
+    # the constructions and the skeleton reduction emit only what a search
+    # from the initial pair reaches (the reduction's target is reachable
+    # only when a final state is)
+    for seed in range(150):
+        a = random_hra(seed, max_m=2, max_n=2, max_states=4, max_transitions=8,
+                       subclass=subclass)
+        built = [fix_names(a, (0, 1))]
+        if a.n:
+            built.append(registers_to_histories(a))
+            if colouring_scope_ok(a):
+                built.append(eliminate_registers_colouring(a))
+        for b in built:
+            reached = _reachable(b.initial, [(t.src, t.dst) for t in b.transitions])
+            assert reached == b.states, (seed, b)
+        red = restricted_hra_to_rvass(a)
+        mc = red.machine
+        reached = _reachable(red.init[0], [(t.src, t.dst) for t in mc.transitions])
+        assert reached | {red.target} == mc.states, seed
 
 
 # ---------------------------------------------------------------------------
