@@ -12,8 +12,13 @@ where X and X' are comma-separated 1-based place indices, or `-` for the
 empty set.  Counter-machine files:
 
     TRVASS|RVASS|VASS <m>
+    STATE <id>
     TRANS <src> <dst> [ADD <v1> ... <vm>] (TRANSFER <i> <j> | RESET <i>)* [ADD <v1> ... <vm>]
     QUERY <q0> <v1> ... <vm> <target>
+
+A machine's states are those on some edge, in the QUERY line, or on a
+STATE line; the printer writes a STATE line only for a state that is on
+no edge and not in the query.
 
 Each TRANS line is one edge, read left to right.  A lone ADD adds its
 vector, which must leave every counter non-negative; its entries may be
@@ -295,7 +300,11 @@ def parse_counters(text: str) -> CounterDocument:
             continue
         if klass is None:
             raise ParseError(f"line {ln}: machine header must come first")
-        if kind == "TRANS":
+        if kind == "STATE":
+            if len(toks) != 2:
+                raise ParseError(f"line {ln}: expected STATE <id>")
+            states.add(toks[1])
+        elif kind == "TRANS":
             if len(toks) < 4:
                 raise ParseError(f"line {ln}: truncated TRANS line")
             words = tuple(toks[3:])
@@ -402,6 +411,10 @@ def print_counters(doc: CounterDocument) -> str:
     klass = "VASS" if mc.is_vass() else ("RVASS" if mc.is_rvass() else "TRVASS")
     tok = _state_tokens(mc.states)
     out = [f"{klass} {mc.dims}"]
+    listed = {q for t in mc.transitions for q in (t.src, t.dst)}
+    if doc.query is not None:
+        listed.update((doc.query[0], doc.query[2]))
+    out.extend(sorted(f"STATE {tok[q]}" for q in mc.states - listed))
     lines = []
     for t in mc.transitions:
         lines.append(f"TRANS {tok[t.src]} {tok[t.dst]} {_print_effect(t.effect)}")

@@ -92,6 +92,8 @@ class Assignment:
         return Assignment(tuple(slots))
 
     def place(self, i: int) -> frozenset[Name]:
+        if not 1 <= i <= len(self.contents):
+            raise BadPlaceIndex(f"place {i} out of range 1..{len(self.contents)}")
         return self.contents[i - 1]
 
     def names(self) -> frozenset[Name]:
@@ -105,12 +107,13 @@ class Assignment:
         """Names lying in every place of `x` and nowhere else.
 
         `x` must be non-empty; the x = {} case is the freshness predicate,
-        available as is_fresh / fresh_name.
+        available as is_fresh / fresh_name.  A place outside 1..size raises
+        BadPlaceIndex, as in `place`.
         """
         x = frozenset(x)
         if not x:
             raise ValueError("at() needs a non-empty place-set; use is_fresh for freshness")
-        inside = frozenset.intersection(*(self.contents[i - 1] for i in x))
+        inside = frozenset.intersection(*(self.place(i) for i in x))
         outside = frozenset(
             chain.from_iterable(s for i, s in enumerate(self.contents) if i + 1 not in x)
         )
@@ -297,11 +300,17 @@ def subsets(items: Iterable[int]) -> list[frozenset[int]]:
 
 
 def step(a: Hra, config: Configuration, letter: Name) -> frozenset[Configuration]:
-    """All single-letter successors of `config` (no silent moves)."""
+    """All single-letter successors of `config` (no silent moves).
+
+    The letter's place-set belongs to the configuration, so it is read once
+    per call.  Each transition is then tested cheapest first: its label
+    kind, then its `pre` against that place-set, and only then its source
+    against the current state, which can be a costly nested comparison."""
     q, h = config
+    x = h.placeset_of(letter)
     out = set()
     for t in a.transitions:
-        if t.src == q and isinstance(t.label, Accept) and h.placeset_of(letter) == t.label.pre:
+        if isinstance(t.label, Accept) and x == t.label.pre and t.src == q:
             out.add((t.dst, h.move_name(letter, t.label.post, a.m)))
     return frozenset(out)
 

@@ -129,7 +129,7 @@ def bounded_emptiness(a: Hra, max_letters: int = 8) -> EmptinessProbe:
         for q, h in layer:
             letters = {h.fresh_name()}
             for t in a.transitions:
-                if t.src == q and isinstance(t.label, Accept) and t.label.pre:
+                if isinstance(t.label, Accept) and t.label.pre and t.src == q:
                     pool = h.at(t.label.pre)
                     if pool:
                         letters.add(min(pool))

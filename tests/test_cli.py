@@ -233,6 +233,29 @@ def test_counter_round_trip_is_stable():
     assert printed.startswith("TRVASS 2")
 
 
+def test_counter_round_trip_keeps_edgeless_states():
+    edgeless = 0
+    for seed in range(100):
+        red = hra_to_trvass(registers_to_histories(random_hra(seed, max_m=2, max_n=1)))
+        text = print_counters(CounterDocument(red.machine, (*red.init, red.target)))
+        doc = parse_counters(text)
+        assert len(doc.machine.states) == len(red.machine.states), seed
+        assert print_counters(doc) == text, seed
+        edgeless += text.count("\nSTATE ")
+    assert edgeless  # some machine has a state on no edge and not in the query
+
+
+def test_counter_state_lines():
+    doc = parse_counters("VASS 1\nSTATE c\nSTATE a\nTRANS a b ADD 1\nQUERY a 0 b\n")
+    assert doc.machine.states == {"a", "b", "c"}
+    # only the state on no edge and not in the query gets a STATE line
+    assert print_counters(doc) == "VASS 1\nSTATE c\nTRANS a b ADD 1\nQUERY a 0 b\n"
+    with pytest.raises(ParseError, match="line 2: expected STATE <id>"):
+        parse_counters("VASS 1\nSTATE\n")
+    with pytest.raises(ParseError, match="line 2: expected STATE <id>"):
+        parse_counters("VASS 1\nSTATE c INITIAL\n")
+
+
 def test_counter_round_trip_on_random_machines():
     for seed in range(200):
         mc = random_counter_machine(seed, klass="trvass", dims=3)
@@ -252,13 +275,12 @@ _TO_COUNTERS = {
 
 
 def _as_printed(red):
-    """The machine and query a `to-counters` file holds for `red`: states
-    are named by the printer's tokens, and only those on an edge or in the
-    query are listed."""
+    """The machine and query a `to-counters` file holds for `red`: every
+    state, named by the printer's token."""
     mc = red.machine
     tok = _state_tokens(mc.states)
     renamed = CounterMachine.make(
-        mc.dims, {tok[red.init[0]], tok[red.target]},
+        mc.dims, tok.values(),
         [(tok[t.src], t.effect, tok[t.dst]) for t in mc.transitions],
     )
     return renamed, (tok[red.init[0]], red.init[1], tok[red.target])

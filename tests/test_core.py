@@ -95,6 +95,14 @@ def test_assignment_rejects_places_out_of_range():
         make_hra(1, 1, ["q"], "q", [], ["q"], initial_contents={0: [7]})
     with pytest.raises(BadPlaceIndex):
         Assignment.of(2, {3: [5]})
+    h = Assignment.of(2, {1: [5], 2: [6]})
+    for i in (0, 3, -1):
+        with pytest.raises(BadPlaceIndex):
+            h.place(i)
+        with pytest.raises(BadPlaceIndex):
+            h.at({i})
+        with pytest.raises(BadPlaceIndex):
+            h.at({1, i})
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +151,76 @@ def test_step_requires_exact_placeset():
     assert not step(a, (q0, h), 9)
     # but it fires on a fresh one
     assert step(a, (q0, h), 10)
+
+
+class _CountedState:
+    """A state that counts the comparisons made against it."""
+
+    eq_calls = 0
+
+    def __init__(self, name):
+        self.name = name
+
+    def __eq__(self, other):
+        _CountedState.eq_calls += 1
+        return isinstance(other, _CountedState) and self.name == other.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+
+def test_step_compares_states_only_for_labels_that_match():
+    p, q = _CountedState("p"), _CountedState("q")
+    a = make_hra(
+        1, 1, [p, q], p,
+        [(p, Accept(s(1), s(2)), q), (q, Accept(s(2), s()), p),
+         (q, Accept(s(), s(1)), q), (p, Reset(s(1)), q)],
+        [q], initial_contents={1: [5], 2: [6]},
+    )
+    h = Assignment.of(2, {1: [5, 8], 2: [8]})
+    for config, letter, matching, fires in [
+        ((p, h), 8, 0, False),  # {1, 2}: no label has it
+        ((p, h), 7, 1, False),  # fresh: only q's label has ∅
+        ((p, a.initial_assignment), 5, 1, True),  # {1}: p's label
+    ]:
+        _CountedState.eq_calls = 0
+        assert bool(step(a, config, letter)) == fires
+        assert _CountedState.eq_calls == matching, (letter, _CountedState.eq_calls)
+
+
+def _step_by_scan(a, config, letter):
+    """`step` as first written: the source state is tested first, and the
+    letter's place-set is recomputed for every transition."""
+    q, h = config
+    out = set()
+    for t in a.transitions:
+        if t.src == q and isinstance(t.label, Accept) and h.placeset_of(letter) == t.label.pre:
+            out.add((t.dst, h.move_name(letter, t.label.post, a.m)))
+    return frozenset(out)
+
+
+def test_step_agrees_with_the_transition_scan():
+    letters = (0, 1, 2, 3)
+    with_registers = fired = 0
+    for seed in range(100):
+        a = random_hra(seed, max_m=2, max_n=2, max_states=4)
+        with_registers += a.n > 0
+        # every configuration that a word of at most 3 letters reaches
+        layer = eps_closure(a, {initial_config(a)})
+        reached = set(layer)
+        for _ in range(3):
+            nxt = set()
+            for c in layer:
+                for x in letters:
+                    nxt |= step(a, c, x)
+            layer = eps_closure(a, nxt)
+            reached |= layer
+        for c in reached:
+            for x in letters:
+                got = step(a, c, x)
+                assert got == _step_by_scan(a, c, x), (seed, c, x)
+                fired += bool(got)
+    assert with_registers >= 30 and fired >= 1000, (with_registers, fired)
 
 
 def test_eps_closure_includes_reset_chains():
