@@ -60,7 +60,13 @@ from .core import (
 )
 from .counters import Add, CounterMachine, CTransition, Effect, backward_coverability
 from .errors import BadPlaceIndex, HistraError
-from .reductions import emptiness, hra_to_trvass, nonreset_to_vass, restricted_hra_to_rvass
+from .reductions import (
+    eliminate_registers_colouring,
+    emptiness,
+    hra_to_trvass,
+    nonreset_to_vass,
+    restricted_hra_to_rvass,
+)
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -530,7 +536,7 @@ def _cmd_to_counters(args) -> int:
     if args.target == "trvass":
         red = hra_to_trvass(registers_to_histories(a))
     elif args.target == "vass":
-        red = nonreset_to_vass(a)
+        red = nonreset_to_vass(eliminate_registers_colouring(a))
     else:
         red = restricted_hra_to_rvass(a)
     q0, v0 = red.init

@@ -224,9 +224,6 @@ class UpSet:
             all(x <= y for x, y in zip(b, v)) for b in self._bases.get(state, ())
         )
 
-    def basis(self, state: State) -> tuple[Vector, ...]:
-        return tuple(sorted(self._bases.get(state, ())))
-
     def __len__(self) -> int:
         return sum(len(b) for b in self._bases.values())
 

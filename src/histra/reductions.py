@@ -245,7 +245,11 @@ def restriction_ok(a: Hra) -> bool:
 
 def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
     """Counters for every nonempty history subset; register structure rides
-    along in the control state as a skeleton.
+    along in the control state as a skeleton, the set of place-sets of the
+    names the registers hold.  A name is taken from its counter when its
+    place-set is pure history, and looked up in the skeleton when it meets
+    a register; a register name that loses its last register is released
+    into the counter of the history places it keeps.
 
     A reset pours every counter whose place-set X meets the targets Y into
     the counter for X∖Y (a transfer), or zeroes it when X ⊆ Y.  On the
@@ -262,34 +266,24 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
     def st(q, phi):
         return StateTag("st", (q, phi))
 
-    def evictions(phi: Skeleton, skip: int, wiped: frozenset[int]) -> list:
-        """The pure history sets that register names are released into."""
-        out = []
-        for k in sorted(phi.classes()):
-            if k == skip:
-                continue
-            yk = phi.places_of(k)
-            if yk & wiped:
-                left = yk - wiped
-                if pure(left):
-                    out.append(left)
-        return out
+    def evictions(phi: Skeleton, moved: frozenset[int], wiped: frozenset[int]) -> list:
+        """The pure history sets that register names other than `moved` are
+        released into when `wiped` is emptied."""
+        return [y - wiped for y in phi.placesets
+                if y != moved and y & wiped and pure(y - wiped)]
 
     def moves(q, phi, t):
         if isinstance(t.label, Reset):
             x = t.label.targets
-            eff = Effect((), dmap.reset_moves(x), dmap.vector(evictions(phi, 0, x)))
+            released = evictions(phi, frozenset(), x)
+            eff = Effect((), dmap.reset_moves(x), dmap.vector(released))
             return [(eff, skel_reset(phi, x))]
         x, x2 = t.label.pre, t.label.post
-        j = 0
-        if x and not x <= hist:
-            hits = skel_at(phi, x)
-            if not hits:
-                return []  # no register name can sit at exactly x here
-            j = next(iter(hits))
-        released = evictions(phi, j, x2 - hist) + ([x2] if pure(x2) else [])
+        if x and not x <= hist and not skel_at(phi, x):
+            return []  # no register name can sit at exactly x here
+        released = evictions(phi, x, x2 - hist) + ([x2] if pure(x2) else [])
         eff = Effect(dmap.vector([x] if pure(x) else []), (), dmap.vector(released))
-        return [(eff, skel_move(phi, j, x2))]
+        return [(eff, skel_move(phi, x, x2))]
 
     phi0 = skeleton_of(a.initial_assignment, m, n)
     reached, edges = explore(by_src(a.transitions), (a.initial, phi0), moves)
