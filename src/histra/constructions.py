@@ -249,7 +249,7 @@ def fix_names(a: Hra, w: Sequence[Name]) -> Hra:
         m=m,
         n=n + k,
         states=frozenset(tags.values()),
-        initial=tags[reached[0]],
+        initial=tags[a.initial, f0],
         initial_assignment=Assignment.of(size + k, contents),
         transitions=frozenset(Transition(tags[p], lab, tags[d]) for p, lab, d in edges),
         finals=frozenset(tags[p] for p in reached if p[0] in a.finals),
@@ -376,7 +376,7 @@ def registers_to_histories(a: Hra) -> Hra:
         m=size,
         n=0,
         states=frozenset(states),
-        initial=tags[reached[0]],
+        initial=tags[a.initial, f0],
         initial_assignment=Assignment.of(size, contents),
         transitions=frozenset(transitions),
         finals=frozenset(tags[p] for p in reached if p[0] in a.finals),

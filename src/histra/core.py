@@ -12,7 +12,6 @@ Names are plain ints; words are sequences of ints.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, fields
 from itertools import chain, combinations
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
@@ -166,9 +165,9 @@ Configuration = tuple[State, Assignment]
 class Hra:
     """An automaton of type (m, n).
 
-    It keeps an index of its reset transitions by source state, built on
-    first use (`reset_index`).  The index is not a field: `==`, `hash` and
-    `repr` ignore it, and it is left out of the pickled state."""
+    It keeps its reset summaries (`reset_summaries`) and the part of them
+    the silent closure reads, computed on first use.  They are not a field:
+    `==`, `hash` and `repr` ignore them, and the pickled state leaves them out."""
 
     m: int
     n: int
@@ -177,20 +176,11 @@ class Hra:
     initial_assignment: Assignment
     transitions: frozenset[Transition]
     finals: frozenset[State]
-    _resets = None  # not a field: no annotation
+    _summaries = None  # not a field: no annotation
 
     @property
     def places(self) -> range:
         return range(1, self.m + self.n + 1)
-
-    def reset_index(self) -> dict[State, list[Transition]]:
-        """The reset transitions grouped by source state (`by_src`), built on
-        the first call and kept.  Do not mutate the lists."""
-        index = self._resets
-        if index is None:
-            index = by_src(t for t in self.transitions if isinstance(t.label, Reset))
-            object.__setattr__(self, "_resets", index)
-        return index
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -205,8 +195,8 @@ def make_hra(
     finals: Iterable[State],
     initial_contents: Mapping[int, Iterable[Name]] | None = None,
 ) -> Hra:
-    """Convenience constructor taking plain tuples for transitions."""
-    return Hra(
+    """Convenience constructor taking plain tuples for transitions; validates the result."""
+    a = Hra(
         m=m,
         n=n,
         states=frozenset(states),
@@ -215,6 +205,8 @@ def make_hra(
         transitions=frozenset(Transition(s, lab, d) for s, lab, d in transitions),
         finals=frozenset(finals),
     )
+    validate(a)
+    return a
 
 
 def initial_config(a: Hra) -> Configuration:
@@ -267,28 +259,29 @@ def by_src(transitions: Iterable) -> dict[State, list]:
     return adj
 
 
-def explore(adj: Mapping[State, Sequence], start: tuple, moves) -> tuple[list, list]:
-    """Breadth-first search over (state, annotation) pairs, from `start`.
+def explore(adj: Mapping[State, Sequence], start: tuple, moves) -> tuple[dict, list]:
+    """Breadth-first search over (state, annotation) pairs, from `start`: the
+    one search behind the reset summaries (so the silent closure), the
+    constructions, the skeleton reduction and run extraction.
 
-    A reached pair (q, f) follows every transition t in `adj.get(q, ())`
-    (`by_src(...)` or `Hra.reset_index()`); `moves(q, f, t)` lists the
-    pairs (x, f2) that t allows from there, each one an edge
-    ((q, f), x, (t.dst, f2)) whose payload x is whatever the caller emits.
-    Returns the reached pairs in discovery order and every edge in the
-    order it was found, so the first edge into a pair is the one that
-    discovered it."""
-    reached = [start]
-    seen = {start}
+    A reached pair (q, f) follows every transition t in `adj.get(q, ())`;
+    `moves(q, f, t)` lists the pairs (x, f2) that t allows from there, each
+    one an edge ((q, f), x, (t.dst, f2)) whose payload x is the caller's.
+    Returns the reached pairs in discovery order, each mapped to the
+    (previous pair, payload) of the edge that discovered it (`start` to
+    None), and every edge in the order it was found."""
+    reached = {start: None}
+    queue = [start]
     edges = []
-    for node in reached:  # the list grows behind the loop: a FIFO queue
+    for node in queue:  # the list grows behind the loop: a FIFO queue
         q, f = node
         for t in adj.get(q, ()):
             for x, f2 in moves(q, f, t):
                 nxt = (t.dst, f2)
                 edges.append((node, x, nxt))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    reached.append(nxt)
+                if nxt not in reached:
+                    reached[nxt] = (node, x)
+                    queue.append(nxt)
     return reached, edges
 
 
@@ -318,19 +311,14 @@ def step(a: Hra, config: Configuration, letter: Name) -> frozenset[Configuration
 def eps_closure(a: Hra, configs: Iterable[Configuration]) -> frozenset[Configuration]:
     """Close a configuration set under reset (silent) transitions.
 
-    Walks the automaton's kept reset index (`Hra.reset_index`) instead of
-    regrouping its transitions on every call."""
-    seen = set(configs)
-    work = deque(seen)
-    resets = a.reset_index()
-    while work:
-        q, h = work.popleft()
-        for t in resets.get(q, ()):
-            nxt = (t.dst, h.reset_places(t.label.targets))
-            if nxt not in seen:
-                seen.add(nxt)
-                work.append(nxt)
-    return frozenset(seen)
+    Resets only empty places, so a chain of resets from q to p whose targets
+    union to Y takes (q, h) to exactly (p, h minus Y): the closure reads the
+    automaton's kept reset summaries.  A state with no reset closes to
+    itself."""
+    closure = _kept_summaries(a)[1]
+    closed = frozenset(configs)
+    return closed.union([(p, h.reset_places(y) if y else h)
+                         for q, h in closed for y, p in closure.get(q, ())])
 
 
 def membership(a: Hra, word: Sequence[Name]) -> bool:
@@ -372,18 +360,14 @@ def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
             return [((t, word[k]), (h.move_name(word[k], t.label.post, a.m), k + 1))]
         return []
 
-    start = (a.initial, (a.initial_assignment, 0))
-    reached, edges = explore(by_src(a.transitions), start, moves)
+    reached, _ = explore(by_src(a.transitions), (a.initial, (a.initial_assignment, 0)), moves)
     goal = next((p for p in reached if p[0] in a.finals and p[1][1] == len(word)), None)
     if goal is None:
         return None
-    parents: dict = {start: None}
-    for src, x, dst in edges:
-        parents.setdefault(dst, (src, x))
     steps = []
     node = goal
-    while parents[node] is not None:
-        prev, (t, letter) = parents[node]
+    while reached[node] is not None:
+        prev, (t, letter) = reached[node]
         steps.append(TraceStep(t, letter, (node[0], node[1][0])))
         node = prev
     return tuple(reversed(steps))
@@ -437,16 +421,29 @@ def _fra_shape(a: Hra) -> bool:
 
 def reset_summaries(a: Hra) -> dict[State, frozenset[tuple[frozenset[int], State]]]:
     """For each state q, all pairs (Y, p) with q reaching p through resets
-    whose targets union to Y (includes (empty, q))."""
-    resets = a.reset_index()
+    whose targets union to Y (includes (empty, q)).  Computed on the first
+    call and kept on the automaton (see `Hra`); do not mutate it."""
+    return _kept_summaries(a)[0]
 
-    def moves(p, y, t):
-        return [(None, y | t.label.targets)]
 
-    return {
-        q: frozenset((y, p) for p, y in explore(resets, (q, frozenset()), moves)[0])
-        for q in a.states
-    }
+def _kept_summaries(a: Hra) -> tuple[dict, dict]:
+    """The reset summaries and, for the silent closure, each state's
+    summaries other than (∅, q), keyed only by the sources of resets: a
+    lookup that hits costs a recursive comparison of nested `StateTag`s."""
+    kept = a._summaries
+    if kept is None:
+        resets = by_src(t for t in a.transitions if isinstance(t.label, Reset))
+
+        def moves(p, y, t):
+            return [(None, y | t.label.targets)]
+
+        # every pair reached but the first, (q, ∅) itself
+        closure = {q: [(y, p) for p, y in list(explore(resets, (q, frozenset()), moves)[0])[1:]]
+                   for q in resets}
+        table = {q: frozenset([(frozenset(), q), *closure.get(q, ())]) for q in a.states}
+        kept = (table, closure)
+        object.__setattr__(a, "_summaries", kept)
+    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,7 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
     tags = {p: st(*p) for p in reached}
     transitions = [(tags[p], eff, tags[d]) for p, eff, d in edges]
     finals = [tags[p] for p in reached if p[0] in a.finals]
-    init = (tags[reached[0]], _initial_counts(a.initial_assignment, dmap.placesets))
+    init = (tags[a.initial, phi0], _initial_counts(a.initial_assignment, dmap.placesets))
     return _reduction(dmap, tags.values(), transitions, finals, init)
 
 
@@ -476,7 +476,7 @@ def eliminate_registers_colouring(a: Hra) -> Hra:
         m=size,
         n=0,
         states=frozenset(tags.values()),
-        initial=tags[reached[0]],
+        initial=tags[a.initial, ("",) * n],
         initial_assignment=Assignment.of(size, contents),
         transitions=frozenset(Transition(tags[p], lab, tags[d]) for p, lab, d in edges),
         finals=frozenset(tags[p] for p in reached if p[0] in a.finals),

@@ -27,7 +27,9 @@ from histra import (
     trace,
     validate,
 )
-from histra.core import eps_closure, initial_config, step
+from histra import constructions, core
+from histra.constructions import fix_names
+from histra.core import eps_closure, explore, initial_config, step
 from histra.oracles import enumerate_words, random_hra
 from histra.zoo import (
     all_distinct_hra,
@@ -139,6 +141,13 @@ def test_validate_flags_dangling_transition_endpoint():
         validate(a)
 
 
+def test_make_hra_validates_label_places():
+    # type (1, 1): place 0 and place m+n+1 = 3 are out of range in either label
+    for label in (Accept(s(0), s(1)), Accept(s(), s(3)), Reset(s(0)), Reset(s(1, 3))):
+        with pytest.raises(ValidationError):
+            make_hra(1, 1, ["q"], "q", [("q", label, "q")], ["q"])
+
+
 # ---------------------------------------------------------------------------
 # one-step semantics
 
@@ -227,6 +236,8 @@ def test_eps_closure_includes_reset_chains():
     a = generate_then_consume_hra()
     closure = eps_closure(a, {initial_config(a)})
     assert len(closure) == 2  # both states reachable before any letter
+    stray = ("not a state", a.initial_assignment)
+    assert eps_closure(a, {stray}) == {stray}
 
 
 def _replay(a, word, run):
@@ -271,19 +282,21 @@ def test_closure_agrees_with_the_run_search(chunk):
     letters = (0, 1, 2, 3)
     words = list(enumerate_words(letters, 3))
     for seed in range(25 * chunk, 25 * chunk + 25):
-        a = random_hra(seed, max_m=2, max_n=1, max_states=4)
-        for w in words:
-            run = trace(a, w)
-            assert membership(a, w) == (run is not None), (seed, w)
-            if run is not None:
-                _replay(a, w, run)
-        # every configuration that a word of at most 3 letters reaches
-        reached = {initial_config(a)}
-        for _ in range(3):
-            reached |= {c2 for c in _closure_by_search(a, reached)
-                        for x in letters for c2 in step(a, c, x)}
-        for c in reached:
-            assert eps_closure(a, {c}) == _closure_by_search(a, {c}), (seed, c)
+        # the second, reset-heavy draw has reset cycles and overlapping targets
+        for a in (random_hra(seed, max_m=2, max_n=1, max_states=4),
+                  random_hra(seed, max_m=2, max_n=1, max_states=4, max_transitions=12)):
+            for w in words:
+                run = trace(a, w)
+                assert membership(a, w) == (run is not None), (seed, w)
+                if run is not None:
+                    _replay(a, w, run)
+            # every configuration that a word of at most 3 letters reaches
+            reached = {initial_config(a)}
+            for _ in range(3):
+                reached |= {c2 for c in _closure_by_search(a, reached)
+                            for x in letters for c2 in step(a, c, x)}
+            for c in reached:
+                assert eps_closure(a, {c}) == _closure_by_search(a, {c}), (seed, c)
 
 
 def _moves_by_scan(a, node, word):
@@ -325,15 +338,38 @@ def test_trace_finds_an_accepting_run_with_the_fewest_moves(chunk):
                 assert _fewest_moves(a, w, len(run)) == len(run), (seed, w)
 
 
-def test_the_reset_index_is_invisible():
+def test_the_kept_reset_summaries_are_invisible():
     a, b = anchored_blocks_hra(), anchored_blocks_hra()
     eps_closure(a, {initial_config(a)})
-    assert a.reset_index() is a.reset_index()
+    assert reset_summaries(a) is reset_summaries(a)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert pickle.dumps(a) == pickle.dumps(b)
     a2, b2 = copy.deepcopy(a), copy.deepcopy(b)
     assert a2 == a and vars(a2) == vars(b2) and hash(a2) == hash(b2)
     assert pickle.dumps(a2) == pickle.dumps(b2)
+
+
+def test_explore_maps_each_pair_to_the_edge_that_discovered_it(monkeypatch):
+    calls = []
+
+    def recording(adj, start, moves):
+        reached, edges = explore(adj, start, moves)
+        calls.append((start, reached, edges))
+        return reached, edges
+
+    monkeypatch.setattr(core, "explore", recording)
+    monkeypatch.setattr(constructions, "explore", recording)
+    for seed in range(40):
+        a = random_hra(seed, max_m=2, max_n=1, max_states=4, max_transitions=8)
+        trace(a, (0, 1, 0))
+        fix_names(a, (0, 1))
+    assert len(calls) == 80
+    for start, reached, edges in calls:
+        first = {start: None}
+        for src, x, dst in edges:
+            first.setdefault(dst, (src, x))
+        # same pairs, same discovery order, same discovering edge
+        assert list(reached.items()) == list(first.items())
 
 
 def test_membership_epsilon_word():
