@@ -6,6 +6,12 @@ tracking function, sink, ...) stays inspectable; a translation that spells
 one step as two tags the state between them "mid".  The constructions that
 annotate states (name fixing, register doubling) build only the pairs
 `core.explore` reaches from the initial one.
+
+A construction makes one `StateTag` per state it creates, kept in a dict,
+and every transition endpoint, initial state or final naming that state is
+that very object.  A dict or set lookup of a state then stops at identity
+instead of comparing nested payloads; equal states built separately are
+still equal.
 """
 
 from __future__ import annotations
@@ -136,31 +142,27 @@ def union(a1: Hra, a2: Hra) -> Hra:
     names.
     """
     mp1, mp2, m, n = _band_maps(a1, a2)
-    t1 = lambda s: StateTag("left", (s,))
-    t2 = lambda s: StateTag("right", (s,))
+    t1 = {s: StateTag("left", (s,)) for s in a1.states}
+    t2 = {s: StateTag("right", (s,)) for s in a2.states}
     start = StateTag("start", ())
     band1 = frozenset(mp1.values())
     band2 = frozenset(mp2.values())
     transitions = [
-        Transition(t1(t.src), _remap_label(t.label, mp1), t1(t.dst)) for t in a1.transitions
+        Transition(t1[t.src], _remap_label(t.label, mp1), t1[t.dst]) for t in a1.transitions
     ] + [
-        Transition(t2(t.src), _remap_label(t.label, mp2), t2(t.dst)) for t in a2.transitions
+        Transition(t2[t.src], _remap_label(t.label, mp2), t2[t.dst]) for t in a2.transitions
     ] + [
-        Transition(start, Reset(band2), t1(a1.initial)),
-        Transition(start, Reset(band1), t2(a2.initial)),
+        Transition(start, Reset(band2), t1[a1.initial]),
+        Transition(start, Reset(band1), t2[a2.initial]),
     ]
     return Hra(
         m=m,
         n=n,
-        states=frozenset(
-            [start]
-            + [t1(s) for s in a1.states]
-            + [t2(s) for s in a2.states]
-        ),
+        states=frozenset([start, *t1.values(), *t2.values()]),
         initial=start,
         initial_assignment=Assignment.of(m + n, _merge_contents(a1, a2, mp1, mp2)),
         transitions=frozenset(transitions),
-        finals=frozenset([t1(s) for s in a1.finals] + [t2(s) for s in a2.finals]),
+        finals=frozenset([t1[s] for s in a1.finals] + [t2[s] for s in a2.finals]),
     )
 
 
@@ -168,7 +170,7 @@ def intersection(a1: Hra, a2: Hra) -> Hra:
     """Accepts L(a1) ∩ L(a2): a synchronous product over disjoint place
     bands -- letter transitions pair up, resets interleave silently."""
     mp1, mp2, m, n = _band_maps(a1, a2)
-    pair = lambda p, q: StateTag("pair", (p, q))
+    pair = {(p, q): StateTag("pair", (p, q)) for p in a1.states for q in a2.states}
     transitions = []
     acc1 = [t for t in a1.transitions if isinstance(t.label, Accept)]
     acc2 = [t for t in a2.transitions if isinstance(t.label, Accept)]
@@ -178,27 +180,27 @@ def intersection(a1: Hra, a2: Hra) -> Hra:
                 _remap_set(u.label.pre, mp1) | _remap_set(v.label.pre, mp2),
                 _remap_set(u.label.post, mp1) | _remap_set(v.label.post, mp2),
             )
-            transitions.append(Transition(pair(u.src, v.src), lab, pair(u.dst, v.dst)))
+            transitions.append(Transition(pair[u.src, v.src], lab, pair[u.dst, v.dst]))
     for u in a1.transitions:
         if isinstance(u.label, Reset):
             for q in a2.states:
                 transitions.append(
-                    Transition(pair(u.src, q), _remap_label(u.label, mp1), pair(u.dst, q))
+                    Transition(pair[u.src, q], _remap_label(u.label, mp1), pair[u.dst, q])
                 )
     for v in a2.transitions:
         if isinstance(v.label, Reset):
             for p in a1.states:
                 transitions.append(
-                    Transition(pair(p, v.src), _remap_label(v.label, mp2), pair(p, v.dst))
+                    Transition(pair[p, v.src], _remap_label(v.label, mp2), pair[p, v.dst])
                 )
     return Hra(
         m=m,
         n=n,
-        states=frozenset(pair(p, q) for p in a1.states for q in a2.states),
-        initial=pair(a1.initial, a2.initial),
+        states=frozenset(pair.values()),
+        initial=pair[a1.initial, a2.initial],
         initial_assignment=Assignment.of(m + n, _merge_contents(a1, a2, mp1, mp2)),
         transitions=frozenset(transitions),
-        finals=frozenset(pair(p, q) for p in a1.finals for q in a2.finals),
+        finals=frozenset(pair[p, q] for p in a1.finals for q in a2.finals),
     )
 
 
@@ -272,24 +274,24 @@ def concatenation(a1: Hra, a2: Hra) -> Hra:
     p1, p2 = pad_type(a1, m, n), pad_type(a2, m, n)
     w = _enlist_initial_names(p2)
     f1, f2 = fix_names(p1, w), fix_names(p2, w)
-    left = lambda s: StateTag("left", (s,))
-    right = lambda s: StateTag("right", (s,))
+    left = {s: StateTag("left", (s,)) for s in f1.states}
+    right = {s: StateTag("right", (s,)) for s in f2.states}
     old_places = frozenset(range(1, m + n + 1))
     transitions = [
-        Transition(left(t.src), t.label, left(t.dst)) for t in f1.transitions
+        Transition(left[t.src], t.label, left[t.dst]) for t in f1.transitions
     ] + [
-        Transition(right(t.src), t.label, right(t.dst)) for t in f2.transitions
+        Transition(right[t.src], t.label, right[t.dst]) for t in f2.transitions
     ] + [
-        Transition(left(qf), Reset(old_places), right(f2.initial)) for qf in f1.finals
+        Transition(left[qf], Reset(old_places), right[f2.initial]) for qf in f1.finals
     ]
     return Hra(
         m=f1.m,
         n=f1.n,
-        states=frozenset([left(s) for s in f1.states] + [right(s) for s in f2.states]),
-        initial=left(f1.initial),
+        states=frozenset([*left.values(), *right.values()]),
+        initial=left[f1.initial],
         initial_assignment=f1.initial_assignment,
         transitions=frozenset(transitions),
-        finals=frozenset(right(s) for s in f2.finals),
+        finals=frozenset(right[s] for s in f2.finals),
     )
 
 

@@ -133,11 +133,19 @@ class Assignment:
         """Remove `a` everywhere, then insert it at exactly `post`.
 
         Insertion adds `a` to history places (index <= m) and overwrites
-        register places (index > m) to hold just `a`.
+        register places (index > m) to hold just `a`.  Only the places the
+        name leaves or enters are copied: every other place is the same
+        frozenset object as in `self`.
         """
-        slots = list(s - {a} for s in self.contents)
+        slots = list(self.contents)
+        for i, s in enumerate(slots):
+            if a in s and i + 1 not in post:
+                slots[i] = s - {a}
         for i in post:
-            slots[i - 1] = (slots[i - 1] | {a}) if i <= m else frozenset({a})
+            if i > m:
+                slots[i - 1] = frozenset({a})
+            elif a not in slots[i - 1]:
+                slots[i - 1] = slots[i - 1] | {a}
         return Assignment(tuple(slots))
 
     def reset_places(self, targets: frozenset[int]) -> "Assignment":

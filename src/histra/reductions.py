@@ -347,11 +347,11 @@ def vass_to_nonreset_hra(mc: CounterMachine, init: CounterConfig, target_state: 
     def code(i: int) -> frozenset[int]:
         return frozenset(p + 1 for p in range(mprime) if i >> p & 1)
 
-    def node(q):
-        return StateTag("v", (q,))
+    nodes = {q: StateTag("v", (q,)) for q in mc.states | {q0, target_state}}
+    stages: dict[tuple, StateTag] = {}  # shared suffixes: one tag per (state, rest)
 
     def stage(q, rest):
-        return StateTag("vstage", (q, rest))
+        return stages.setdefault((q, rest), StateTag("vstage", (q, rest)))
 
     transitions: list[tuple[State, object, State]] = []
     for t in mc.transitions:
@@ -359,12 +359,12 @@ def vass_to_nonreset_hra(mc: CounterMachine, init: CounterConfig, target_state: 
         pending = tuple((i + 1, -1) for i, x in enumerate(e.pre) for _ in range(x))
         pending += tuple((i + 1, +1) for i, x in enumerate(e.post) for _ in range(x))
         if not pending:
-            transitions.append((node(t.src), Accept(frozenset(), frozenset()), node(t.dst)))
+            transitions.append((nodes[t.src], Accept(frozenset(), frozenset()), nodes[t.dst]))
             continue
-        cur = node(t.src)
+        cur = nodes[t.src]
         for idx, (d, sign) in enumerate(pending):
             rest = pending[idx + 1:]
-            nxt = node(t.dst) if not rest else stage(t.dst, rest)
+            nxt = nodes[t.dst] if not rest else stage(t.dst, rest)
             lab = (
                 Accept(frozenset(), code(d)) if sign > 0 else Accept(code(d), frozenset())
             )
@@ -378,16 +378,14 @@ def vass_to_nonreset_hra(mc: CounterMachine, init: CounterConfig, target_state: 
             a_name = next(fresh)
             for p in code(i):
                 contents.setdefault(p, set()).add(a_name)
-    states = {node(q) for q in mc.states}
-    states |= {s for s, _, _ in transitions} | {d for _, _, d in transitions}
     return Hra(
         m=mprime,
         n=0,
-        states=frozenset(states),
-        initial=node(q0),
+        states=frozenset([*(nodes[q] for q in mc.states), *stages.values()]),
+        initial=nodes[q0],
         initial_assignment=Assignment.of(mprime, contents),
         transitions=frozenset(Transition(s, lab, d) for s, lab, d in transitions),
-        finals=frozenset({node(target_state)}),
+        finals=frozenset({nodes[target_state]}),
     )
 
 

@@ -27,6 +27,7 @@ from histra import (
     union,
     unpack,
     validate,
+    vass_to_nonreset_hra,
 )
 from histra.constructions import StateTag, packed_determinism_witness
 from histra.core import eps_closure, initial_config, step
@@ -35,6 +36,7 @@ from histra.oracles import (
     bounded_bisimulation,
     enumerate_words,
     oracle_membership,
+    random_counter_machine,
     random_hra,
 )
 from histra.zoo import (
@@ -269,6 +271,42 @@ def test_a_pickled_state_tag_rehashes_under_the_loading_seed():
 
     n, found = run("1", "load", run("0", "dump")).split()
     assert int(n) == 43 and found == n
+
+
+def _unshared_states(a):
+    """Endpoints, the initial state and finals that are not the very object
+    held in `a.states` (equal is not enough)."""
+    held = {id(q) for q in a.states}
+    ends = [a.initial, *a.finals, *(q for t in a.transitions for q in (t.src, t.dst))]
+    return [q for q in ends if id(q) not in held]
+
+
+_ZOO = [all_distinct_hra(), two_tracks_hra(), anchored_distinct_hra(0), anchored_blocks_hra(1),
+        no_immediate_repeat_history_hra(), no_immediate_repeat_register_hra(),
+        generate_then_consume_hra(), not_all_twice_hra(), two_step_distinct_hra(),
+        *alternating_pair_hras()]
+
+
+@pytest.mark.parametrize("seed", range(len(_ZOO) + 5))
+def test_each_constructed_state_is_one_object(seed):
+    if seed < len(_ZOO):
+        a, b = _ZOO[seed], _ZOO[(seed + 1) % len(_ZOO)]
+    else:
+        a, b = _sampler(seed)[0], _sampler(seed + 100)[0]
+    built = {
+        "intersection": intersection(a, b),
+        "union": union(a, b),
+        "concatenation": concatenation(a, b),
+        "kleene_star": kleene_star(a),
+        "fix_names": fix_names(a, (0, 5)),
+        "registers_to_histories": registers_to_histories(b),
+        "nested": intersection(concatenation(a, b), kleene_star(union(b, a))),
+    }
+    mc = random_counter_machine(seed, dims=3, klass="vass")
+    first, last = sorted(mc.states)[0], sorted(mc.states)[-1]
+    built["vass_to_nonreset_hra"] = vass_to_nonreset_hra(mc, (first, (1, 0, 2)), last)
+    for name, out in built.items():
+        assert not _unshared_states(out), name
 
 
 # ---------------------------------------------------------------------------

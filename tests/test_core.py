@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 import types
 
 import pytest
@@ -82,6 +83,41 @@ def test_move_name_removes_from_everywhere_first():
     h = Assignment.of(2, {1: [5], 2: [5]})
     moved = h.move_name(5, s(1), m=2)
     assert moved.placeset_of(5) == s(1)
+
+
+def _move_name_by_the_definition(h, a, post, m):
+    # take `a` out of every place, then insert it at exactly `post`
+    slots = [p - {a} for p in h.contents]
+    for i in post:
+        slots[i - 1] = (slots[i - 1] | {a}) if i <= m else frozenset({a})
+    return Assignment(tuple(slots))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_move_name_copies_only_the_places_it_touches(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(0, 3), rng.randint(0, 2)
+    if m + n == 0:
+        m = 1
+    size = m + n
+    pool = range(6)
+    filled = {i: rng.sample(pool, rng.randint(0, 4)) for i in range(1, m + 1)}
+    filled.update({i: rng.sample(pool, rng.randint(0, 1)) for i in range(m + 1, size + 1)})
+    h = Assignment.of(size, filled)
+    held = [a for a in pool if len(h.placeset_of(a)) > 1]
+    places = range(1, size + 1)
+    posts = [s(), s(*places), s(*rng.sample(places, rng.randint(1, size)))]
+    posts += [h.placeset_of(a) | s(rng.choice(places)) for a in pool if h.placeset_of(a)]
+    if n:
+        posts.append(s(m + 1))  # a register: overwritten, not accumulated
+    names = [6, rng.choice(pool)] + held  # fresh, any, and in several places
+    for a in names:
+        for post in posts:
+            moved = h.move_name(a, post, m)
+            assert moved == _move_name_by_the_definition(h, a, post, m), (a, post)
+            for i in places:
+                if i not in post and a not in h.place(i):
+                    assert moved.place(i) is h.place(i), (a, post, i)
 
 
 def test_reset_places_empties_targets_only():
