@@ -61,7 +61,6 @@ from .core import (
 from .counters import Add, CounterMachine, CTransition, Effect, backward_coverability
 from .errors import BadPlaceIndex, HistraError
 from .reductions import (
-    eliminate_registers_colouring,
     emptiness,
     hra_to_trvass,
     nonreset_to_vass,
@@ -536,7 +535,7 @@ def _cmd_to_counters(args) -> int:
     if args.target == "trvass":
         red = hra_to_trvass(registers_to_histories(a))
     elif args.target == "vass":
-        red = nonreset_to_vass(eliminate_registers_colouring(a))
+        red = nonreset_to_vass(a)
     else:
         red = restricted_hra_to_rvass(a)
     q0, v0 = red.init

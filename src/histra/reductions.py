@@ -4,14 +4,21 @@ pipeline built on one of them.
 The common shape: a place-set X ⊆ histories corresponds to a counter whose
 value tracks how many names sit at exactly X; register structure, being
 finite, is folded into the control state as a skeleton.  Every translation
-to a counter machine emits exactly one edge per automaton transition (per
-reached skeleton pair in `restricted_hra_to_rvass`): taking a name from X,
+to a counter machine emits at most one edge per automaton transition (per
+reached skeleton pair in the skeleton translation): taking a name from X,
 the pours and wipes of a reset, names released from registers and putting
 a name at X′ together form one `Effect`, since its takes come first, then
 its moves, then its puts.  Each translation ends the same way: zero-effect
 edges lead from the images of the final states to one target control
 state, so the language is non-empty exactly when that state is coverable
 from the initial configuration.
+
+There is one skeleton translation, `restricted_hra_to_rvass`, and it gives
+a counter only to the place-sets that a later step can read: a name parked
+anywhere else is dropped, which is exact since it is never consumed again.
+`nonreset_to_vass` and `unary_to_one_rvass` are that translation behind a
+check of their class.  `hra_to_trvass` keeps a counter for every history
+subset; it is the unpruned reference the others are checked against.
 
 `emptiness` decides every automaton the same way: the skeleton reduction
 `restricted_hra_to_rvass`, then backward coverability.  On the paper's
@@ -35,6 +42,7 @@ from .core import (
 )
 from .counters import CounterConfig, CounterMachine, Effect, Vector, backward_coverability
 from .errors import (
+    DanglingState,
     NonUnitEffect,
     NotUnary,
     RegistersPresent,
@@ -191,6 +199,8 @@ def rvass_to_hra(mc: CounterMachine, init: CounterConfig, target_state: State) -
     q0, v0 = init
     if len(v0) != mc.dims:
         raise WrongDimension(f"initial vector has arity {len(v0)}, expected {mc.dims}")
+    if not {q0, target_state} <= mc.states:
+        raise DanglingState(f"{q0!r} or {target_state!r} is not a state of the machine")
 
     transitions: list[tuple[State, object, State]] = []
     states: set[State] = set(mc.states)
@@ -243,28 +253,65 @@ def restriction_ok(a: Hra) -> bool:
     return True
 
 
+def _readable_placesets(initial, steps) -> list[frozenset[int]]:
+    """The place-sets that get a counter, in `subsets` order.
+
+    `initial` lists the pure place-sets of the initial names; each of
+    `steps` is one machine edge's (take, reset targets, puts), a missing
+    take or reset being None.  The produced sets P are `initial` and every
+    put, closed under X ↦ X∖Y for each reset target Y.  The readable sets
+    R ⊆ P are the takes in P, closed backward: X is in R when X∖Y is in R
+    for some reset target Y that meets X."""
+    resets = {y for _, y, _ in steps if y}
+    produced = set(initial).union(*(puts for _, _, puts in steps))
+    todo = list(produced)
+    while todo:
+        x = todo.pop()
+        for y in resets:
+            z = x - y
+            if z and z not in produced:
+                produced.add(z)
+                todo.append(z)
+    readable = {x for x, _, _ in steps if x in produced}
+    while more := {x for x in produced - readable
+                   if any(x & y and x - y in readable for y in resets)}:
+        readable |= more
+    return sorted(readable, key=lambda x: (len(x), sorted(x)))
+
+
 def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
-    """Counters for every nonempty history subset; register structure rides
-    along in the control state as a skeleton, the set of place-sets of the
-    names the registers hold.  A name is taken from its counter when its
+    """The skeleton translation: register structure rides along in the
+    control state as a skeleton, the set of place-sets of the names the
+    registers hold, and a counter for a pure history place-set X counts the
+    names that sit at exactly X.  A name is taken from its counter when its
     place-set is pure history, and looked up in the skeleton when it meets
     a register; a register name that loses its last register is released
-    into the counter of the history places it keeps.
+    into the counter of the history places it keeps.  A reset pours every
+    counter whose place-set X meets the targets Y into the counter for X∖Y
+    (a transfer), or zeroes it when X ⊆ Y.
 
-    A reset pours every counter whose place-set X meets the targets Y into
-    the counter for X∖Y (a transfer), or zeroes it when X ⊆ Y.  On the
-    restricted class (`restriction_ok`) only the second case arises, so the
-    machine is an R-VASS; any other reset that the skeleton search reaches
-    makes it a TR-VASS."""
+    Only the readable place-sets R of `_readable_placesets` get a counter,
+    computed over the edges the skeleton search reaches.  A put into a set
+    outside R is dropped, a reset move into one becomes a zeroing, and an
+    edge whose take lies outside the produced sets P is dropped (with the
+    control states only it led to).  This is exact.  By induction on the
+    length of a run: every name that sits at a pure place-set sits at one
+    in P, and a pure name at X ∉ R is never read again.  A letter reads a
+    pure name only at its pre, which is in R when it is in P.  A letter
+    that reads another name leaves it where it is.  A reset of Y either
+    misses X, or moves the name to X∖Y, which is empty (the name is
+    forgotten) or again in P∖R, since R is closed backward.  So the
+    counters of R count exactly the names at each X ∈ R, and dropping the
+    rest changes no step that can fire.
+
+    On the restricted class (`restriction_ok`) every reset wipes all
+    histories, so no move has a target and the machine is an R-VASS; any
+    other reset whose moved set stays readable makes it a TR-VASS."""
     m, n = a.m, a.n
     hist = frozenset(range(1, m + 1))
-    dmap = DimensionMap(tuple(subsets(hist)[1:]) or (frozenset(),))
 
     def pure(x: frozenset[int]) -> bool:
         return bool(x) and x <= hist
-
-    def st(q, phi):
-        return StateTag("st", (q, phi))
 
     def evictions(phi: Skeleton, moved: frozenset[int], wiped: frozenset[int]) -> list:
         """The pure history sets that register names other than `moved` are
@@ -273,24 +320,43 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
                 if y != moved and y & wiped and pure(y - wiped)]
 
     def moves(q, phi, t):
+        """One (take, reset targets, puts) step per transition."""
         if isinstance(t.label, Reset):
-            x = t.label.targets
-            released = evictions(phi, frozenset(), x)
-            eff = Effect((), dmap.reset_moves(x), dmap.vector(released))
-            return [(eff, skel_reset(phi, x))]
+            y = t.label.targets
+            return [((None, y, evictions(phi, frozenset(), y)), skel_reset(phi, y))]
         x, x2 = t.label.pre, t.label.post
         if x and not x <= hist and not skel_at(phi, x):
             return []  # no register name can sit at exactly x here
-        released = evictions(phi, x, x2 - hist) + ([x2] if pure(x2) else [])
-        eff = Effect(dmap.vector([x] if pure(x) else []), (), dmap.vector(released))
-        return [(eff, skel_move(phi, x, x2))]
+        puts = evictions(phi, x, x2 - hist) + ([x2] if pure(x2) else [])
+        return [((x if pure(x) else None, None, puts), skel_move(phi, x, x2))]
 
-    phi0 = skeleton_of(a.initial_assignment, m, n)
-    reached, edges = explore(by_src(a.transitions), (a.initial, phi0), moves)
-    tags = {p: st(*p) for p in reached}
-    transitions = [(tags[p], eff, tags[d]) for p, eff, d in edges]
-    finals = [tags[p] for p in reached if p[0] in a.finals]
-    init = (tags[a.initial, phi0], _initial_counts(a.initial_assignment, dmap.placesets))
+    h0 = a.initial_assignment
+    start = (a.initial, skeleton_of(h0, m, n))
+    _, edges = explore(by_src(a.transitions), start, moves)
+    initial = [x for x in map(h0.placeset_of, h0.names()) if pure(x)]
+    readable = _readable_placesets(initial, [step for _, step, _ in edges])
+    dmap = DimensionMap(tuple(readable) or (frozenset(),))
+    kept = set(readable)
+
+    def effect(take, y, puts) -> Effect:
+        return Effect(dmap.vector([take] if take else []),
+                      dmap.reset_moves(y) if y else (),
+                      dmap.vector([z for z in puts if z in kept]))
+
+    out: dict = {}
+    for p, (take, y, puts), d in edges:
+        if take is None or take in kept:  # a take outside R is outside P
+            out.setdefault(p, []).append((effect(take, y, puts), d))
+    tags = {start: StateTag("st", start)}
+    queue = [start]
+    for p in queue:  # the pairs still reachable over the kept edges
+        for _, d in out.get(p, ()):
+            if d not in tags:
+                tags[d] = StateTag("st", d)
+                queue.append(d)
+    transitions = [(tags[p], eff, tags[d]) for p in queue for eff, d in out.get(p, ())]
+    finals = [tags[p] for p in queue if p[0] in a.finals]
+    init = (tags[start], dmap.vector([x for x in initial if x in kept]))
     return _reduction(dmap, tags.values(), transitions, finals, init)
 
 
@@ -307,30 +373,14 @@ def unary_to_one_rvass(a: Hra) -> CounterReduction:
 
 
 def nonreset_to_vass(a: Hra) -> CounterReduction:
-    """Only the place-sets mentioned by labels need counters: a name parked
-    at any other combination can never be consumed again."""
-    if a.n > 0:
-        raise RegistersPresent("eliminate registers first")
+    """The paper's reduction of emptiness for non-reset automata to VASS
+    coverability.  With no proper reset, the skeleton machine of `restricted_hra_to_rvass`
+    only takes and puts, so it is a VASS, registers or not.  Its counters
+    are the pure label pres that some step fills: a name parked at any
+    other place-set can never be consumed again."""
     if not classify(a).non_reset:
         raise ResetsPresent("automaton has proper resets")
-    used: set[frozenset[int]] = set()
-    for t in a.transitions:
-        if isinstance(t.label, Accept):
-            for x in (t.label.pre, t.label.post):
-                if x:
-                    used.add(x)
-    placesets = sorted(used, key=lambda s: (len(s), sorted(s)))
-    dmap = DimensionMap(tuple(placesets) or (frozenset(),))
-    transitions: list[tuple[State, object, State]] = []
-    for t in a.transitions:
-        if isinstance(t.label, Accept):
-            x, x2 = t.label.pre, t.label.post
-            eff = Effect(dmap.vector([x] if x else []), (), dmap.vector([x2] if x2 else []))
-        else:
-            eff = Effect((), (), ())  # empty reset: silent no-op
-        transitions.append((t.src, eff, t.dst))
-    init = (a.initial, _initial_counts(a.initial_assignment, dmap.placesets))
-    return _reduction(dmap, a.states, transitions, a.finals, init)
+    return restricted_hra_to_rvass(a)
 
 
 def vass_to_nonreset_hra(mc: CounterMachine, init: CounterConfig, target_state: State) -> Hra:
@@ -342,12 +392,14 @@ def vass_to_nonreset_hra(mc: CounterMachine, init: CounterConfig, target_state: 
     q0, v0 = init
     if len(v0) != mc.dims:
         raise WrongDimension(f"initial vector has arity {len(v0)}, expected {mc.dims}")
+    if not {q0, target_state} <= mc.states:
+        raise DanglingState(f"{q0!r} or {target_state!r} is not a state of the machine")
     mprime = max(1, math.ceil(math.log2(mc.dims + 1)))
 
     def code(i: int) -> frozenset[int]:
         return frozenset(p + 1 for p in range(mprime) if i >> p & 1)
 
-    nodes = {q: StateTag("v", (q,)) for q in mc.states | {q0, target_state}}
+    nodes = {q: StateTag("v", (q,)) for q in mc.states}
     stages: dict[tuple, StateTag] = {}  # shared suffixes: one tag per (state, rest)
 
     def stage(q, rest):

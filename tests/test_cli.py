@@ -14,7 +14,7 @@ from histra import (
     apply_effect,
     backward_coverability,
     classify,
-    eliminate_registers_colouring,
+    colouring_scope_ok,
     emptiness,
     hra_to_trvass,
     kleene_star,
@@ -271,7 +271,7 @@ def test_counter_round_trip_on_random_machines():
 _TO_COUNTERS = {
     "restricted": restricted_hra_to_rvass,
     "trvass": lambda a: hra_to_trvass(registers_to_histories(a)),
-    "vass": lambda a: nonreset_to_vass(eliminate_registers_colouring(a)),
+    "vass": nonreset_to_vass,
 }
 
 
@@ -620,22 +620,36 @@ def test_to_counters_keeps_an_edgeless_initial_state(tmp_path, capsys):
     assert "coverable: false" in capsys.readouterr().out
 
 
+def _to_counters_vass_agrees_with_empty(tmp_path, text):
+    """`to-counters --target vass` writes the machine of `nonreset_to_vass`,
+    a VASS; `cover` exits 0 on coverable and `empty` exits 0 on empty, so
+    on a non-empty language they must disagree."""
+    f = _file(tmp_path, "reg.hra", text)
+    out = str(tmp_path / "vass.cm")
+    assert main(["to-counters", f, "--target", "vass", "-o", out]) == 0
+    doc = parse_counters(open(out).read())
+    assert doc.machine.is_vass()
+    assert (doc.machine, doc.query) == _as_printed(nonreset_to_vass(parse_hra(text)))
+    assert main(["cover", out]) == 0
+    assert main(["empty", f]) == 1
+
+
 def test_to_counters_vass_eliminates_registers_in_colouring_scope(tmp_path, capsys):
     # non-reset, register initially empty, one register per label side
     text = (
         "HRA 1 1\nSTATE q INITIAL\nSTATE r\nSTATE f FINAL\n"
         "TRANS q r ACC - : 1,2\nTRANS r f ACC 1,2 : 1\n"
     )
-    f = _file(tmp_path, "reg.hra", text)
-    out = str(tmp_path / "vass.cm")
-    assert main(["to-counters", f, "--target", "vass", "-o", out]) == 0
-    doc = parse_counters(open(out).read())
-    assert doc.machine.is_vass()
-    red = nonreset_to_vass(eliminate_registers_colouring(parse_hra(text)))
-    assert (doc.machine, doc.query) == _as_printed(red)
-    # cover exits 0 on coverable, empty exits 0 on empty: they must disagree
-    assert main(["cover", out]) == 0
-    assert main(["empty", f]) == 1
+    assert colouring_scope_ok(parse_hra(text))
+    _to_counters_vass_agrees_with_empty(tmp_path, text)
+    capsys.readouterr()
+
+
+def test_to_counters_vass_translates_registers_outside_colouring_scope(tmp_path, capsys):
+    # the register starts full, which the colouring construction refuses
+    text = "HRA 1 1\nSTATE q INITIAL\nSTATE f FINAL\nINIT 2 a\nTRANS q f ACC 2 : 1\n"
+    assert not colouring_scope_ok(parse_hra(text))
+    _to_counters_vass_agrees_with_empty(tmp_path, text)
     capsys.readouterr()
 
 

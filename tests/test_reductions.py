@@ -8,6 +8,7 @@ import pytest
 from histra import (
     Accept,
     Add,
+    DanglingState,
     DimensionMap,
     Effect,
     NonUnitEffect,
@@ -22,6 +23,7 @@ from histra import (
     TransfersOrResetsPresent,
     WrongDimension,
     backward_coverability,
+    classify,
     colouring_scope_ok,
     eliminate_registers_colouring,
     emptiness,
@@ -256,7 +258,10 @@ def test_restricted_cosimulation_tracks_skeleton_and_counts(seed):
             mcfg = matches[0]
 
 
-def test_skeleton_machine_is_rvass_exactly_on_restricted_automata():
+def test_skeleton_machine_is_rvass_on_restricted_automata():
+    # restriction_ok => R-VASS; the converse no longer holds, since a
+    # partial reset of place-sets that no later step reads becomes zeroings
+    transfers = 0
     for seed in range(300):
         a = random_hra(seed, max_m=2, max_n=1, max_states=4)
         red = restricted_hra_to_rvass(a)
@@ -265,7 +270,53 @@ def test_skeleton_machine_is_rvass_exactly_on_restricted_automata():
         live = dataclasses.replace(
             a, transitions=frozenset(t for t in a.transitions if t.src in reached)
         )
-        assert red.machine.is_rvass() == restriction_ok(live), seed
+        if restriction_ok(live):
+            assert red.machine.is_rvass(), seed
+        transfers += not red.machine.is_rvass()
+    assert transfers  # some partial reset still pours a readable set
+
+
+_SUBCLASSES = (None, "non_reset", "unary", "restricted", "colouring")
+
+
+def test_readable_counters_are_exact_and_pruned():
+    # the pruned skeleton machine against the unpruned full translation
+    zeroed = dropped = 0
+    for seed in range(600):
+        a = random_hra(seed, max_m=3, max_n=1, max_states=5,
+                       subclass=_SUBCLASSES[seed % len(_SUBCLASSES)])
+        red = restricted_hra_to_rvass(a)
+        covered = backward_coverability(red.machine, red.init, red.target)
+        full = hra_to_trvass(registers_to_histories(a))
+        assert covered == backward_coverability(full.machine, full.init, full.target), seed
+        probe = bounded_emptiness(a, 6).kind
+        if probe == "nonempty":
+            assert covered, seed
+        elif probe == "empty_within_bound":
+            assert not covered, seed
+        # never more counters than the parent rules gave
+        placesets = red.dimension_map.placesets
+        assert len(placesets) <= max(1, 2 ** a.m - 1), seed
+        hist = frozenset(range(1, a.m + 1))
+        if classify(a).non_reset:
+            labels = {x for t in a.transitions if isinstance(t.label, Accept)
+                      for x in (t.label.pre, t.label.post) if x and x <= hist}
+            assert set(placesets) <= labels | {s()}, seed
+        # a reset move the full map would transfer, zeroed here
+        resets = {t.label.targets for t in a.transitions if isinstance(t.label, Reset)}
+        zeroed += any(
+            not j and placesets[i - 1] - y
+            for e in red.machine.transitions if e.effect.dest
+            for y in resets if set(red.dimension_map.reset_moves(y)) == set(e.effect.dest)
+            for i, j in e.effect.dest
+        )
+        # a pure put from a reached state, dropped here
+        reached = {q.payload[0] for q in red.machine.states if q.kind == "st"}
+        dropped += any(
+            t.src in reached and t.label.post <= hist and t.label.post not in placesets
+            for t in a.transitions if isinstance(t.label, Accept) and t.label.post
+        )
+    assert zeroed and dropped, (zeroed, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +339,13 @@ def test_rvass_to_hra_rejects_a_wrong_initial_arity():
     mc = CounterMachine.make(2, ["q"], [("q", Add((1, 0)), "q")])
     with pytest.raises(WrongDimension):
         rvass_to_hra(mc, ("q", (0,)), "q")
+
+
+def test_rvass_to_hra_rejects_query_states_outside_the_machine():
+    mc = CounterMachine.make(1, ["q"], [("q", Add((1,)), "q")])
+    for init, target in ((("ghost", (0,)), "q"), (("q", (0,)), "elsewhere")):
+        with pytest.raises(DanglingState):
+            rvass_to_hra(mc, init, target)
 
 
 def test_rvass_to_hra_simple_pump():
@@ -352,17 +410,24 @@ def test_rvass_to_hra_strong_determinism_for_deterministic_sources(seed):
 # restricted discipline
 
 
-def test_restriction_predicate():
-    assert restriction_ok(generate_then_consume_hra())
-    assert restriction_ok(anchored_blocks_hra(0))  # m=1: any reset covers [m]
-    bad = make_hra(
+def _partial_reset_then_read():
+    """A name at {1,2}, a reset of history 1 that moves it to {2}, and a
+    letter that reads {2}: the partial reset is a transfer."""
+    return make_hra(
         2,
         0,
         states=["q"],
         initial="q",
-        transitions=[("q", Reset(s(1)), "q")],
+        transitions=[("q", Reset(s(1)), "q"), ("q", Accept(s(2), s()), "q")],
         finals=["q"],
+        initial_contents={1: [1], 2: [1]},
     )
+
+
+def test_restriction_predicate():
+    assert restriction_ok(generate_then_consume_hra())
+    assert restriction_ok(anchored_blocks_hra(0))  # m=1: any reset covers [m]
+    bad = _partial_reset_then_read()
     assert not restriction_ok(bad)
     assert not restricted_hra_to_rvass(bad).machine.is_rvass()  # the reset became transfers
 
@@ -404,11 +469,15 @@ def _resetful():
     )
 
 
-def test_nonreset_rejects_resetful_and_register_inputs():
+def test_nonreset_rejects_resets_and_translates_registers():
     with pytest.raises(ResetsPresent):
         nonreset_to_vass(_resetful())
-    with pytest.raises(RegistersPresent):
-        nonreset_to_vass(no_immediate_repeat_register_hra())
+    a = no_immediate_repeat_register_hra()
+    red = nonreset_to_vass(a)
+    assert red.machine.is_vass()
+    assert red == restricted_hra_to_rvass(a)
+    covered = backward_coverability(red.machine, red.init, red.target)
+    assert covered == (not emptiness(a).is_empty) == (bounded_emptiness(a, 4).kind == "nonempty")
 
 
 def test_nonreset_pure_graph_reachability_with_zero_dims():
@@ -445,6 +514,13 @@ def test_vass_to_nonreset_hra_rejects_a_wrong_initial_arity():
     mc = CounterMachine.make(2, ["q"], [("q", Add((1, -1)), "q")])
     with pytest.raises(WrongDimension):
         vass_to_nonreset_hra(mc, ("q", (0, 0, 0)), "q")
+
+
+def test_vass_to_nonreset_hra_rejects_query_states_outside_the_machine():
+    mc = CounterMachine.make(1, ["q"], [("q", Add((1,)), "q")])
+    for init, target in ((("ghost", (0,)), "q"), (("q", (0,)), "elsewhere")):
+        with pytest.raises(DanglingState):
+            vass_to_nonreset_hra(mc, init, target)
 
 
 def test_vass_staging_consumes_dims_in_order():
@@ -615,14 +691,7 @@ def test_auto_routing_by_class():
     )
     assert emptiness(mixed).engine == "restricted"
     assert restricted_hra_to_rvass(mixed).machine.is_rvass()
-    unrestricted = make_hra(
-        2,
-        0,
-        states=["q"],
-        initial="q",
-        transitions=[("q", Reset(s(1)), "q")],
-        finals=["q"],
-    )
+    unrestricted = _partial_reset_then_read()
     res = emptiness(unrestricted)
     assert res.engine == "restricted"
     moves = {m for t in restricted_hra_to_rvass(unrestricted).machine.transitions
