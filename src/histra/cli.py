@@ -496,36 +496,20 @@ def _cmd_empty(args) -> int:
     return 0 if res.is_empty else 1
 
 
-def _cmd_complement(args) -> int:
-    doc = _load(args.file)
-    comp = unpack(complement_deterministic(to_packed(registers_to_histories(doc.hra))))
-    _write(args.output, print_hra(comp, doc.names))
-    print(f"wrote {args.output}")
-    return 0
+# the constructions that write a new automaton file, by command or `--op`
+_BUILDS = {
+    "complement": lambda a: unpack(complement_deterministic(to_packed(registers_to_histories(a)))),
+    "union": union,
+    "inter": intersection,
+    "concat": concatenation,
+    "star": kleene_star,
+}
 
 
-def _cmd_product(args) -> int:
-    names = NameTable()
-    left = _load(args.left, names)
-    right = _load(args.right, names)
-    op = union if args.op == "union" else intersection
-    _write(args.output, print_hra(op(left.hra, right.hra), names))
-    print(f"wrote {args.output}")
-    return 0
-
-
-def _cmd_concat(args) -> int:
-    names = NameTable()
-    left = _load(args.left, names)
-    right = _load(args.right, names)
-    _write(args.output, print_hra(concatenation(left.hra, right.hra), names))
-    print(f"wrote {args.output}")
-    return 0
-
-
-def _cmd_star(args) -> int:
-    doc = _load(args.file)
-    _write(args.output, print_hra(kleene_star(doc.hra), doc.names))
+def _cmd_build(args) -> int:
+    names = NameTable()  # shared by all the input files
+    docs = [_load(getattr(args, dest), names) for dest in args.inputs]
+    _write(args.output, print_hra(_BUILDS[args.op](*(doc.hra for doc in docs)), names))
     print(f"wrote {args.output}")
     return 0
 
@@ -594,28 +578,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=_bound, default=8, help="letters for --engine=bounded")
     sp.set_defaults(func=_cmd_empty)
 
-    sp = sub.add_parser("complement", help="complement a deterministic automaton")
-    sp.add_argument("file")
-    sp.add_argument("-o", "--output", required=True)
-    sp.set_defaults(func=_cmd_complement)
-
-    sp = sub.add_parser("product", help="union or intersection of two automata")
-    sp.add_argument("--op", choices=["union", "inter"], required=True)
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.add_argument("-o", "--output", required=True)
-    sp.set_defaults(func=_cmd_product)
-
-    sp = sub.add_parser("concat", help="concatenation of two automata")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.add_argument("-o", "--output", required=True)
-    sp.set_defaults(func=_cmd_concat)
-
-    sp = sub.add_parser("star", help="Kleene star of an automaton")
-    sp.add_argument("file")
-    sp.add_argument("-o", "--output", required=True)
-    sp.set_defaults(func=_cmd_star)
+    for command, help_text, inputs in [
+        ("complement", "complement a deterministic automaton", ("file",)),
+        ("product", "union or intersection of two automata", ("left", "right")),
+        ("concat", "concatenation of two automata", ("left", "right")),
+        ("star", "Kleene star of an automaton", ("file",)),
+    ]:
+        sp = sub.add_parser(command, help=help_text)
+        if command == "product":
+            sp.add_argument("--op", choices=["union", "inter"], required=True)
+        else:
+            sp.set_defaults(op=command)
+        for dest in inputs:
+            sp.add_argument(dest)
+        sp.add_argument("-o", "--output", required=True)
+        sp.set_defaults(func=_cmd_build, inputs=inputs)
 
     sp = sub.add_parser("to-counters", help="translate to a counter machine")
     sp.add_argument("file")

@@ -448,20 +448,21 @@ def packed_determinism_witness(p: PackedHra) -> Optional[tuple[State, frozenset[
 
 def complement_deterministic(p: PackedHra) -> PackedHra:
     """Complement a deterministic packed automaton by completing it with a
-    sink and swapping final and non-final states."""
-    witness = packed_determinism_witness(p)
-    if witness is not None:
-        q, x = witness
-        raise NotDeterministic(f"two transitions match state {q!r} on place-set {sorted(x)}")
+    sink and swapping final and non-final states.  One scan, in the order of
+    `packed_determinism_witness`, raises `NotDeterministic` at the first
+    state and place-set that two transitions match and sends each one that
+    none matches to the sink."""
     sink = StateTag("sink", ())
-    full = frozenset(range(1, p.m + 1))
     adj = by_src(p.transitions)
-    extra = []
-    for q in p.states:
+    extra = [PackedTransition(sink, frozenset(range(1, p.m + 1)), frozenset(), frozenset(), sink)]
+    for q in sorted(p.states, key=repr):
         for x in subsets(range(1, p.m + 1)):
-            if not any(x - t.reset_first == t.pre for t in adj.get(q, ())):
+            hits = sum([x - t.reset_first == t.pre for t in adj.get(q, ())])
+            if hits > 1:
+                raise NotDeterministic(
+                    f"two transitions match state {q!r} on place-set {sorted(x)}")
+            if not hits:
                 extra.append(PackedTransition(q, frozenset(), x, frozenset(), sink))
-    extra.append(PackedTransition(sink, full, frozenset(), frozenset(), sink))
     return PackedHra(
         m=p.m,
         states=p.states | {sink},

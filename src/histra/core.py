@@ -354,21 +354,27 @@ def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
     """An accepting run over `word`, or None.
 
     membership(a, w) is true exactly when this returns a run.  The search
-    is `explore` over (state, (assignment, letters read)), so the run is
-    the first-discovered path to the first accepting pair discovered: no
-    accepting run has fewer moves, resets and letters alike.
+    is `explore` over (state, (assignment, letters read, place-set of the
+    next letter)), so the run is the first-discovered path to the first
+    accepting pair discovered: no accepting run has fewer moves, resets and
+    letters alike.
     """
     word = tuple(word)
 
+    def at(h, k):
+        """A pair's annotation: the assignment, the letters read and the
+        place-set of the next letter (None once the word is read)."""
+        return h, k, h.placeset_of(word[k]) if k < len(word) else None
+
     def moves(q, f, t):
-        h, k = f
+        h, k, x = f
         if isinstance(t.label, Reset):
-            return [((t, None), (h.reset_places(t.label.targets), k))]
-        if k < len(word) and h.placeset_of(word[k]) == t.label.pre:
-            return [((t, word[k]), (h.move_name(word[k], t.label.post, a.m), k + 1))]
+            return [((t, None), at(h.reset_places(t.label.targets), k))]
+        if x == t.label.pre:
+            return [((t, word[k]), at(h.move_name(word[k], t.label.post, a.m), k + 1))]
         return []
 
-    reached, _ = explore(by_src(a.transitions), (a.initial, (a.initial_assignment, 0)), moves)
+    reached, _ = explore(by_src(a.transitions), (a.initial, at(a.initial_assignment, 0)), moves)
     goal = next((p for p in reached if p[0] in a.finals and p[1][1] == len(word)), None)
     if goal is None:
         return None

@@ -1,24 +1,27 @@
 """Translations between automata and counter machines, and the emptiness
 pipeline built on one of them.
 
-The common shape: a place-set X ⊆ histories corresponds to a counter whose
-value tracks how many names sit at exactly X; register structure, being
-finite, is folded into the control state as a skeleton.  Every translation
-to a counter machine emits at most one edge per automaton transition (per
-reached skeleton pair in the skeleton translation): taking a name from X,
-the pours and wipes of a reset, names released from registers and putting
-a name at X′ together form one `Effect`, since its takes come first, then
-its moves, then its puts.  Each translation ends the same way: zero-effect
-edges lead from the images of the final states to one target control
-state, so the language is non-empty exactly when that state is coverable
-from the initial configuration.
+The common shape: a non-empty place-set X ⊆ histories corresponds to a
+counter whose value tracks how many names sit at exactly X, and a name
+whose place-set becomes empty is forgotten, since no later step can read
+it.  Register structure, being finite, is folded into the control state as
+a skeleton.  Every translation to a counter machine emits at most one edge
+per automaton transition (per reached skeleton pair in the skeleton
+translation): taking a name from X, the pours and wipes of a reset, names
+released from registers and putting a name at X′ together form one
+`Effect`, since its takes come first, then its moves, then its puts.  Each
+translation ends the same way: zero-effect edges lead from the images of
+the final states to one target control state, so the language is
+non-empty exactly when that state is coverable from the initial
+configuration.
 
 There is one skeleton translation, `restricted_hra_to_rvass`, and it gives
 a counter only to the place-sets that a later step can read: a name parked
 anywhere else is dropped, which is exact since it is never consumed again.
 `nonreset_to_vass` and `unary_to_one_rvass` are that translation behind a
-check of their class.  `hra_to_trvass` keeps a counter for every history
-subset; it is the unpruned reference the others are checked against.
+check of their class.  `hra_to_trvass` keeps a counter for every
+non-empty history subset; it is the unpruned reference the others are
+checked against.
 
 `emptiness` decides every automaton the same way: the skeleton reduction
 `restricted_hra_to_rvass`, then backward coverability.  On the paper's
@@ -40,7 +43,9 @@ from .constructions import StateTag
 from .core import (
     Accept, Assignment, Hra, Reset, State, Transition, by_src, classify, explore, subsets,
 )
-from .counters import CounterConfig, CounterMachine, Effect, Vector, backward_coverability
+from .counters import (
+    CounterConfig, CounterMachine, CTransition, Effect, Vector, backward_coverability,
+)
 from .errors import (
     DanglingState,
     NonUnitEffect,
@@ -64,13 +69,13 @@ def _mask(x: frozenset[int]) -> int:
 
 @dataclass(frozen=True)
 class DimensionMap:
-    """Which place-set each counter dimension stands for.  The place-set →
-    dimension index, the same index keyed by place bitmask (bit p for place
-    p) and the moves of each reset are built once per map; none is a field,
-    so equality, hashing and repr see `placesets` and `garbage` only."""
+    """Which place-set each counter dimension stands for.  No translation
+    gives ∅ a counter: a name whose place-set becomes empty is forgotten.
+    The place-set → dimension index, the same index keyed by place bitmask
+    (bit p for place p) and the moves of each reset are built once per map;
+    none is a field, so equality, hashing and repr see `placesets` only."""
 
     placesets: tuple[frozenset[int], ...]
-    garbage: Optional[int] = None  # 1-based dimension for the ∅ bucket
 
     def __post_init__(self) -> None:
         index = {x: d for d, x in enumerate(self.placesets, 1)}
@@ -132,27 +137,30 @@ def _reduction(
     return CounterReduction(mc, init, goal, dmap)
 
 
-def _initial_counts(h0: Assignment, placesets) -> tuple[int, ...]:
-    groups: dict[frozenset[int], int] = {}
-    for a in h0.names():
-        ps = h0.placeset_of(a)
-        groups[ps] = groups.get(ps, 0) + 1
-    return tuple(groups.get(x, 0) for x in placesets)
-
-
 # ---------------------------------------------------------------------------
 # full emptiness: history automata to transfer machines
 
 
 def hra_to_trvass(a: Hra) -> CounterReduction:
-    """One counter per subset of histories (the empty one collects garbage).
-    Each transition is one edge: a letter takes a unit from the counter of
-    its pre-set and puts one on the counter of its post-set, and a reset of
-    Y pours every counter X that meets Y into the counter of X∖Y."""
+    """One counter per non-empty subset of histories.  Each transition is
+    one edge: a letter takes a unit from the counter of its pre-set and
+    puts one on the counter of its post-set, and a reset of Y pours every
+    counter X that meets Y into the counter of X∖Y, or zeroes it when
+    X ⊆ Y.
+
+    A name whose place-set becomes ∅ is forgotten, and this is exact: no
+    edge could take from a ∅ counter, since a letter whose pre is ∅ reads
+    a fresh name, which no counter holds, and no reset moves ∅.  So a ∅
+    count would never enable or block an edge.  With no counter to pour
+    into, a reset that wipes every history only zeroes, and the machine
+    of a history-only automaton of the restricted class is an R-VASS.
+    Unlike `restricted_hra_to_rvass`, nothing is pruned: this is the
+    reference the other translations are checked against.  With no
+    history at all, one inert counter stands in, since a machine needs a
+    dimension."""
     if a.n > 0:
         raise RegistersPresent("translation expects a history-only automaton")
-    placesets = subsets(range(1, a.m + 1))[1:] + [frozenset()]
-    dmap = DimensionMap(tuple(placesets), garbage=len(placesets))
+    dmap = DimensionMap(tuple(subsets(range(1, a.m + 1))[1:]) or (frozenset(),))
     transitions: list[tuple[State, object, State]] = []
     for t in a.transitions:
         if isinstance(t.label, Accept):
@@ -161,7 +169,8 @@ def hra_to_trvass(a: Hra) -> CounterReduction:
         else:
             eff = Effect((), dmap.reset_moves(t.label.targets), ())
         transitions.append((t.src, eff, t.dst))
-    init = (a.initial, _initial_counts(a.initial_assignment, placesets))
+    h0 = a.initial_assignment
+    init = (a.initial, dmap.vector(map(h0.placeset_of, h0.names())))
     return _reduction(dmap, a.states, transitions, a.finals, init)
 
 
@@ -343,19 +352,13 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
                       dmap.reset_moves(y) if y else (),
                       dmap.vector([z for z in puts if z in kept]))
 
-    out: dict = {}
-    for p, (take, y, puts), d in edges:
-        if take is None or take in kept:  # a take outside R is outside P
-            out.setdefault(p, []).append((effect(take, y, puts), d))
-    tags = {start: StateTag("st", start)}
-    queue = [start]
-    for p in queue:  # the pairs still reachable over the kept edges
-        for _, d in out.get(p, ()):
-            if d not in tags:
-                tags[d] = StateTag("st", d)
-                queue.append(d)
-    transitions = [(tags[p], eff, tags[d]) for p in queue for eff, d in out.get(p, ())]
-    finals = [tags[p] for p in queue if p[0] in a.finals]
+    adj = by_src(CTransition(p, effect(take, y, puts), d) for p, (take, y, puts), d in edges
+                 if take is None or take in kept)  # a take outside R is outside P
+    # the pairs still reachable over the kept edges
+    reached, out = explore(adj, (start, None), lambda p, _, t: [(t.effect, None)])
+    tags = {p: StateTag("st", p) for p, _ in reached}
+    transitions = [(tags[p], eff, tags[d]) for (p, _), eff, (d, _) in out]
+    finals = [tags[p] for p in tags if p[0] in a.finals]
     init = (tags[start], dmap.vector([x for x in initial if x in kept]))
     return _reduction(dmap, tags.values(), transitions, finals, init)
 

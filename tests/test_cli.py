@@ -312,12 +312,13 @@ def test_to_counters_round_trip_and_cover_on_random_automata(tmp_path, capsys):
 
 
 def test_to_counters_trvass_round_trip_and_cover_at_1024_counters(tmp_path, capsys):
-    # six histories and two registers: the full translation has 2^10 counters
+    # six histories and two registers: the full translation has a counter
+    # for each of the 2^10 - 1 non-empty place-sets
     text = print_hra(random_hra(6, max_m=6, max_n=2, max_states=12, max_transitions=40))
     f = _file(tmp_path, "a.hra", text)
     a = parse_hra(text)
     red = hra_to_trvass(registers_to_histories(a))
-    assert red.machine.dims == 1024
+    assert red.machine.dims == 1023
     out = str(tmp_path / "a.cm")
     assert main(["to-counters", f, "--target", "trvass", "-o", out]) == 0
     doc = parse_counters(open(out).read())

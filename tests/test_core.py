@@ -408,6 +408,31 @@ def test_explore_maps_each_pair_to_the_edge_that_discovered_it(monkeypatch):
         assert list(reached.items()) == list(first.items())
 
 
+def test_trace_reads_the_next_letters_placeset_once_per_pair(monkeypatch):
+    # one `placeset_of` call for the start and one for each edge's target,
+    # not one per transition tried
+    searched = []
+
+    def recording(adj, start, moves):
+        reached, edges = explore(adj, start, moves)
+        searched.append(len(edges))
+        return reached, edges
+
+    calls = []
+    placeset_of = core.Assignment.placeset_of
+    monkeypatch.setattr(core, "explore", recording)
+    monkeypatch.setattr(core.Assignment, "placeset_of",
+                        lambda h, name: calls.append(name) or placeset_of(h, name))
+    words = list(enumerate_words((0, 1, 2), 3))
+    for seed in range(40):
+        a = random_hra(seed, max_m=2, max_n=1, max_states=4, max_transitions=8)
+        for w in words:
+            searched.clear()
+            calls.clear()
+            trace(a, w)
+            assert len(calls) <= searched[0] + 1, (seed, w)
+
+
 def test_membership_epsilon_word():
     import dataclasses
 

@@ -87,13 +87,12 @@ def test_canonical_reports_the_first_fault_in_a_fixed_order(dest, error, message
 
 
 def test_canonical_sorts_a_wide_reset():
-    # the reset of every history on eight: 255 counters pour into the
-    # garbage counter of a 256-counter map
-    dmap = DimensionMap(tuple(subsets(range(1, 9))[1:]) + (frozenset(),), garbage=256)
+    # the reset of every history on eight zeroes all 255 counters
+    dmap = DimensionMap(tuple(subsets(range(1, 9))[1:]))
     dest = dmap.reset_moves(frozenset(range(1, 9)))
-    assert len(dest) == 255 and {j for _, j in dest} == {256}
-    eff = Effect((), tuple(reversed(dest)), ()).canonical(256)
-    assert eff.dest == tuple(sorted(dest)) and eff.pre == eff.post == (0,) * 256
+    assert len(dest) == 255 and {j for _, j in dest} == {0}
+    eff = Effect((), tuple(reversed(dest)), ()).canonical(255)
+    assert eff.dest == tuple(sorted(dest)) and eff.pre == eff.post == (0,) * 255
 
 
 def test_make_shares_one_canonical_object_per_effect():

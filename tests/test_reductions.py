@@ -76,22 +76,33 @@ def _strip_finals(a):
 # full translation (histories only -> transfer machines)
 
 
-def test_trvass_dimensions_include_garbage():
+def test_trvass_dimensions_are_the_nonempty_history_subsets():
     red = hra_to_trvass(generate_then_consume_hra())
-    assert red.machine.dims == 2  # c_{1} and the garbage dim
-    assert red.dimension_map.placesets == (s(1), s())
-    assert red.dimension_map.garbage == 2
+    assert red.machine.dims == 1  # c_{1}: ∅ has no counter
+    assert red.dimension_map.placesets == (s(1),)
+    assert [f.name for f in dataclasses.fields(red.dimension_map)] == ["placesets"]
 
 
-@pytest.mark.parametrize("garbage", [False, True], ids=["no_garbage", "garbage"])
+def test_trvass_has_no_empty_counter_and_is_rvass_on_the_restricted_class():
+    # a reset of every history zeroes counters instead of pouring them into ∅
+    for seed in range(800):
+        a = random_hra(seed, max_m=3, max_n=0, max_states=5, subclass="restricted")
+        red = hra_to_trvass(a)
+        assert s() not in red.dimension_map.placesets, seed
+        assert len(red.dimension_map.placesets) == 2 ** a.m - 1, seed
+        assert red.machine.is_rvass(), seed
+
+
+@pytest.mark.parametrize("pruned", [False, True], ids=["all", "pruned"])
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 8])
-def test_reset_moves_match_their_definition(m, garbage):
-    # the maps of restricted_hra_to_rvass (no ∅ counter) and of
-    # hra_to_trvass (∅ last, as the garbage counter); every reset set up
-    # to m = 4, and 20 seeded ones on the 256 counters of m = 8
+def test_reset_moves_match_their_definition(m, pruned):
+    # the map of hra_to_trvass (every non-empty history subset) and a pruned
+    # one, as restricted_hra_to_rvass builds, with no singleton counters, so
+    # that some X∖Y ≠ ∅ has no counter; every reset set up to m = 4, and 20
+    # seeded ones on the 255 counters of m = 8
     hist = range(1, m + 1)
-    placesets = tuple(subsets(hist)[1:]) + ((s(),) if garbage else ())
-    dmap = DimensionMap(placesets or (s(),), garbage=len(placesets) if garbage else None)
+    placesets = tuple(x for x in subsets(hist)[1:] if not pruned or len(x) > 1)
+    dmap = DimensionMap(placesets or (s(),))
     n = len(dmap.placesets)
     ys = subsets(hist)
     if m > 4:
@@ -114,7 +125,7 @@ def test_dimension_map_value_is_its_fields():
     a, b = DimensionMap(p), DimensionMap(p)
     a.reset_moves(s(1))
     assert a == b and hash(a) == hash(b)
-    assert repr(a) == repr(b) == f"DimensionMap(placesets={p!r}, garbage=None)"
+    assert repr(a) == repr(b) == f"DimensionMap(placesets={p!r})"
     assert [a.dim_of(x) for x in p] == [1, 2, 3]
     with pytest.raises(ValueError, match="no dimension"):
         a.dim_of(s(3))
@@ -132,8 +143,7 @@ def test_trvass_initial_vector_counts_placesets():
     )
     red = hra_to_trvass(a)
     counts = dict(zip(red.dimension_map.placesets, red.init[1]))
-    assert counts[s(1)] == 1 and counts[s(2)] == 1 and counts[s(1, 2)] == 1
-    assert counts[s()] == 0
+    assert counts == {s(1): 1, s(2): 1, s(1, 2): 1}  # no counter for ∅
 
 
 def test_trvass_rejects_registers():
@@ -147,10 +157,10 @@ def test_trvass_no_finals_is_uncoverable():
 
 
 def test_trvass_on_ten_histories_agrees_with_emptiness():
-    # six histories and two registers become ten histories: 1,024 counters
+    # six histories and two registers become ten histories: 1,023 counters
     a = random_hra(6, max_m=6, max_n=2, max_states=12, max_transitions=40)
     red = hra_to_trvass(registers_to_histories(a))
-    assert red.machine.dims == 1024
+    assert red.machine.dims == 1023
     covered = backward_coverability(red.machine, red.init, red.target)
     assert covered == (not emptiness(a).is_empty)
 
@@ -195,21 +205,21 @@ def _random_walk(a, rng, steps):
 
 
 def _counts(h, placesets):
-    return tuple(len(h.at(x)) if x else 0 for x in placesets)
+    return tuple(len(h.at(x)) if x else 0 for x in placesets)  # ∅ pads an empty map
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_trvass_cosimulation_random_walks(seed):
     a = random_hra(seed, max_m=2, max_n=0, max_states=4)
     red = hra_to_trvass(a)
-    tracked = red.dimension_map.placesets[:-1]  # garbage dim excluded
+    tracked = red.dimension_map.placesets  # every counter
     rng = random.Random(seed)
     mcfg = red.init
-    assert mcfg[1][: len(tracked)] == _counts(a.initial_assignment, tracked)
+    assert mcfg[1] == _counts(a.initial_assignment, tracked)
     for _cfg, t, _letter, (q2, h2) in _random_walk(a, rng, 12):
         want = _counts(h2, tracked)
         hops = counter_step(red.machine, mcfg)
-        matches = [hop for hop in hops if hop[0] == q2 and hop[1][:-1] == want]
+        matches = [hop for hop in hops if hop[0] == q2 and hop[1] == want]
         assert matches, (seed, t, q2, want, hops)
         mcfg = matches[0]
 
