@@ -28,6 +28,7 @@ from .core import (
     Reset,
     State,
     Transition,
+    _outgoing,
     by_src,
     explore,
     reset_summaries,
@@ -237,7 +238,7 @@ def fix_names(a: Hra, w: Sequence[Name]) -> Hra:
                 out.append((Accept(pinned, pinned), f_move))
         return out
 
-    reached, edges = explore(by_src(a.transitions), (a.initial, f0), moves)
+    reached, edges = explore(_outgoing(a), (a.initial, f0), moves)
     tags = {p: tag(*p) for p in reached}
 
     contents: dict[int, Iterable[Name]] = {}
@@ -359,7 +360,7 @@ def registers_to_histories(a: Hra) -> Hra:
         letter = Accept(fd(t.label.pre, f), fd(t.label.post, fbar))
         return [((Reset(copy_places - frozenset(f)), StateTag("mid", (q, f, t)), letter), fbar)]
 
-    reached, edges = explore(by_src(a.transitions), (a.initial, f0), moves)
+    reached, edges = explore(_outgoing(a), (a.initial, f0), moves)
     tags = {p: tag(*p) for p in reached}
     states = set(tags.values())
     transitions: list[Transition] = []

@@ -173,9 +173,12 @@ Configuration = tuple[State, Assignment]
 class Hra:
     """An automaton of type (m, n).
 
-    It keeps its reset summaries (`reset_summaries`) and the part of them
-    the silent closure reads, computed on first use.  They are not a field:
-    `==`, `hash` and `repr` ignore them, and the pickled state leaves them out."""
+    It keeps its transitions grouped by source state (`by_src` of
+    `transitions`), which `step`, `trace` and every other search over it
+    read, and its reset summaries (`reset_summaries`) with the part of them
+    the silent closure reads.  Each is computed on first use and kept in one
+    attribute that is not a field: `==`, `hash` and `repr` ignore it, and
+    the pickled state leaves it out."""
 
     m: int
     n: int
@@ -184,7 +187,7 @@ class Hra:
     initial_assignment: Assignment
     transitions: frozenset[Transition]
     finals: frozenset[State]
-    _summaries = None  # not a field: no annotation
+    _kept = None  # not a field: no annotation
 
     @property
     def places(self) -> range:
@@ -303,15 +306,16 @@ def subsets(items: Iterable[int]) -> list[frozenset[int]]:
 def step(a: Hra, config: Configuration, letter: Name) -> frozenset[Configuration]:
     """All single-letter successors of `config` (no silent moves).
 
-    The letter's place-set belongs to the configuration, so it is read once
-    per call.  Each transition is then tested cheapest first: its label
-    kind, then its `pre` against that place-set, and only then its source
-    against the current state, which can be a costly nested comparison."""
+    Only a transition leaving the configuration's state can fire, so the
+    state is compared once, by the lookup in the automaton's kept grouping
+    of its transitions by source (see `Hra`).  The letter's place-set is
+    read once per call, and each transition leaving the state is tested
+    on its label kind, then on its `pre` against that place-set."""
     q, h = config
     x = h.placeset_of(letter)
     out = set()
-    for t in a.transitions:
-        if isinstance(t.label, Accept) and x == t.label.pre and t.src == q:
+    for t in _outgoing(a).get(q, ()):
+        if isinstance(t.label, Accept) and x == t.label.pre:
             out.add((t.dst, h.move_name(letter, t.label.post, a.m)))
     return frozenset(out)
 
@@ -374,7 +378,7 @@ def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
             return [((t, word[k]), at(h.move_name(word[k], t.label.post, a.m), k + 1))]
         return []
 
-    reached, _ = explore(by_src(a.transitions), (a.initial, at(a.initial_assignment, 0)), moves)
+    reached, _ = explore(_outgoing(a), (a.initial, at(a.initial_assignment, 0)), moves)
     goal = next((p for p in reached if p[0] in a.finals and p[1][1] == len(word)), None)
     if goal is None:
         return None
@@ -440,24 +444,35 @@ def reset_summaries(a: Hra) -> dict[State, frozenset[tuple[frozenset[int], State
     return _kept_summaries(a)[0]
 
 
+def _outgoing(a: Hra) -> dict[State, list[Transition]]:
+    """`by_src(a.transitions)`, built on the first call and kept on the
+    automaton (see `Hra`) beside a slot for its reset summaries; do not
+    mutate it."""
+    kept = a._kept
+    if kept is None:
+        kept = [by_src(a.transitions), None]
+        object.__setattr__(a, "_kept", kept)
+    return kept[0]
+
+
 def _kept_summaries(a: Hra) -> tuple[dict, dict]:
     """The reset summaries and, for the silent closure, each state's
     summaries other than (∅, q), keyed only by the sources of resets: a
     lookup that hits costs a recursive comparison of nested `StateTag`s."""
-    kept = a._summaries
-    if kept is None:
-        resets = by_src(t for t in a.transitions if isinstance(t.label, Reset))
+    kept = a._kept
+    if kept is None or kept[1] is None:
+        out = _outgoing(a)
 
         def moves(p, y, t):
-            return [(None, y | t.label.targets)]
+            return [(None, y | t.label.targets)] if isinstance(t.label, Reset) else []
 
         # every pair reached but the first, (q, ∅) itself
-        closure = {q: [(y, p) for p, y in list(explore(resets, (q, frozenset()), moves)[0])[1:]]
-                   for q in resets}
+        closure = {q: [(y, p) for p, y in list(explore(out, (q, frozenset()), moves)[0])[1:]]
+                   for q, ts in out.items() if any(isinstance(t.label, Reset) for t in ts)}
         table = {q: frozenset([(frozenset(), q), *closure.get(q, ())]) for q in a.states}
-        kept = (table, closure)
-        object.__setattr__(a, "_summaries", kept)
-    return kept
+        kept = a._kept
+        kept[1] = (table, closure)
+    return kept[1]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .core import (
     Name,
     Reset,
     Word,
+    _outgoing,
     eps_closure,
     initial_config,
     make_hra,
@@ -128,8 +129,8 @@ def bounded_emptiness(a: Hra, max_letters: int = 8) -> EmptinessProbe:
         nxt: dict = {}
         for q, h in layer:
             letters = {h.fresh_name()}
-            for t in a.transitions:
-                if isinstance(t.label, Accept) and t.label.pre and t.src == q:
+            for t in _outgoing(a).get(q, ()):
+                if isinstance(t.label, Accept) and t.label.pre:
                     pool = h.at(t.label.pre)
                     if pool:
                         letters.add(min(pool))

@@ -41,7 +41,8 @@ from typing import Iterable, Optional
 
 from .constructions import StateTag
 from .core import (
-    Accept, Assignment, Hra, Reset, State, Transition, by_src, classify, explore, subsets,
+    Accept, Assignment, Hra, Reset, State, Transition, _outgoing, by_src, classify, explore,
+    subsets,
 )
 from .counters import (
     CounterConfig, CounterMachine, CTransition, Effect, Vector, backward_coverability,
@@ -341,7 +342,7 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
 
     h0 = a.initial_assignment
     start = (a.initial, skeleton_of(h0, m, n))
-    _, edges = explore(by_src(a.transitions), start, moves)
+    _, edges = explore(_outgoing(a), start, moves)
     initial = [x for x in map(h0.placeset_of, h0.names()) if pure(x)]
     readable = _readable_placesets(initial, [step for _, step, _ in edges])
     dmap = DimensionMap(tuple(readable) or (frozenset(),))
@@ -517,7 +518,7 @@ def eliminate_registers_colouring(a: Hra) -> Hra:
                 out.append((Accept(pre, x2h | {pool(j, c)}), f2[: j - 1] + (c,) + f2[j:]))
         return out
 
-    reached, edges = explore(by_src(a.transitions), (a.initial, ("",) * n), moves)
+    reached, edges = explore(_outgoing(a), (a.initial, ("",) * n), moves)
     tags = {p: tag(*p) for p in reached}
 
     contents = {

@@ -214,23 +214,33 @@ class _CountedState:
         return hash(self.name)
 
 
-def test_step_compares_states_only_for_labels_that_match():
-    p, q = _CountedState("p"), _CountedState("q")
+def test_step_compares_states_at_most_once():
+    # each configuration's state is an equal copy, not the automaton's own
+    # object, so finding its transitions costs a comparison: at most one,
+    # though 40 transitions between other states carry the same labels
+    p, q, r = _CountedState("p"), _CountedState("q"), _CountedState("r")
+    others = [_CountedState(f"o{i}") for i in range(40)]
+    labels = [Accept(s(1), s(2)), Accept(s(), s(1))]
     a = make_hra(
-        1, 1, [p, q], p,
+        1, 1, [p, q, r, *others], p,
         [(p, Accept(s(1), s(2)), q), (q, Accept(s(2), s()), p),
-         (q, Accept(s(), s(1)), q), (p, Reset(s(1)), q)],
+         (q, Accept(s(), s(1)), r), (p, Reset(s(1)), q),
+         *[(o, labels[i % 2], others[i - 1]) for i, o in enumerate(others)]],
         [q], initial_contents={1: [5], 2: [6]},
     )
     h = Assignment.of(2, {1: [5, 8], 2: [8]})
-    for config, letter, matching, fires in [
-        ((p, h), 8, 0, False),  # {1, 2}: no label has it
-        ((p, h), 7, 1, False),  # fresh: only q's label has ∅
-        ((p, a.initial_assignment), 5, 1, True),  # {1}: p's label
+    for state, assignment, letter, fires in [
+        (p, h, 8, False),  # {1, 2}: no label has it
+        (p, h, 7, False),  # fresh: only q's label has ∅ among p and q
+        (p, a.initial_assignment, 5, True),  # {1}: p's label
+        (q, h, 7, True),  # fresh: q's label
+        (r, h, 7, False),  # r has no outgoing transition
+        (_CountedState("z"), h, 7, False),  # not a state of the automaton
     ]:
         _CountedState.eq_calls = 0
-        assert bool(step(a, config, letter)) == fires
-        assert _CountedState.eq_calls == matching, (letter, _CountedState.eq_calls)
+        got = step(a, (_CountedState(state.name), assignment), letter)
+        assert _CountedState.eq_calls <= 1, (state.name, letter, _CountedState.eq_calls)
+        assert type(got) is frozenset and bool(got) == fires
 
 
 def _step_by_scan(a, config, letter):
@@ -377,12 +387,20 @@ def test_trace_finds_an_accepting_run_with_the_fewest_moves(chunk):
 def test_the_kept_reset_summaries_are_invisible():
     a, b = anchored_blocks_hra(), anchored_blocks_hra()
     eps_closure(a, {initial_config(a)})
+    step(a, initial_config(a), 0)
     assert reset_summaries(a) is reset_summaries(a)
+    assert core._outgoing(a) is core._outgoing(a)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert pickle.dumps(a) == pickle.dumps(b)
     a2, b2 = copy.deepcopy(a), copy.deepcopy(b)
     assert a2 == a and vars(a2) == vars(b2) and hash(a2) == hash(b2)
     assert pickle.dumps(a2) == pickle.dumps(b2)
+    # an unpickled automaton keeps nothing, and builds the same again
+    c = pickle.loads(pickle.dumps(a))
+    assert "_kept" not in vars(c) and c == a
+    assert ({q: set(ts) for q, ts in core._outgoing(c).items()}
+            == {q: set(ts) for q, ts in core._outgoing(a).items()})
+    assert reset_summaries(c) == reset_summaries(a)
 
 
 def test_explore_maps_each_pair_to_the_edge_that_discovered_it(monkeypatch):

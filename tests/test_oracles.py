@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histra import Hra, membership, validate
+from histra import Hra, membership, oracles, validate
 from histra.oracles import (
     Lang,
     bounded_bisimulation,
@@ -133,6 +133,30 @@ def test_bounded_emptiness_definitely_empty_without_cycles():
     )
     # the only transition needs a name in history 1, which starts empty
     assert bounded_emptiness(a, 5).kind == "empty_within_bound"
+
+
+class _ScanEveryTransition:
+    """The letter scan of `bounded_emptiness` as first written: every
+    transition of the automaton, tested on its source."""
+
+    def __init__(self, a):
+        self.transitions = a.transitions
+
+    def get(self, q, default):
+        return [t for t in self.transitions if t.src == q]
+
+
+@pytest.mark.parametrize("subclass", [None, "non_reset", "unary", "restricted", "colouring"])
+def test_bounded_emptiness_agrees_with_the_transition_scan(subclass, monkeypatch):
+    probes = []
+    for seed in range(60):
+        a = random_hra(seed, max_m=2, max_n=1, max_states=4, subclass=subclass)
+        probes.append(bounded_emptiness(a, 4))
+    monkeypatch.setattr(oracles, "_outgoing", _ScanEveryTransition)
+    for seed, probe in enumerate(probes):
+        a = random_hra(seed, max_m=2, max_n=1, max_states=4, subclass=subclass)
+        assert bounded_emptiness(a, 4) == probe, (subclass, seed)
+    assert any(p.kind == "nonempty" for p in probes)
 
 
 # ---------------------------------------------------------------------------
