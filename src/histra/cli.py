@@ -465,12 +465,12 @@ def _cmd_member(args) -> int:
 def _cmd_run(args) -> int:
     doc = _load(args.file)
     word = _word(doc, args.word)
-    steps = trace(doc.hra, word)
-    if steps is None:
+    if not membership(doc.hra, word):
         print("accepted: false")
         return 1
     print("accepted: true")
     if args.trace:
+        steps = trace(doc.hra, word)
         tok = _state_tokens(doc.hra.states)
         here = doc.hra.initial
         print(f"  {tok[here]}")

@@ -100,7 +100,7 @@ class Assignment:
 
     def placeset_of(self, a: Name) -> frozenset[int]:
         """The set of places currently holding `a` (empty means fresh)."""
-        return frozenset(i + 1 for i, s in enumerate(self.contents) if a in s)
+        return frozenset([i + 1 for i, s in enumerate(self.contents) if a in s])
 
     def at(self, x: frozenset[int] | Iterable[int]) -> frozenset[Name]:
         """Names lying in every place of `x` and nowhere else.
@@ -148,6 +148,21 @@ class Assignment:
                 slots[i - 1] = slots[i - 1] | {a}
         return Assignment(tuple(slots))
 
+    def forget_name(self, a: Name, post: frozenset[int], m: int) -> "Assignment":
+        """`move_name(a, post, m)`, then remove `a` from every place.
+
+        Writing `a` into a register still evicts the name the register held,
+        so each register in `post` ends up empty, while `a` occurs nowhere.
+        As in `move_name`, only the places touched are copied."""
+        slots = list(self.contents)
+        for i, s in enumerate(slots):
+            if a in s:
+                slots[i] = s - {a}
+        for i in post:
+            if i > m:
+                slots[i - 1] = frozenset()
+        return Assignment(tuple(slots))
+
     def reset_places(self, targets: frozenset[int]) -> "Assignment":
         slots = list(self.contents)
         for i in targets:
@@ -174,11 +189,12 @@ class Hra:
     """An automaton of type (m, n).
 
     It keeps its transitions grouped by source state (`by_src` of
-    `transitions`), which `step`, `trace` and every other search over it
-    read, and its reset summaries (`reset_summaries`) with the part of them
-    the silent closure reads.  Each is computed on first use and kept in one
-    attribute that is not a field: `==`, `hash` and `repr` ignore it, and
-    the pickled state leaves it out."""
+    `transitions`), which `trace` and every other search over it read; its
+    reset summaries (`reset_summaries`) with the part of them the silent
+    closure reads; and its accept index, which `step` reads: for each state,
+    its letter transitions keyed by `pre`, as (`post`, `dst`) pairs.  Each
+    is computed on first use and kept in one attribute that is not a field:
+    `==`, `hash` and `repr` ignore it, and the pickled state leaves it out."""
 
     m: int
     n: int
@@ -303,20 +319,29 @@ def subsets(items: Iterable[int]) -> list[frozenset[int]]:
     return [frozenset(c) for r in range(len(pool) + 1) for c in combinations(pool, r)]
 
 
-def step(a: Hra, config: Configuration, letter: Name) -> frozenset[Configuration]:
+def step(a: Hra, config: Configuration, letter: Name,
+         forget: bool = False) -> frozenset[Configuration]:
     """All single-letter successors of `config` (no silent moves).
 
-    Only a transition leaving the configuration's state can fire, so the
-    state is compared once, by the lookup in the automaton's kept grouping
-    of its transitions by source (see `Hra`).  The letter's place-set is
-    read once per call, and each transition leaving the state is tested
-    on its label kind, then on its `pre` against that place-set."""
+    A letter fires exactly the transitions that leave the configuration's
+    state with `pre` equal to the letter's place-set, so the automaton's
+    kept accept index (see `Hra`) finds them with one lookup on the state
+    and one on that place-set; no transition is tested on its own.
+
+    With `forget`, each successor holds the letter nowhere: it is
+    `move_name` followed by removing the letter from every place
+    (`Assignment.forget_name`), so a register the letter is written to is
+    still emptied of the name it held."""
     q, h = config
-    x = h.placeset_of(letter)
+    moves = _accept_index(a).get(q)
+    if moves is not None:
+        moves = moves.get(h.placeset_of(letter))
+    if not moves:
+        return frozenset()
+    move = h.forget_name if forget else h.move_name
     out = set()
-    for t in _outgoing(a).get(q, ()):
-        if isinstance(t.label, Accept) and x == t.label.pre:
-            out.add((t.dst, h.move_name(letter, t.label.post, a.m)))
+    for post, dst in moves:
+        out.add((dst, move(letter, post, a.m)))
     return frozenset(out)
 
 
@@ -329,16 +354,32 @@ def eps_closure(a: Hra, configs: Iterable[Configuration]) -> frozenset[Configura
     itself."""
     closure = _kept_summaries(a)[1]
     closed = frozenset(configs)
-    return closed.union([(p, h.reset_places(y) if y else h)
-                         for q, h in closed for y, p in closure.get(q, ())])
+    if not closure:  # the automaton has no reset
+        return closed
+    reset = [(p, h.reset_places(y) if y else h)
+             for q, h in closed for y, p in closure.get(q, ())]
+    return closed.union(reset) if reset else closed
 
 
 def membership(a: Hra, word: Sequence[Name]) -> bool:
+    """Does `a` accept `word`?  A frontier walk: the silent closure of the
+    configurations that the letters read so far reach.
+
+    Each name is forgotten at its last occurrence in the word: that letter
+    is stepped with `forget`, so no successor holds the name.  This is
+    exact.  A step reads only the place-set of the letter it consumes, and
+    a reset empties places whatever they hold, so a name that never occurs
+    again cannot change a later step; the step that forgets it still
+    evicts whatever a register it is written to held.  On words of
+    distinct names the frontier no longer doubles with each letter."""
+    word = tuple(word)  # read twice below
+    last = {letter: i for i, letter in enumerate(word)}
     frontier = eps_closure(a, {initial_config(a)})
-    for letter in word:
+    for i, letter in enumerate(word):
+        forget = last[letter] == i
         nxt = set()
         for c in frontier:
-            nxt.update(step(a, c, letter))
+            nxt.update(step(a, c, letter, forget=forget))
         if not nxt:
             return False
         frontier = eps_closure(a, nxt)
@@ -446,13 +487,30 @@ def reset_summaries(a: Hra) -> dict[State, frozenset[tuple[frozenset[int], State
 
 def _outgoing(a: Hra) -> dict[State, list[Transition]]:
     """`by_src(a.transitions)`, built on the first call and kept on the
-    automaton (see `Hra`) beside a slot for its reset summaries; do not
-    mutate it."""
+    automaton (see `Hra`) beside slots for its reset summaries and accept
+    index; do not mutate it."""
     kept = a._kept
     if kept is None:
-        kept = [by_src(a.transitions), None]
+        kept = [by_src(a.transitions), None, None]
         object.__setattr__(a, "_kept", kept)
     return kept[0]
+
+
+def _accept_index(a: Hra) -> dict[State, dict[frozenset[int], list]]:
+    """For each state with a letter transition, those transitions keyed by
+    `pre`, each as its (`post`, `dst`) pair.  Built from `_outgoing` on the
+    first call and kept on the automaton (see `Hra`); do not mutate it."""
+    kept = a._kept
+    if kept is None or kept[2] is None:
+        index = {}
+        for q, ts in _outgoing(a).items():
+            for t in ts:
+                if isinstance(t.label, Accept):
+                    index.setdefault(q, {}).setdefault(t.label.pre, []).append(
+                        (t.label.post, t.dst))
+        kept = a._kept
+        kept[2] = index
+    return kept[2]
 
 
 def _kept_summaries(a: Hra) -> tuple[dict, dict]:

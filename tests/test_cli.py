@@ -23,6 +23,7 @@ from histra import (
     registers_to_histories,
     restricted_hra_to_rvass,
     rvass_to_hra,
+    trace,
     unary_to_one_rvass,
     union,
 )
@@ -45,6 +46,15 @@ DISTINCT = """\
 HRA 1 0
 STATE q INITIAL FINAL
 TRANS q q ACC - : 1
+"""
+
+# two histories that both take fresh names: a nondeterministic choice per
+# letter, which a walk keeping every name doubles on each distinct letter
+TWOFOLD = """\
+HRA 2 0
+STATE q INITIAL FINAL
+TRANS q q ACC - : 1
+TRANS q q ACC - : 2
 """
 
 CONSUME = """\
@@ -452,6 +462,37 @@ def test_run_trace_prints_transitions(tmp_path, capsys):
     assert "via ACC" in out
     assert main(["run", f, "a", "b"]) == 1
     assert "accepted: false" in capsys.readouterr().out
+
+
+def test_run_extracts_a_trace_only_when_printing_an_accepted_run(tmp_path, capsys, monkeypatch):
+    import histra.cli as cli
+
+    calls = []
+
+    def counting(a, word):
+        calls.append(word)
+        return trace(a, word)
+
+    monkeypatch.setattr(cli, "trace", counting)
+    f = _file(tmp_path, "consume.hra", CONSUME)
+    assert main(["run", f, "a", "a"]) == 0
+    assert capsys.readouterr().out == "accepted: true\n"
+    assert main(["run", f, "a", "b", "--trace"]) == 1
+    assert capsys.readouterr().out == "accepted: false\n"
+    assert calls == []
+    assert main(["run", f, "a", "a", "--trace"]) == 0
+    assert "--[a]-->" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_member_and_run_decide_long_words_of_distinct_names(tmp_path, capsys):
+    f = _file(tmp_path, "twofold.hra", TWOFOLD)
+    word = [f"n{i}" for i in range(1, 201)]
+    assert main(["member", f, *word]) == 0
+    assert main(["run", f, *word]) == 0
+    # a name that comes back is still remembered until its last occurrence
+    assert main(["run", f, *word, "n7"]) == 1
+    assert capsys.readouterr().out == "member: true\naccepted: true\naccepted: false\n"
 
 
 def test_empty_exit_codes(tmp_path, capsys):

@@ -36,6 +36,7 @@ from histra.zoo import (
     all_distinct_hra,
     anchored_blocks_hra,
     generate_then_consume_hra,
+    no_immediate_repeat_history_hra,
     no_immediate_repeat_register_hra,
     two_tracks_hra,
 )
@@ -93,8 +94,9 @@ def _move_name_by_the_definition(h, a, post, m):
     return Assignment(tuple(slots))
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_move_name_copies_only_the_places_it_touches(seed):
+def _random_moves(seed):
+    """A seeded assignment with the names and `post` place-sets to move
+    them to: fresh names, names in several places, registers."""
     rng = random.Random(seed)
     m, n = rng.randint(0, 3), rng.randint(0, 2)
     if m + n == 0:
@@ -111,6 +113,12 @@ def test_move_name_copies_only_the_places_it_touches(seed):
     if n:
         posts.append(s(m + 1))  # a register: overwritten, not accumulated
     names = [6, rng.choice(pool)] + held  # fresh, any, and in several places
+    return h, m, places, names, posts
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_move_name_copies_only_the_places_it_touches(seed):
+    h, m, places, names, posts = _random_moves(seed)
     for a in names:
         for post in posts:
             moved = h.move_name(a, post, m)
@@ -118,6 +126,36 @@ def test_move_name_copies_only_the_places_it_touches(seed):
             for i in places:
                 if i not in post and a not in h.place(i):
                     assert moved.place(i) is h.place(i), (a, post, i)
+
+
+def _removed(h, a):
+    return Assignment(tuple(p - {a} for p in h.contents))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_forget_name_is_move_name_then_removal_everywhere(seed):
+    h, m, places, names, posts = _random_moves(seed)
+    for a in names:
+        for post in posts:
+            forgotten = h.forget_name(a, post, m)
+            assert forgotten == _removed(h.move_name(a, post, m), a), (a, post)
+            assert not forgotten.placeset_of(a)
+            for i in places:
+                if (i not in post or i <= m) and a not in h.place(i):
+                    assert forgotten.place(i) is h.place(i), (a, post, i)
+
+
+def test_forgetting_a_name_still_evicts_the_register_it_is_written_to():
+    # type (1,2): history 1, registers 2 and 3; 5 is written to register 3,
+    # which holds 7, and forgotten at once
+    h = Assignment.of(3, {1: [5], 2: [6], 3: [7]})
+    assert h.forget_name(5, s(1, 3), m=1) == Assignment.of(3, {2: [6]})
+    # moving 5 nowhere would have kept 7 in register 3
+    assert h.move_name(5, s(), m=1) == Assignment.of(3, {2: [6], 3: [7]})
+    a = make_hra(1, 2, ["p", "q"], "p", [("p", Accept(s(1), s(1, 3)), "q")], ["q"],
+                 initial_contents={1: [5], 2: [6], 3: [7]})
+    assert step(a, initial_config(a), 5, forget=True) == {("q", Assignment.of(3, {2: [6]}))}
+    assert step(a, initial_config(a), 5) == {("q", Assignment.of(3, {1: [5], 2: [6], 3: [5]}))}
 
 
 def test_reset_places_empties_targets_only():
@@ -278,6 +316,112 @@ def test_step_agrees_with_the_transition_scan():
     assert with_registers >= 30 and fired >= 1000, (with_registers, fired)
 
 
+def _scan_index(a):
+    """A stand-in for the accept index that scans every transition of the
+    automaton on each lookup, testing its source, its label kind and its
+    `pre`, as `step` first did."""
+
+    class From:
+        def __init__(self, q):
+            self.q = q
+
+        def get(self, x):
+            return [(t.label.post, t.dst) for t in a.transitions
+                    if t.src == self.q and isinstance(t.label, Accept) and t.label.pre == x]
+
+    return types.SimpleNamespace(get=From)
+
+
+def _reached(a, letters, length):
+    """Every configuration that a word of at most `length` letters reaches."""
+    layer = eps_closure(a, {initial_config(a)})
+    reached = set(layer)
+    for _ in range(length):
+        layer = eps_closure(a, {c2 for c in layer for x in letters for c2 in step(a, c, x)})
+        reached |= layer
+    return reached
+
+
+SUBCLASSES = [None, "non_reset", "unary", "restricted", "colouring"]
+
+
+@pytest.mark.parametrize("subclass", SUBCLASSES)
+def test_step_agrees_with_the_transition_scan_patched_in(subclass, monkeypatch):
+    letters = (0, 1, 2, 3)
+    probes = []
+    for seed in range(40):
+        a = random_hra(seed, max_m=2, max_n=2, max_states=4, subclass=subclass)
+        for c in _reached(a, letters, 3):
+            for x in letters:
+                kept, forgotten = step(a, c, x), step(a, c, x, forget=True)
+                # forgetting is the step, then the letter removed everywhere
+                assert forgotten == {(q, _removed(h, x)) for q, h in kept}, (seed, c, x)
+                probes.append((seed, c, x, kept, forgotten))
+    monkeypatch.setattr(core, "_accept_index", _scan_index)
+    for seed, c, x, kept, forgotten in probes:
+        a = random_hra(seed, max_m=2, max_n=2, max_states=4, subclass=subclass)
+        assert step(a, c, x) == kept, (seed, c, x)
+        assert step(a, c, x, forget=True) == forgotten, (seed, c, x)
+    assert sum(bool(p[3]) for p in probes) >= 200
+
+
+def _membership_keeping_every_name(a, word):
+    frontier = eps_closure(a, {initial_config(a)})
+    for x in word:
+        frontier = eps_closure(a, {c2 for c in frontier for c2 in step(a, c, x)})
+    return any(q in a.finals for q, _ in frontier)
+
+
+@pytest.mark.parametrize("subclass", SUBCLASSES)
+def test_forgetting_names_keeps_every_membership_answer(subclass):
+    # the names 0-2 may lie in the initial assignment; 3 never does
+    words = list(enumerate_words((0, 1, 2, 3), 4))
+    accepted = 0
+    for seed in range(12):
+        a = random_hra(seed, max_m=2, max_n=2, max_states=4, max_transitions=8,
+                       subclass=subclass)
+        for w in words:
+            got = membership(a, w)
+            assert got == _membership_keeping_every_name(a, w), (seed, w)
+            accepted += got
+    assert accepted >= 100
+
+
+def _twofold_hra():
+    """`HRA 2 0`: one initial and final state whose two letter loops put a
+    fresh name into history 1 or into history 2."""
+    return make_hra(2, 0, ["q"], "q",
+                    [("q", Accept(s(), s(1)), "q"), ("q", Accept(s(), s(2)), "q")], ["q"])
+
+
+@pytest.mark.parametrize("build", [
+    _twofold_hra,
+    lambda: constructions.intersection(two_tracks_hra(), no_immediate_repeat_history_hra()),
+], ids=["twofold", "two_tracks_and_no_repeat"])
+def test_distinct_name_frontiers_stay_bounded(build, monkeypatch):
+    sizes = []
+
+    def counting(a, configs):
+        closed = eps_closure(a, configs)
+        sizes.append(len(closed))
+        return closed
+
+    monkeypatch.setattr(core, "eps_closure", counting)
+    a = build()
+    # keeping every name, the frontier holds 2^12 = 4,096 configurations
+    assert membership(a, range(1, 13))
+    assert max(sizes) <= 2, max(sizes)
+    assert membership(a, range(1, 201))
+    assert max(sizes) <= 2, max(sizes)
+    # an even-length word repeating a name at the same parity is rejected by
+    # both automata: a name is kept until its last occurrence
+    assert not membership(a, (*range(1, 12), 2))
+    # the word is read twice (last occurrences, then the walk): an iterator
+    # gives the same answers
+    assert membership(a, iter(range(1, 13)))
+    assert not membership(a, iter((*range(1, 12), 2)))
+
+
 def test_eps_closure_includes_reset_chains():
     a = generate_then_consume_hra()
     closure = eps_closure(a, {initial_config(a)})
@@ -390,6 +534,7 @@ def test_the_kept_reset_summaries_are_invisible():
     step(a, initial_config(a), 0)
     assert reset_summaries(a) is reset_summaries(a)
     assert core._outgoing(a) is core._outgoing(a)
+    assert core._accept_index(a) is core._accept_index(a)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert pickle.dumps(a) == pickle.dumps(b)
     a2, b2 = copy.deepcopy(a), copy.deepcopy(b)
@@ -401,6 +546,7 @@ def test_the_kept_reset_summaries_are_invisible():
     assert ({q: set(ts) for q, ts in core._outgoing(c).items()}
             == {q: set(ts) for q, ts in core._outgoing(a).items()})
     assert reset_summaries(c) == reset_summaries(a)
+    assert core._accept_index(c) == core._accept_index(a) != {}
 
 
 def test_explore_maps_each_pair_to_the_edge_that_discovered_it(monkeypatch):
