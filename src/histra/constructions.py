@@ -4,8 +4,8 @@ Everything here is a pure function from automata to automata.  Constructed
 states are `StateTag` values so the provenance of a state (product pair,
 tracking function, sink, ...) stays inspectable; a translation that spells
 one step as two tags the state between them "mid".  The constructions that
-annotate states (name fixing, register doubling) build only the pairs
-`core.explore` reaches from the initial one.
+pair or annotate states (intersection, name fixing, register doubling)
+build only the pairs `core.explore` reaches from the initial one.
 
 A construction makes one `StateTag` per state it creates, kept in a dict,
 and every transition endpoint, initial state or final naming that state is
@@ -169,39 +169,41 @@ def union(a1: Hra, a2: Hra) -> Hra:
 
 def intersection(a1: Hra, a2: Hra) -> Hra:
     """Accepts L(a1) ∩ L(a2): a synchronous product over disjoint place
-    bands -- letter transitions pair up, resets interleave silently."""
+    bands -- letter transitions pair up, resets interleave silently.  Only
+    the pairs `explore` reaches from the initial pair are built.
+
+    The search follows a1's transitions from the first state p of a pair
+    (p, q), with q as the annotation.  A reset of a2 leaves p put, so every
+    p also gets a stand-still step p → p, labelled None, that carries the
+    resets of a2 leaving q."""
     mp1, mp2, m, n = _band_maps(a1, a2)
-    pair = {(p, q): StateTag("pair", (p, q)) for p in a1.states for q in a2.states}
-    transitions = []
-    acc1 = [t for t in a1.transitions if isinstance(t.label, Accept)]
-    acc2 = [t for t in a2.transitions if isinstance(t.label, Accept)]
-    for u in acc1:
-        for v in acc2:
-            lab = Accept(
-                _remap_set(u.label.pre, mp1) | _remap_set(v.label.pre, mp2),
-                _remap_set(u.label.post, mp1) | _remap_set(v.label.post, mp2),
-            )
-            transitions.append(Transition(pair[u.src, v.src], lab, pair[u.dst, v.dst]))
-    for u in a1.transitions:
-        if isinstance(u.label, Reset):
-            for q in a2.states:
-                transitions.append(
-                    Transition(pair[u.src, q], _remap_label(u.label, mp1), pair[u.dst, q])
-                )
-    for v in a2.transitions:
-        if isinstance(v.label, Reset):
-            for p in a1.states:
-                transitions.append(
-                    Transition(pair[p, v.src], _remap_label(v.label, mp2), pair[p, v.dst])
-                )
+    out1, out2 = _outgoing(a1), _outgoing(a2)
+    adj = {p: [*out1.get(p, ()), Transition(p, None, p)] for p in a1.states}
+
+    def moves(p, q, t):
+        if t.label is None:
+            return [(_remap_label(v.label, mp2), v.dst)
+                    for v in out2.get(q, ()) if isinstance(v.label, Reset)]
+        if isinstance(t.label, Reset):
+            return [(_remap_label(t.label, mp1), q)]
+        pre, post = _remap_set(t.label.pre, mp1), _remap_set(t.label.post, mp1)
+        return [
+            (Accept(pre | _remap_set(v.label.pre, mp2),
+                    post | _remap_set(v.label.post, mp2)), v.dst)
+            for v in out2.get(q, ()) if isinstance(v.label, Accept)
+        ]
+
+    start = (a1.initial, a2.initial)
+    reached, edges = explore(adj, start, moves)
+    pair = {pq: StateTag("pair", pq) for pq in reached}
     return Hra(
         m=m,
         n=n,
         states=frozenset(pair.values()),
-        initial=pair[a1.initial, a2.initial],
+        initial=pair[start],
         initial_assignment=Assignment.of(m + n, _merge_contents(a1, a2, mp1, mp2)),
-        transitions=frozenset(transitions),
-        finals=frozenset(pair[p, q] for p in a1.finals for q in a2.finals),
+        transitions=frozenset(Transition(pair[s], lab, pair[d]) for s, lab, d in edges),
+        finals=frozenset(pair[p, q] for p, q in reached if p in a1.finals and q in a2.finals),
     )
 
 

@@ -264,6 +264,13 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
     exactly when the original machine does.  The search stops as soon as a
     basis element inserted at the initial state lies below the initial
     vector.
+
+    Set-up projects each effect object once per call and gives every edge
+    that carries it the same projection.  `CounterMachine.make` shares one
+    object per distinct effect, so that is once per distinct effect; a
+    machine built by the constructor, whose equal effects may be separate
+    objects, gets the same answers from more projections.  Nothing is kept
+    on the machine between calls.
     """
     init_state, init_vec = init
     if len(init_vec) != mc.dims:
@@ -286,8 +293,12 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
     # process
     ids: dict[State, int] = {init_state: 0, target_state: 1}
     by_dst: dict[int, set[tuple[int, Effect]]] = {}
+    projected: dict[int, Optional[Effect]] = {}  # by id(effect), for this call only
     for t in mc.transitions:
-        eff = project(t.effect)
+        key = id(t.effect)
+        if key not in projected:
+            projected[key] = project(t.effect)
+        eff = projected[key]
         if eff is not None:
             src = ids.setdefault(t.src, len(ids))
             dst = ids.setdefault(t.dst, len(ids))

@@ -30,7 +30,7 @@ from histra import (
     vass_to_nonreset_hra,
 )
 from histra.constructions import StateTag, packed_determinism_witness
-from histra.core import eps_closure, initial_config, step
+from histra.core import _outgoing, eps_closure, explore, initial_config, step
 from histra.oracles import (
     Lang,
     bounded_bisimulation,
@@ -161,6 +161,9 @@ def test_random_pairs_union_intersection_concat(seed):
     u = union(a, b)
     i = intersection(a, b)
     c = concatenation(a, b)
+    # the product builds only the pairs it reaches from the initial one
+    reached, _ = explore(_outgoing(i), (i.initial, None), lambda q, f, t: [(None, None)])
+    assert {q for q, _ in reached} == i.states
     for w in words:
         assert membership(u, w) == (la(w) or lb(w)), ("union", w)
         assert membership(i, w) == (la(w) and lb(w)), ("inter", w)
@@ -400,3 +403,12 @@ def test_containment_with_register_bearing_right_side():
     full = all_distinct_hra()
     assert containment_deterministic(frag, full)
     assert not containment_deterministic(full, frag)
+    # an anchored-distinct word is a single anchored block; the product
+    # with the complement of the blocks automaton holds only the pairs it
+    # reaches, fewer than |Q1|·|Q2|
+    blocks = anchored_blocks_hra(0)
+    assert containment_deterministic(frag, blocks)
+    comp = unpack(complement_deterministic(to_packed(registers_to_histories(blocks))))
+    gap = intersection(frag, comp)
+    assert len(gap.states) < len(frag.states) * len(comp.states)
+    assert not any(membership(gap, w) for w in enumerate_words(ALPHA, 4))

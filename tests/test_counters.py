@@ -30,7 +30,8 @@ from histra import (
 )
 from histra.cli import CounterDocument, print_counters
 from histra.core import subsets
-from histra.counters import one_dim_rvass_witness
+import histra.counters as counters
+from histra.counters import CTransition, one_dim_rvass_witness
 from histra.errors import TransfersPresent
 from histra.oracles import random_counter_machine
 
@@ -432,6 +433,42 @@ def test_machine_without_live_counters_is_graph_reachability():
     assert _decide(mc, ("p", (0, 0)), "q")
     assert not _decide(mc, ("p", (0, 0)), "r")
     assert not _decide(mc, ("p", (0, 0)), "island")
+
+
+def test_set_up_projects_each_distinct_effect_once(monkeypatch):
+    # 40 edges over 10 states share 3 effect objects on 8 counters; a token
+    # of counters 1-3 goes round, so the forward search is exhaustive, and
+    # without it only the transfers fire
+    dims = 8
+    unit = lambda k: tuple(int(i == k) for i in range(dims))
+    effects = [Effect(unit(0), (), unit(1)), Transfer(2, 3), Effect(unit(2), (), unit(0))]
+    rng = random.Random(20)
+    states = [f"s{i}" for i in range(10)]
+    edges = set()
+    while len(edges) < 40:
+        edges.add((rng.choice(states), rng.choice(effects), rng.choice(states)))
+    mc = CounterMachine.make(dims, states, sorted(edges, key=repr))
+    assert len({id(t.effect) for t in mc.transitions}) == 3
+    # the same edges with every effect a separate, equal object: more
+    # projections, the same answers
+    copies = CounterMachine(dims, frozenset(states), frozenset(
+        CTransition(t.src, Effect(*t.effect), t.dst) for t in mc.transitions))
+
+    built = []
+    real = counters.Effect
+
+    def counting(*fields):
+        built.append(fields)
+        return real(*fields)
+
+    monkeypatch.setattr(counters, "Effect", counting)
+    verdicts = []
+    for init, target in product([("s0", unit(0)), ("s0", (0,) * dims)], states[1:]):
+        built.clear()
+        verdicts.append(_decide(mc, init, target))
+        assert len(built) == 3, (init, target)
+        assert backward_coverability(copies, init, target) == verdicts[-1]
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------
