@@ -2,8 +2,6 @@
 emptiness/containment decision procedures via counter machines."""
 
 from .constructions import (
-    PackedHra,
-    PackedTransition,
     StateTag,
     complement_deterministic,
     concatenation,
@@ -12,11 +10,8 @@ from .constructions import (
     intersection,
     kleene_star,
     pad_type,
-    packed_determinism_witness,
     registers_to_histories,
-    to_packed,
     union,
-    unpack,
 )
 from .core import (
     Accept,
@@ -113,10 +108,8 @@ from .skeletons import (
 
 __all__ = [
     # constructions
-    "PackedHra", "PackedTransition", "StateTag", "complement_deterministic",
-    "concatenation", "containment_deterministic", "fix_names", "intersection",
-    "kleene_star", "pad_type", "packed_determinism_witness",
-    "registers_to_histories", "to_packed", "union", "unpack",
+    "StateTag", "complement_deterministic", "concatenation", "containment_deterministic",
+    "fix_names", "intersection", "kleene_star", "pad_type", "registers_to_histories", "union",
     # core
     "Accept", "Assignment", "Hra", "Reset", "SubclassFlags", "TraceStep", "Transition",
     "by_src", "classify", "eps_closure", "explore", "initial_config", "make_hra", "membership",

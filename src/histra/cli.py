@@ -43,9 +43,7 @@ from .constructions import (
     intersection,
     kleene_star,
     registers_to_histories,
-    to_packed,
     union,
-    unpack,
 )
 from .core import (
     Accept,
@@ -498,7 +496,7 @@ def _cmd_empty(args) -> int:
 
 # the constructions that write a new automaton file, by command or `--op`
 _BUILDS = {
-    "complement": lambda a: unpack(complement_deterministic(to_packed(registers_to_histories(a)))),
+    "complement": complement_deterministic,
     "union": union,
     "inter": intersection,
     "concat": concatenation,

@@ -6,6 +6,10 @@ tracking function, sink, ...) stays inspectable; a translation that spells
 one step as two tags the state between them "mid".  The constructions that
 pair or annotate states (intersection, name fixing, register doubling)
 build only the pairs `core.explore` reaches from the initial one.
+Complementation, the one operation that needs a deterministic input, works
+on the `Hra` itself: it reads the reset summaries and accept index that
+`core` keeps on the automaton, and its input states are tagged so that the
+states it adds are always new.
 
 A construction makes one `StateTag` per state it creates, kept in a dict,
 and every transition endpoint, initial state or final naming that state is
@@ -17,7 +21,7 @@ still equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Accept,
@@ -26,15 +30,14 @@ from .core import (
     Label,
     Name,
     Reset,
-    State,
     Transition,
+    _accept_index,
     _outgoing,
-    by_src,
     explore,
     reset_summaries,
     subsets,
 )
-from .errors import DuplicateFixName, NotDeterministic, RegistersPresent
+from .errors import DuplicateFixName, NotDeterministic
 
 
 @dataclass(frozen=True)
@@ -389,120 +392,92 @@ def registers_to_histories(a: Hra) -> Hra:
 
 
 # ---------------------------------------------------------------------------
-# packed form
+# complementation
 
 
-@dataclass(frozen=True)
-class PackedTransition:
-    src: State
-    reset_first: frozenset[int]
-    pre: frozenset[int]
-    post: frozenset[int]
-    dst: State
+def complement_deterministic(a: Hra) -> Hra:
+    """Accepts the words `a` rejects, for a deterministic `a` of any type.
 
+    Registers are first turned into histories (`registers_to_histories`).
+    A move of the history-only automaton from state q is a reset-then-accept:
+    resets from q to some p whose targets union to Y (a reset summary
+    (Y, p) of q), then a letter transition p --ACC pre : post--> dst.  It is
+    written (Y, pre, post, dst); moves that differ only in p are one move.
+    A move matches q on place-set x when x - Y = pre, and the automaton is
+    deterministic when no state and place-set are matched by two moves.
 
-@dataclass(frozen=True)
-class PackedHra:
-    """History-only automaton whose transitions fold a reset prefix into
-    the letter step; it has no silent moves at all."""
-
-    m: int
-    states: frozenset[State]
-    initial: State
-    initial_assignment: Assignment
-    transitions: frozenset[PackedTransition]
-    finals: frozenset[State]
-
-
-def to_packed(a: Hra) -> PackedHra:
-    """Fold every reset chain into the letter transition that follows it."""
-    if a.n > 0:
-        raise RegistersPresent("packing needs a history-only automaton")
-    summaries = reset_summaries(a)
-    accepts = by_src(t for t in a.transitions if isinstance(t.label, Accept))
-    packed = set()
-    finals = set()
-    for q in a.states:
-        for y, p in summaries[q]:
-            if p in a.finals:
-                finals.add(q)
-            for t in accepts.get(p, ()):
-                packed.add(PackedTransition(q, y, t.label.pre, t.label.post, t.dst))
-    return PackedHra(
-        m=a.m,
-        states=a.states,
-        initial=a.initial,
-        initial_assignment=a.initial_assignment,
-        transitions=frozenset(packed),
-        finals=frozenset(finals),
-    )
-
-
-def packed_determinism_witness(p: PackedHra) -> Optional[tuple[State, frozenset[int]]]:
-    """A (state, place-set) with two matching transitions, or None."""
-    adj = by_src(p.transitions)
-    for q in sorted(p.states, key=repr):
-        for x in subsets(range(1, p.m + 1)):
-            hits = [t for t in adj.get(q, ()) if x - t.reset_first == t.pre]
-            if len(hits) > 1:
-                return (q, x)
-    return None
-
-
-def complement_deterministic(p: PackedHra) -> PackedHra:
-    """Complement a deterministic packed automaton by completing it with a
-    sink and swapping final and non-final states.  One scan, in the order of
-    `packed_determinism_witness`, raises `NotDeterministic` at the first
-    state and place-set that two transitions match and sends each one that
-    none matches to the sink."""
+    The complement keeps every move, sends each state and place-set that no
+    move matches to a final sink, and makes final exactly the states none of
+    whose reset summaries reaches a final state.  Each input state q becomes
+    `StateTag("co", (q,))`, so the sink and the "mid" state that each move
+    with a reset passes through are new even when `a` is itself a
+    complement.  One scan, states in `repr` order and place-sets in `subsets`
+    order, raises `NotDeterministic` at the first pair two moves match."""
+    b = registers_to_histories(a)
+    summaries, index = reset_summaries(b), _accept_index(b)
+    places = frozenset(range(1, b.m + 1))
+    co = {q: StateTag("co", (q,)) for q in b.states}
     sink = StateTag("sink", ())
-    adj = by_src(p.transitions)
-    extra = [PackedTransition(sink, frozenset(range(1, p.m + 1)), frozenset(), frozenset(), sink)]
-    for q in sorted(p.states, key=repr):
-        for x in subsets(range(1, p.m + 1)):
-            hits = sum([x - t.reset_first == t.pre for t in adj.get(q, ())])
+    states = [sink, *co.values()]
+    transitions = []
+
+    def emit(src, y, pre, post, dst):
+        if y:
+            mid = StateTag("mid", (src, y, pre, post, dst))
+            states.append(mid)
+            transitions.append(Transition(src, Reset(y), mid))
+            src = mid
+        transitions.append(Transition(src, Accept(pre, post), dst))
+
+    emit(sink, places, frozenset(), frozenset(), sink)
+    for q in sorted(b.states, key=repr):
+        moves = {(y, pre, post, dst) for y, p in summaries[q]
+                 for pre, outs in index.get(p, {}).items() for post, dst in outs}
+        for x in subsets(places):
+            hits = sum([x - y == pre for y, pre, _, _ in moves])
             if hits > 1:
                 raise NotDeterministic(
                     f"two transitions match state {q!r} on place-set {sorted(x)}")
             if not hits:
-                extra.append(PackedTransition(q, frozenset(), x, frozenset(), sink))
-    return PackedHra(
-        m=p.m,
-        states=p.states | {sink},
-        initial=p.initial,
-        initial_assignment=p.initial_assignment,
-        transitions=p.transitions | frozenset(extra),
-        finals=(p.states - p.finals) | {sink},
-    )
-
-
-def unpack(p: PackedHra) -> Hra:
-    """Expand each folded transition back into reset-then-accept."""
-    states = set(p.states)
-    transitions = []
-    for t in p.transitions:
-        if t.reset_first:
-            mid = StateTag("mid", (t,))
-            states.add(mid)
-            transitions.append(Transition(t.src, Reset(t.reset_first), mid))
-            transitions.append(Transition(mid, Accept(t.pre, t.post), t.dst))
-        else:
-            transitions.append(Transition(t.src, Accept(t.pre, t.post), t.dst))
+                transitions.append(Transition(co[q], Accept(x, frozenset()), sink))
+        for y, pre, post, dst in moves:
+            emit(co[q], y, pre, post, co[dst])
     return Hra(
-        m=p.m,
+        m=b.m,
         n=0,
         states=frozenset(states),
-        initial=p.initial,
-        initial_assignment=p.initial_assignment,
+        initial=co[b.initial],
+        initial_assignment=b.initial_assignment,
         transitions=frozenset(transitions),
-        finals=p.finals,
+        finals=frozenset([sink, *(co[q] for q in b.states
+                                  if not any(p in b.finals for _, p in summaries[q]))]),
     )
 
 
 def containment_deterministic(a1: Hra, a2: Hra) -> bool:
-    """Decide L(a1) ⊆ L(a2) for a2 with a deterministic packed form."""
+    """Decide L(a1) ⊆ L(a2) for a deterministic a2 (see
+    `complement_deterministic`): L(a1) ∩ L(complement of a2) is empty."""
     from .reductions import emptiness  # local import: reductions builds on this module
 
-    comp = complement_deterministic(to_packed(registers_to_histories(a2)))
-    gap = intersection(a1, unpack(comp))
+    gap = intersection(a1, complement_deterministic(a2))
     return bool(emptiness(gap).is_empty)
+
+
+# ---------------------------------------------------------------------------
+# names of the removed packed form
+#
+# `benchmarks/tracing.py` still lists these three as trace targets and looks
+# each one up by name, so the names stay, bound to functions that raise,
+# until that list drops them.
+
+
+def _retired(name: str):
+    def retired(*args, **kwargs):
+        raise NotImplementedError(
+            f"{name} is gone: complement_deterministic takes the automaton itself")
+    retired.__name__ = name
+    return retired
+
+
+to_packed, unpack, packed_determinism_witness = map(
+    _retired, ("to_packed", "unpack", "packed_determinism_witness"))

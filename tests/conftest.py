@@ -1,11 +1,14 @@
-"""Shared cross-checks for the emptiness tests."""
+"""Shared cross-checks for the emptiness tests, and the determinism test
+that complementation applies."""
 
 import pytest
 
 from histra import (
+    NotDeterministic,
     backward_coverability,
     classify,
     colouring_scope_ok,
+    complement_deterministic,
     eliminate_registers_colouring,
     hra_to_trvass,
     nonreset_to_vass,
@@ -33,3 +36,13 @@ def _translation_verdicts(a):
 @pytest.fixture
 def translation_verdicts():
     return _translation_verdicts
+
+
+def deterministic(a):
+    """Does `complement_deterministic` take `a`: is no state and place-set
+    matched by two reset-then-accept moves?"""
+    try:
+        complement_deterministic(a)
+    except NotDeterministic:
+        return False
+    return True

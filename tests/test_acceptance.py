@@ -27,13 +27,10 @@ from histra import (
     kleene_star,
     membership,
     one_dim_rvass_reachability,
-    packed_determinism_witness,
     pre_basis,
     registers_to_histories,
     rvass_to_hra,
-    to_packed,
     union,
-    unpack,
 )
 from histra.constructions import _enlist_initial_names
 from histra.core import Assignment, eps_closure, initial_config, step
@@ -65,6 +62,8 @@ from histra.zoo import (
     two_step_distinct_hra,
     two_tracks_hra,
 )
+
+from conftest import deterministic
 
 ALPHA = (0, 1, 2)
 
@@ -168,7 +167,7 @@ def test_boolean_and_concatenation_closures_match_composed_oracles():
 # ---------------------------------------------------------------------------
 
 
-def test_register_elimination_and_packing_are_bounded_bisimilar():
+def test_register_elimination_is_bounded_bisimilar():
     automata = _zoo()
     for seed in range(500):
         a = random_hra(seed, max_m=1, max_n=1, max_states=3, subclass="unary")
@@ -178,9 +177,7 @@ def test_register_elimination_and_packing_are_bounded_bisimilar():
                 break
     assert len(automata) == len(_zoo()) + 20
     for a in automata:
-        b = registers_to_histories(a)
-        assert bounded_bisimulation(a, b, 6)
-        assert bounded_bisimulation(b, unpack(to_packed(b)), 6)
+        assert bounded_bisimulation(a, registers_to_histories(a), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +297,7 @@ def test_counter_machine_to_automaton_round_trip_preserves_verdicts():
             seed, dims=2, klass="rvass", unit_effects=True, deterministic=True
         )
         a = rvass_to_hra(mc, ("c0", (1, 0)), sorted(mc.states)[-1])
-        assert packed_determinism_witness(to_packed(a)) is None, seed
+        assert deterministic(a), seed
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +375,11 @@ def test_deterministic_complementation_and_containment():
         if len(sources) == 10:
             break
         cand = random_hra(seed, max_m=2, max_n=0, max_states=3)
-        if packed_determinism_witness(to_packed(cand)) is None:
+        if deterministic(cand):
             sources.append(cand)
     assert len(sources) == 10
     for a in sources:
-        p = to_packed(a)
-        comp = unpack(complement_deterministic(p))
+        comp = complement_deterministic(a)
         for w in enumerate_words(ALPHA, 5):
             assert membership(a, w) != membership(comp, w), w
         assert containment_deterministic(a, a)

@@ -541,6 +541,19 @@ def test_complement_flips_membership(tmp_path, capsys):
     assert membership(comp, (0, 1, 0))
 
 
+def test_complement_of_a_nondeterministic_file_is_an_input_error(tmp_path, capsys):
+    # a fresh name may go to r or to t: two moves match q on the empty place-set
+    f = _file(tmp_path, "double.hra",
+              "HRA 1 0\nSTATE q INITIAL\nSTATE r FINAL\nSTATE t\n"
+              "TRANS q r ACC - : 1\nTRANS q t ACC - : -\n")
+    out = tmp_path / "co.hra"
+    assert main(["complement", f, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: two transitions match state ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_product_intersection(tmp_path):
     left = _file(tmp_path, "distinct.hra", DISTINCT)
     right = _file(tmp_path, "pinned.hra", PINNED)

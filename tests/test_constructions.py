@@ -1,5 +1,5 @@
 """Closure constructions: products, star, name fixing, register elimination,
-packing, complementation, containment."""
+complementation, containment."""
 
 import copy
 import os
@@ -13,7 +13,7 @@ from histra import (
     Accept,
     DuplicateFixName,
     NotDeterministic,
-    RegistersPresent,
+    Reset,
     complement_deterministic,
     concatenation,
     containment_deterministic,
@@ -23,13 +23,11 @@ from histra import (
     make_hra,
     membership,
     registers_to_histories,
-    to_packed,
     union,
-    unpack,
     validate,
     vass_to_nonreset_hra,
 )
-from histra.constructions import StateTag, packed_determinism_witness
+from histra.constructions import StateTag
 from histra.core import _outgoing, eps_closure, explore, initial_config, step
 from histra.oracles import (
     Lang,
@@ -51,6 +49,8 @@ from histra.zoo import (
     two_step_distinct_hra,
     two_tracks_hra,
 )
+
+from conftest import deterministic
 
 ALPHA = (0, 1, 2)
 
@@ -313,7 +313,7 @@ def test_each_constructed_state_is_one_object(seed):
 
 
 # ---------------------------------------------------------------------------
-# register elimination and packing
+# register elimination
 
 
 def test_registers_to_histories_type_and_language():
@@ -334,59 +334,86 @@ def test_registers_to_histories_identity_without_registers():
     assert registers_to_histories(a) is a
 
 
-def test_to_packed_requires_history_only():
-    with pytest.raises(RegistersPresent):
-        to_packed(anchored_blocks_hra(0))
-
-
-def test_to_packed_and_unpack_preserve_language():
-    for a in (
-        all_distinct_hra(),
-        generate_then_consume_hra(),
-        two_tracks_hra(),
-        not_all_twice_hra(),
-    ):
-        p = to_packed(a)
-        u = unpack(p)
-        validate(u)
-        for w in enumerate_words(ALPHA, 4):
-            assert membership(a, w) == membership(u, w), (a, w)
-
-
-def test_unpack_is_bounded_bisimilar_to_source():
-    for a in (all_distinct_hra(), generate_then_consume_hra(), two_tracks_hra()):
-        assert bounded_bisimulation(a, unpack(to_packed(a)), 6)
-
-
 # ---------------------------------------------------------------------------
 # complementation and containment
 
 
-def test_packed_determinism_witness():
-    det = to_packed(all_distinct_hra())
-    assert packed_determinism_witness(det) is None
-    nondet = to_packed(no_immediate_repeat_history_hra())
-    assert packed_determinism_witness(nondet) is not None
-
-
 def test_complement_requires_determinism():
     with pytest.raises(NotDeterministic):
-        complement_deterministic(to_packed(no_immediate_repeat_history_hra()))
+        complement_deterministic(no_immediate_repeat_history_hra())
+
+
+def test_determinism_counts_moves_not_the_states_between():
+    assert deterministic(all_distinct_hra())
+    assert not deterministic(no_immediate_repeat_history_hra())
+    # q wipes place 1 on the way to p1 or to p2, and either then puts a fresh
+    # name in it and goes to f: one reset-then-accept move, reached twice
+    one, fresh = frozenset({1}), Accept(frozenset(), frozenset({1}))
+    a = make_hra(1, 0, states=["q", "p1", "p2", "f"], initial="q",
+                 transitions=[("q", Reset(one), "p1"), ("q", Reset(one), "p2"),
+                              ("p1", fresh, "f"), ("p2", fresh, "f")],
+                 finals=["f"])
+    assert deterministic(a)
+    comp = complement_deterministic(a)
+    for w in enumerate_words(ALPHA, 3):
+        assert membership(comp, w) != (len(w) == 1), w
 
 
 def test_complement_is_exact_xor():
     for a in (all_distinct_hra(), generate_then_consume_hra(), two_step_distinct_hra()):
-        comp = unpack(complement_deterministic(to_packed(a)))
+        comp = complement_deterministic(a)
         validate(comp)
         for w in enumerate_words(ALPHA, 5):
             assert membership(comp, w) != membership(a, w), w
 
 
+def test_complement_takes_register_automata():
+    a = anchored_blocks_hra(0)
+    comp = complement_deterministic(a)
+    assert (comp.m, comp.n) == (a.m + 2 * a.n, 0)
+    assert comp == complement_deterministic(registers_to_histories(a))
+    for w in enumerate_words(ALPHA, 5):
+        assert membership(comp, w) != membership(a, w), w
+
+
 def test_complement_of_register_automaton_via_elimination():
-    a = registers_to_histories(anchored_distinct_hra(0))
-    comp = unpack(complement_deterministic(to_packed(a)))
+    comp = complement_deterministic(registers_to_histories(anchored_distinct_hra(0)))
     for w in enumerate_words(ALPHA, 5):
         assert membership(comp, w) != oracle_membership(Lang.ANCHORED_DISTINCT, w), w
+
+
+def _deterministic_draws():
+    drawn = [random_hra(seed, max_m=2, max_n=1, max_states=4) for seed in range(40)]
+    return [a for a in drawn if deterministic(a)]
+
+
+def test_complement_twice_gives_back_the_language():
+    zoo = [all_distinct_hra(), generate_then_consume_hra(), two_step_distinct_hra(),
+           anchored_distinct_hra(0)]
+    draws = _deterministic_draws()
+    assert len(draws) >= 20
+    for a in zoo + draws:
+        c = complement_deterministic(a)
+        cc = complement_deterministic(c)
+        validate(cc)
+        assert not _unshared_states(cc)
+        for w in enumerate_words((0, 1, 2, 3), 4):
+            assert membership(cc, w) == membership(a, w) != membership(c, w), (a, w)
+
+
+def test_complement_of_a_complement_adds_new_states():
+    """The sink and the mid states a complement adds are new even when its
+    input is itself a complement.  Seed 0 rejects ε; reusing the sink of
+    its complement (final there) as the next sink made the complement of
+    the complement accept ε too, and reflexive containment fail."""
+    a = random_hra(0, max_m=2, max_n=1, max_states=4)
+    c = complement_deterministic(a)
+    assert not membership(a, ()) and membership(c, ())
+    assert not membership(complement_deterministic(c), ())
+    for a in _deterministic_draws():
+        c = complement_deterministic(a)
+        assert len(complement_deterministic(c).states) > len(c.states)
+        assert containment_deterministic(c, c)
 
 
 def test_containment_reflexive_and_proper():
@@ -408,7 +435,7 @@ def test_containment_with_register_bearing_right_side():
     # reaches, fewer than |Q1|·|Q2|
     blocks = anchored_blocks_hra(0)
     assert containment_deterministic(frag, blocks)
-    comp = unpack(complement_deterministic(to_packed(registers_to_histories(blocks))))
+    comp = complement_deterministic(blocks)
     gap = intersection(frag, comp)
     assert len(gap.states) < len(frag.states) * len(comp.states)
     assert not any(membership(gap, w) for w in enumerate_words(ALPHA, 4))

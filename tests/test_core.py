@@ -16,15 +16,15 @@ from histra import (
     Hra,
     Reset,
     Transition,
+    NotDeterministic,
     ValidationError,
     bounded_determinism_check,
+    complement_deterministic,
     classify,
     make_hra,
     membership,
-    packed_determinism_witness,
     permute_word,
     reset_summaries,
-    to_packed,
     trace,
     validate,
 )
@@ -40,6 +40,8 @@ from histra.zoo import (
     no_immediate_repeat_register_hra,
     two_tracks_hra,
 )
+
+from conftest import deterministic
 
 
 def s(*places):
@@ -648,7 +650,7 @@ def test_reset_summaries_fixpoint():
 
 
 def test_strong_determinism_of_deterministic_automaton():
-    assert packed_determinism_witness(to_packed(all_distinct_hra())) is None
+    assert deterministic(all_distinct_hra())
 
 
 def test_strong_determinism_rejects_double_edge():
@@ -663,7 +665,8 @@ def test_strong_determinism_rejects_double_edge():
         ],
         finals=["r"],
     )
-    assert packed_determinism_witness(to_packed(a)) == ("q", frozenset())
+    with pytest.raises(NotDeterministic, match=r"state 'q' on place-set \[\]$"):
+        complement_deterministic(a)
     ok, witness = bounded_determinism_check(a, 3)
     assert not ok and witness is not None
 
@@ -671,7 +674,7 @@ def test_strong_determinism_rejects_double_edge():
 def test_bounded_determinism_agrees_on_zoo():
     for a in (all_distinct_hra(), two_tracks_hra(), generate_then_consume_hra()):
         ok, _ = bounded_determinism_check(a, 4)
-        assert ok == (packed_determinism_witness(to_packed(a)) is None)
+        assert ok == deterministic(a)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,10 @@ from histra import (
     make_hra,
     membership,
     nonreset_to_vass,
-    packed_determinism_witness,
     registers_to_histories,
     restricted_hra_to_rvass,
     restriction_ok,
     rvass_to_hra,
-    to_packed,
     unary_to_one_rvass,
     validate,
     vass_to_nonreset_hra,
@@ -62,6 +60,8 @@ from histra.zoo import (
     not_all_twice_hra,
     two_tracks_hra,
 )
+
+from conftest import deterministic
 
 
 def s(*xs):
@@ -413,7 +413,7 @@ def test_rvass_to_hra_strong_determinism_for_deterministic_sources(seed):
         seed, dims=2, klass="rvass", unit_effects=True, deterministic=True
     )
     a = rvass_to_hra(mc, ("c0", (1, 0)), sorted(mc.states)[-1])
-    assert packed_determinism_witness(to_packed(a)) is None, seed
+    assert deterministic(a), seed
 
 
 # ---------------------------------------------------------------------------
