@@ -4,8 +4,10 @@ Everything here is a pure function from automata to automata.  Constructed
 states are `StateTag` values so the provenance of a state (product pair,
 tracking function, sink, ...) stays inspectable; a translation that spells
 one step as two tags the state between them "mid".  The constructions that
-pair or annotate states (intersection, name fixing, register doubling)
-build only the pairs `core.explore` reaches from the initial one.
+pair or annotate states build only the pairs `core.explore` reaches from
+the initial one: intersection, name fixing and the colouring elimination
+(in `reductions`) through `_explored`, one tag per pair and one transition
+per edge; register doubling keeps its own tail for its "mid" states.
 Complementation, the one operation that needs a deterministic input, works
 on the `Hra` itself: it reads the reset summaries and accept index that
 `core` keeps on the automaton, and its input states are tagged so that the
@@ -21,7 +23,7 @@ still equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     Accept,
@@ -95,16 +97,12 @@ def pad_type(a: Hra, m: int, n: int) -> Hra:
         return a
     mp = {i: i for i in range(1, a.m + 1)}
     mp.update({a.m + j: m + j for j in range(1, a.n + 1)})
-    contents = {}
-    for i in range(1, a.m + a.n + 1):
-        if a.initial_assignment.place(i):
-            contents[mp[i]] = a.initial_assignment.place(i)
     return Hra(
         m=m,
         n=n,
         states=a.states,
         initial=a.initial,
-        initial_assignment=Assignment.of(m + n, contents),
+        initial_assignment=_moved_names(m + n, (a, mp)),
         transitions=frozenset(
             Transition(t.src, _remap_label(t.label, mp), t.dst) for t in a.transitions
         ),
@@ -123,14 +121,33 @@ def _band_maps(a1: Hra, a2: Hra) -> tuple[dict[int, int], dict[int, int], int, i
     return mp1, mp2, m, n
 
 
-def _merge_contents(a1: Hra, a2: Hra, mp1, mp2) -> dict[int, frozenset[Name]]:
-    contents: dict[int, frozenset[Name]] = {}
-    for src, mp in ((a1, mp1), (a2, mp2)):
-        for i in range(1, src.m + src.n + 1):
-            names = src.initial_assignment.place(i)
-            if names:
-                contents[mp[i]] = names
-    return contents
+def _moved_names(size: int, *sides: tuple[Hra, dict[int, int]]) -> Assignment:
+    """An assignment over `size` places holding each side's initial names at
+    the places its map sends them to; every other place is empty."""
+    slots = [frozenset()] * size
+    for a, mp in sides:
+        for i, names in enumerate(a.initial_assignment.contents, 1):
+            slots[mp[i] - 1] = names
+    return Assignment(tuple(slots))
+
+
+def _explored(kind: str, adj, start: tuple, moves, is_final, m: int, n: int,
+              initial_assignment: Assignment) -> Hra:
+    """The (m, n) automaton of the pairs `explore(adj, start, moves)`
+    reaches: one `StateTag(kind, pair)` per reached pair, the start's tag
+    initial, one transition per edge labelled with the edge's payload, and
+    final the pairs that `is_final` picks."""
+    reached, edges = explore(adj, start, moves)
+    tags = {p: StateTag(kind, p) for p in reached}
+    return Hra(
+        m=m,
+        n=n,
+        states=frozenset(tags.values()),
+        initial=tags[start],
+        initial_assignment=initial_assignment,
+        transitions=frozenset(Transition(tags[p], x, tags[d]) for p, x, d in edges),
+        finals=frozenset(tags[p] for p in reached if is_final(p)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +181,7 @@ def union(a1: Hra, a2: Hra) -> Hra:
         n=n,
         states=frozenset([start, *t1.values(), *t2.values()]),
         initial=start,
-        initial_assignment=Assignment.of(m + n, _merge_contents(a1, a2, mp1, mp2)),
+        initial_assignment=_moved_names(m + n, (a1, mp1), (a2, mp2)),
         transitions=frozenset(transitions),
         finals=frozenset([t1[s] for s in a1.finals] + [t2[s] for s in a2.finals]),
     )
@@ -196,18 +213,9 @@ def intersection(a1: Hra, a2: Hra) -> Hra:
             for v in out2.get(q, ()) if isinstance(v.label, Accept)
         ]
 
-    start = (a1.initial, a2.initial)
-    reached, edges = explore(adj, start, moves)
-    pair = {pq: StateTag("pair", pq) for pq in reached}
-    return Hra(
-        m=m,
-        n=n,
-        states=frozenset(pair.values()),
-        initial=pair[start],
-        initial_assignment=Assignment.of(m + n, _merge_contents(a1, a2, mp1, mp2)),
-        transitions=frozenset(Transition(pair[s], lab, pair[d]) for s, lab, d in edges),
-        finals=frozenset(pair[p, q] for p, q in reached if p in a1.finals and q in a2.finals),
-    )
+    return _explored("pair", adj, (a1.initial, a2.initial), moves,
+                     lambda pq: pq[0] in a1.finals and pq[1] in a2.finals,
+                     m, n, _moved_names(m + n, (a1, mp1), (a2, mp2)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +236,6 @@ def fix_names(a: Hra, w: Sequence[Name]) -> Hra:
     size = m + n
     h0 = a.initial_assignment
     f0 = tuple(h0.placeset_of(x) for x in w)
-    tag = lambda q, f: StateTag("fix", (q, f))
     overwritten = lambda post: frozenset(i for i in post if i > m)
 
     def moves(q, f, t):
@@ -243,25 +250,9 @@ def fix_names(a: Hra, w: Sequence[Name]) -> Hra:
                 out.append((Accept(pinned, pinned), f_move))
         return out
 
-    reached, edges = explore(_outgoing(a), (a.initial, f0), moves)
-    tags = {p: tag(*p) for p in reached}
-
-    contents: dict[int, Iterable[Name]] = {}
-    for i in range(1, size + 1):
-        kept = h0.place(i) - set(w)
-        if kept:
-            contents[i] = kept
-    for j, x in enumerate(w):
-        contents[size + 1 + j] = [x]
-    return Hra(
-        m=m,
-        n=n + k,
-        states=frozenset(tags.values()),
-        initial=tags[a.initial, f0],
-        initial_assignment=Assignment.of(size + k, contents),
-        transitions=frozenset(Transition(tags[p], lab, tags[d]) for p, lab, d in edges),
-        finals=frozenset(tags[p] for p in reached if p[0] in a.finals),
-    )
+    contents = tuple(s.difference(w) for s in h0.contents) + tuple(frozenset([x]) for x in w)
+    return _explored("fix", _outgoing(a), (a.initial, f0), moves,
+                     lambda p: p[0] in a.finals, m, n + k, Assignment(contents))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +344,6 @@ def registers_to_histories(a: Hra) -> Hra:
         return m + n + (j + 1) if f[j] == m + (j + 1) else m + (j + 1)
 
     f0 = tuple(m + j for j in range(1, n + 1))
-    tag = lambda q, f: StateTag("copies", (q, f))
 
     def moves(q, f, t):
         if isinstance(t.label, Reset):
@@ -366,7 +356,7 @@ def registers_to_histories(a: Hra) -> Hra:
         return [((Reset(copy_places - frozenset(f)), StateTag("mid", (q, f, t)), letter), fbar)]
 
     reached, edges = explore(_outgoing(a), (a.initial, f0), moves)
-    tags = {p: tag(*p) for p in reached}
+    tags = {p: StateTag("copies", p) for p in reached}
     states = set(tags.values())
     transitions: list[Transition] = []
     for p, (reset, mid, letter), d in edges:
@@ -375,17 +365,12 @@ def registers_to_histories(a: Hra) -> Hra:
         else:
             states.add(mid)
             transitions += [Transition(tags[p], reset, mid), Transition(mid, letter, tags[d])]
-
-    contents: dict[int, Iterable[Name]] = {}
-    for i in range(1, m + n + 1):
-        if a.initial_assignment.place(i):
-            contents[i] = a.initial_assignment.place(i)
     return Hra(
         m=size,
         n=0,
         states=frozenset(states),
         initial=tags[a.initial, f0],
-        initial_assignment=Assignment.of(size, contents),
+        initial_assignment=Assignment(a.initial_assignment.contents + (frozenset(),) * n),
         transitions=frozenset(transitions),
         finals=frozenset(tags[p] for p in reached if p[0] in a.finals),
     )
@@ -412,7 +397,9 @@ def complement_deterministic(a: Hra) -> Hra:
     `StateTag("co", (q,))`, so the sink and the "mid" state that each move
     with a reset passes through are new even when `a` is itself a
     complement.  One scan, states in `repr` order and place-sets in `subsets`
-    order, raises `NotDeterministic` at the first pair two moves match."""
+    order, raises `NotDeterministic` at the first pair two moves match, in
+    the terms of `a`: every move first resets the dead copies of registers,
+    so that place-set holds only live ones, which map back to registers."""
     b = registers_to_histories(a)
     summaries, index = reset_summaries(b), _accept_index(b)
     places = frozenset(range(1, b.m + 1))
@@ -436,6 +423,9 @@ def complement_deterministic(a: Hra) -> Hra:
         for x in subsets(places):
             hits = sum([x - y == pre for y, pre, _, _ in moves])
             if hits > 1:
+                if b is not a:  # back to a's state; live copy f[j] is place m + j + 1
+                    q, f = q.payload
+                    x = [i if i <= a.m else a.m + 1 + f.index(i) for i in x]
                 raise NotDeterministic(
                     f"two transitions match state {q!r} on place-set {sorted(x)}")
             if not hits:

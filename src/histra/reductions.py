@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Optional
 
-from .constructions import StateTag
+from .constructions import StateTag, _explored
 from .core import (
     Accept, Assignment, Hra, Reset, State, Transition, _outgoing, by_src, classify, explore,
     subsets,
@@ -486,9 +486,6 @@ def eliminate_registers_colouring(a: Hra) -> Hra:
     def pool(reg: int, colour: str) -> int:
         return m + 3 * (reg - 1) + 1 + _COLOURS.index(colour)
 
-    def tag(q, f):
-        return StateTag("col", (q, f))
-
     def moves(q, f, t):
         if isinstance(t.label, Reset):  # scope guarantees it is empty
             return [(t.label, f)]
@@ -518,23 +515,9 @@ def eliminate_registers_colouring(a: Hra) -> Hra:
                 out.append((Accept(pre, x2h | {pool(j, c)}), f2[: j - 1] + (c,) + f2[j:]))
         return out
 
-    reached, edges = explore(_outgoing(a), (a.initial, ("",) * n), moves)
-    tags = {p: tag(*p) for p in reached}
-
-    contents = {
-        i: a.initial_assignment.place(i)
-        for i in range(1, m + 1)
-        if a.initial_assignment.place(i)
-    }
-    return Hra(
-        m=size,
-        n=0,
-        states=frozenset(tags.values()),
-        initial=tags[a.initial, ("",) * n],
-        initial_assignment=Assignment.of(size, contents),
-        transitions=frozenset(Transition(tags[p], lab, tags[d]) for p, lab, d in edges),
-        finals=frozenset(tags[p] for p in reached if p[0] in a.finals),
-    )
+    return _explored("col", _outgoing(a), (a.initial, ("",) * n), moves,
+                     lambda p: p[0] in a.finals, size, 0,
+                     Assignment(a.initial_assignment.contents[:m] + (frozenset(),) * (3 * n)))
 
 
 # ---------------------------------------------------------------------------

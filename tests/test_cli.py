@@ -554,6 +554,20 @@ def test_complement_of_a_nondeterministic_file_is_an_input_error(tmp_path, capsy
     assert not out.exists()
 
 
+def test_nondeterminism_with_registers_is_reported_in_the_file_s_terms(tmp_path, capsys):
+    # q reads the register's name twice: the state and place-set of the
+    # file, not of its register-free form
+    f = _file(tmp_path, "twice.hra",
+              "HRA 1 1\nSTATE p INITIAL\nSTATE q\nSTATE r FINAL\nSTATE t\n"
+              "TRANS p q ACC - : 2\nTRANS q r ACC 2 : 2\nTRANS q t ACC 2 : 1,2\n")
+    out = tmp_path / "co.hra"
+    assert main(["complement", f, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: two transitions match state 'q' on place-set [2]\n"
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_product_intersection(tmp_path):
     left = _file(tmp_path, "distinct.hra", DISTINCT)
     right = _file(tmp_path, "pinned.hra", PINNED)

@@ -14,9 +14,11 @@ from histra import (
     DuplicateFixName,
     NotDeterministic,
     Reset,
+    colouring_scope_ok,
     complement_deterministic,
     concatenation,
     containment_deterministic,
+    eliminate_registers_colouring,
     fix_names,
     intersection,
     kleene_star,
@@ -27,7 +29,7 @@ from histra import (
     validate,
     vass_to_nonreset_hra,
 )
-from histra.constructions import StateTag
+from histra.constructions import StateTag, pad_type
 from histra.core import _outgoing, eps_closure, explore, initial_config, step
 from histra.oracles import (
     Lang,
@@ -172,6 +174,19 @@ def test_random_pairs_union_intersection_concat(seed):
         assert membership(c, w) == expect, ("concat", w)
 
 
+def test_pad_type_adds_unused_places_and_moves_the_registers_up():
+    a = anchored_blocks_hra(0)
+    p = pad_type(a, 3, 2)
+    assert (p.m, p.n) == (3, 2)
+    assert a.initial_assignment.place(2) == p.initial_assignment.place(4) == {0}
+    assert not any(p.initial_assignment.place(i) for i in (1, 2, 3, 5))
+    for w in enumerate_words((0, 1, 2, 3), 4):
+        assert membership(p, w) == membership(a, w), w
+    assert pad_type(a, 1, 1) is a
+    with pytest.raises(ValueError):
+        pad_type(a, 0, 2)
+
+
 # ---------------------------------------------------------------------------
 # fix_names
 
@@ -308,6 +323,13 @@ def test_each_constructed_state_is_one_object(seed):
     mc = random_counter_machine(seed, dims=3, klass="vass")
     first, last = sorted(mc.states)[0], sorted(mc.states)[-1]
     built["vass_to_nonreset_hra"] = vass_to_nonreset_hra(mc, (first, (1, 0, 2)), last)
+    in_scope = random_hra(seed, max_n=2, subclass="colouring")
+    for k, x in enumerate((a, b, in_scope)):
+        built[f"pad_type {k}"] = pad_type(x, x.m + 1, x.n + 2)
+        if colouring_scope_ok(x):
+            built[f"eliminate_registers_colouring {k}"] = eliminate_registers_colouring(x)
+        if deterministic(x):
+            built[f"complement_deterministic {k}"] = complement_deterministic(x)
     for name, out in built.items():
         assert not _unshared_states(out), name
 
@@ -341,6 +363,30 @@ def test_registers_to_histories_identity_without_registers():
 def test_complement_requires_determinism():
     with pytest.raises(NotDeterministic):
         complement_deterministic(no_immediate_repeat_history_hra())
+
+
+# p writes a fresh name into the register, then q reads it twice: into the
+# register alone, or into the history and the register too
+_READ_TWICE = [("p", Accept(frozenset(), frozenset({2})), "q"),
+               ("q", Accept(frozenset({2}), frozenset({2})), "r"),
+               ("q", Accept(frozenset({2}), frozenset({1, 2})), "t")]
+# q takes a fresh name into the register, or a fresh name it drops at once
+_FRESH_TWICE = [("q", Accept(frozenset(), frozenset({2})), "r"),
+                ("q", Accept(frozenset(), frozenset()), "t")]
+
+
+@pytest.mark.parametrize("initial, transitions, placeset", [
+    ("p", _READ_TWICE, "[2]"), ("q", _FRESH_TWICE, "[]"),
+], ids=["read-twice", "fresh-twice"])
+def test_nondeterminism_with_registers_names_the_input_state_and_places(
+        initial, transitions, placeset):
+    """The error speaks of the input, not of its register-free form: state
+    q, and the live copy of register 2 mapped back to place 2."""
+    a = make_hra(1, 1, states=["p", "q", "r", "t"], initial=initial,
+                 transitions=transitions, finals=["r"])
+    with pytest.raises(NotDeterministic) as err:
+        complement_deterministic(a)
+    assert str(err.value) == f"two transitions match state 'q' on place-set {placeset}"
 
 
 def test_determinism_counts_moves_not_the_states_between():
