@@ -9,8 +9,8 @@ the initial one: intersection, name fixing and the colouring elimination
 (in `reductions`) through `_explored`, one tag per pair and one transition
 per edge; register doubling keeps its own tail for its "mid" states.
 Complementation, the one operation that needs a deterministic input, works
-on the `Hra` itself: it reads the reset summaries and accept index that
-`core` keeps on the automaton, and its input states are tagged so that the
+on the `Hra` itself: it reads the reset summaries and accept index, cached
+properties of the automaton, and its input states are tagged so that the
 states it adds are always new.
 
 A construction makes one `StateTag` per state it creates, kept in a dict,
@@ -33,8 +33,6 @@ from .core import (
     Name,
     Reset,
     Transition,
-    _accept_index,
-    _outgoing,
     explore,
     reset_summaries,
     subsets,
@@ -197,7 +195,7 @@ def intersection(a1: Hra, a2: Hra) -> Hra:
     p also gets a stand-still step p → p, labelled None, that carries the
     resets of a2 leaving q."""
     mp1, mp2, m, n = _band_maps(a1, a2)
-    out1, out2 = _outgoing(a1), _outgoing(a2)
+    out1, out2 = a1._outgoing, a2._outgoing
     adj = {p: [*out1.get(p, ()), Transition(p, None, p)] for p in a1.states}
 
     def moves(p, q, t):
@@ -251,7 +249,7 @@ def fix_names(a: Hra, w: Sequence[Name]) -> Hra:
         return out
 
     contents = tuple(s.difference(w) for s in h0.contents) + tuple(frozenset([x]) for x in w)
-    return _explored("fix", _outgoing(a), (a.initial, f0), moves,
+    return _explored("fix", a._outgoing, (a.initial, f0), moves,
                      lambda p: p[0] in a.finals, m, n + k, Assignment(contents))
 
 
@@ -355,7 +353,7 @@ def registers_to_histories(a: Hra) -> Hra:
         letter = Accept(fd(t.label.pre, f), fd(t.label.post, fbar))
         return [((Reset(copy_places - frozenset(f)), StateTag("mid", (q, f, t)), letter), fbar)]
 
-    reached, edges = explore(_outgoing(a), (a.initial, f0), moves)
+    reached, edges = explore(a._outgoing, (a.initial, f0), moves)
     tags = {p: StateTag("copies", p) for p in reached}
     states = set(tags.values())
     transitions: list[Transition] = []
@@ -401,7 +399,7 @@ def complement_deterministic(a: Hra) -> Hra:
     the terms of `a`: every move first resets the dead copies of registers,
     so that place-set holds only live ones, which map back to registers."""
     b = registers_to_histories(a)
-    summaries, index = reset_summaries(b), _accept_index(b)
+    summaries, index = reset_summaries(b), b._accept_index
     places = frozenset(range(1, b.m + 1))
     co = {q: StateTag("co", (q,)) for q in b.states}
     sink = StateTag("sink", ())

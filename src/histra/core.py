@@ -13,6 +13,7 @@ Names are plain ints; words are sequences of ints.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain, combinations
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -188,13 +189,13 @@ Configuration = tuple[State, Assignment]
 class Hra:
     """An automaton of type (m, n).
 
-    It keeps its transitions grouped by source state (`by_src` of
-    `transitions`), which `trace` and every other search over it read; its
-    reset summaries (`reset_summaries`) with the part of them the silent
-    closure reads; and its accept index, which `step` reads: for each state,
-    its letter transitions keyed by `pre`, as (`post`, `dst`) pairs.  Each
-    is computed on first use and kept in one attribute that is not a field:
-    `==`, `hash` and `repr` ignore it, and the pickled state leaves it out."""
+    Its derived indices are cached properties, built on first use: the
+    transitions grouped by source (`_outgoing`, `by_src` of `transitions`),
+    which `trace` and every other search over it read; the accept index
+    (`_accept_index`), which `step` reads; and the reset summaries
+    (`reset_summaries`), with the part of them the silent closure reads
+    (`_closure`).  None is a field, so `==`, `hash`, `repr` and the pickled
+    state ignore them.  Do not mutate them."""
 
     m: int
     n: int
@@ -203,7 +204,6 @@ class Hra:
     initial_assignment: Assignment
     transitions: frozenset[Transition]
     finals: frozenset[State]
-    _kept = None  # not a field: no annotation
 
     @property
     def places(self) -> range:
@@ -211,6 +211,40 @@ class Hra:
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def _outgoing(self) -> dict[State, list[Transition]]:
+        return by_src(self.transitions)
+
+    @cached_property
+    def _accept_index(self) -> dict[State, dict[frozenset[int], list]]:
+        """For each state with a letter transition, those transitions keyed
+        by `pre`, each as its (`post`, `dst`) pair."""
+        index = {}
+        for t in self.transitions:
+            if isinstance(t.label, Accept):
+                index.setdefault(t.src, {}).setdefault(t.label.pre, []).append(
+                    (t.label.post, t.dst))
+        return index
+
+    @cached_property
+    def _closure(self) -> dict[State, list[tuple[frozenset[int], State]]]:
+        """Each state's reset summaries other than (∅, q), keyed only by the
+        sources of resets: a lookup that hits costs a recursive comparison
+        of nested `StateTag`s."""
+        def moves(p, y, t):
+            return [(None, y | t.label.targets)] if isinstance(t.label, Reset) else []
+
+        out = self._outgoing
+        sources = dict.fromkeys([t.src for t in self.transitions if isinstance(t.label, Reset)])
+        # every pair reached but the first, (q, ∅) itself
+        return {q: [(y, p) for p, y in list(explore(out, (q, frozenset()), moves)[0])[1:]]
+                for q in sources}
+
+    @cached_property
+    def _summaries(self) -> dict[State, frozenset[tuple[frozenset[int], State]]]:
+        closure = self._closure
+        return {q: frozenset([(frozenset(), q), *closure.get(q, ())]) for q in self.states}
 
 
 def make_hra(
@@ -325,7 +359,7 @@ def step(a: Hra, config: Configuration, letter: Name,
 
     A letter fires exactly the transitions that leave the configuration's
     state with `pre` equal to the letter's place-set, so the automaton's
-    kept accept index (see `Hra`) finds them with one lookup on the state
+    accept index (see `Hra`) finds them with one lookup on the state
     and one on that place-set; no transition is tested on its own.
 
     With `forget`, each successor holds the letter nowhere: it is
@@ -333,7 +367,7 @@ def step(a: Hra, config: Configuration, letter: Name,
     (`Assignment.forget_name`), so a register the letter is written to is
     still emptied of the name it held."""
     q, h = config
-    moves = _accept_index(a).get(q)
+    moves = a._accept_index.get(q)
     if moves is not None:
         moves = moves.get(h.placeset_of(letter))
     if not moves:
@@ -350,9 +384,9 @@ def eps_closure(a: Hra, configs: Iterable[Configuration]) -> frozenset[Configura
 
     Resets only empty places, so a chain of resets from q to p whose targets
     union to Y takes (q, h) to exactly (p, h minus Y): the closure reads the
-    automaton's kept reset summaries.  A state with no reset closes to
+    automaton's reset summaries.  A state with no reset closes to
     itself."""
-    closure = _kept_summaries(a)[1]
+    closure = a._closure
     closed = frozenset(configs)
     if not closure:  # the automaton has no reset
         return closed
@@ -419,7 +453,7 @@ def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
             return [((t, word[k]), at(h.move_name(word[k], t.label.post, a.m), k + 1))]
         return []
 
-    reached, _ = explore(_outgoing(a), (a.initial, at(a.initial_assignment, 0)), moves)
+    reached, _ = explore(a._outgoing, (a.initial, at(a.initial_assignment, 0)), moves)
     goal = next((p for p in reached if p[0] in a.finals and p[1][1] == len(word)), None)
     if goal is None:
         return None
@@ -480,57 +514,9 @@ def _fra_shape(a: Hra) -> bool:
 
 def reset_summaries(a: Hra) -> dict[State, frozenset[tuple[frozenset[int], State]]]:
     """For each state q, all pairs (Y, p) with q reaching p through resets
-    whose targets union to Y (includes (empty, q)).  Computed on the first
-    call and kept on the automaton (see `Hra`); do not mutate it."""
-    return _kept_summaries(a)[0]
-
-
-def _outgoing(a: Hra) -> dict[State, list[Transition]]:
-    """`by_src(a.transitions)`, built on the first call and kept on the
-    automaton (see `Hra`) beside slots for its reset summaries and accept
-    index; do not mutate it."""
-    kept = a._kept
-    if kept is None:
-        kept = [by_src(a.transitions), None, None]
-        object.__setattr__(a, "_kept", kept)
-    return kept[0]
-
-
-def _accept_index(a: Hra) -> dict[State, dict[frozenset[int], list]]:
-    """For each state with a letter transition, those transitions keyed by
-    `pre`, each as its (`post`, `dst`) pair.  Built from `_outgoing` on the
-    first call and kept on the automaton (see `Hra`); do not mutate it."""
-    kept = a._kept
-    if kept is None or kept[2] is None:
-        index = {}
-        for q, ts in _outgoing(a).items():
-            for t in ts:
-                if isinstance(t.label, Accept):
-                    index.setdefault(q, {}).setdefault(t.label.pre, []).append(
-                        (t.label.post, t.dst))
-        kept = a._kept
-        kept[2] = index
-    return kept[2]
-
-
-def _kept_summaries(a: Hra) -> tuple[dict, dict]:
-    """The reset summaries and, for the silent closure, each state's
-    summaries other than (∅, q), keyed only by the sources of resets: a
-    lookup that hits costs a recursive comparison of nested `StateTag`s."""
-    kept = a._kept
-    if kept is None or kept[1] is None:
-        out = _outgoing(a)
-
-        def moves(p, y, t):
-            return [(None, y | t.label.targets)] if isinstance(t.label, Reset) else []
-
-        # every pair reached but the first, (q, ∅) itself
-        closure = {q: [(y, p) for p, y in list(explore(out, (q, frozenset()), moves)[0])[1:]]
-                   for q, ts in out.items() if any(isinstance(t.label, Reset) for t in ts)}
-        table = {q: frozenset([(frozenset(), q), *closure.get(q, ())]) for q in a.states}
-        kept = a._kept
-        kept[1] = (table, closure)
-    return kept[1]
+    whose targets union to Y (includes (empty, q)).  A cached property of
+    the automaton (see `Hra`): every call returns the same dict."""
+    return a._summaries
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,9 @@ class Effect(NamedTuple):
     def canonical(self, dims: int) -> "Effect":
         """This effect as an edge of a `dims`-counter machine: both vectors
         spelled out and `dest` sorted.  Raises when it is no such edge."""
-        zero = (0,) * dims
-        pre, dest, post = self.pre or zero, self.dest, self.post or zero
-        if len(pre) != dims or len(post) != dims:
-            raise WrongDimension(f"{self!r} does not have arity {dims}")
+        if dims < 1:
+            raise WrongDimension("a counter machine needs at least one dimension")
+        (pre, post), dest = _vectors(self, dims), self.dest
         if min(pre) < 0 or min(post) < 0:
             raise ValidationError([f"{self!r}: pre and post must be non-negative"])
         sources = {i for i, _ in dest}
@@ -57,6 +56,16 @@ class Effect(NamedTuple):
         if len(sources) < len(dest):
             raise ValidationError([f"{self!r}: a counter is moved twice"])
         return Effect(pre, tuple(sorted(dest)), post)
+
+
+def _vectors(effect: Effect, dims: int) -> tuple[Vector, Vector]:
+    """`pre` and `post` spelled out over `dims` counters; raises
+    WrongDimension when either is spelled out at another arity."""
+    zero = (0,) * dims
+    pre, post = effect.pre or zero, effect.post or zero
+    if len(pre) != dims or len(post) != dims:
+        raise WrongDimension(f"{effect!r} does not have arity {dims}")
+    return pre, post
 
 
 def Add(vector: Iterable[int]) -> Effect:
@@ -130,9 +139,10 @@ class CounterMachine:
 
 
 def apply_effect(effect: Effect, v: Vector) -> Optional[Vector]:
-    """The successor vector, or None when taking `pre` away goes negative."""
-    zero = (0,) * len(v)
-    out = [x - y for x, y in zip(v, effect.pre or zero)]
+    """The successor vector, or None when taking `pre` away goes negative.
+    Raises WrongDimension when `pre` or `post` has another arity than `v`."""
+    pre, post = _vectors(effect, len(v))
+    out = [x - y for x, y in zip(v, pre)]
     if min(out, default=0) < 0:
         return None
     moved = [(j, out[i - 1]) for i, j in effect.dest]
@@ -141,7 +151,7 @@ def apply_effect(effect: Effect, v: Vector) -> Optional[Vector]:
     for j, x in moved:
         if j:
             out[j - 1] += x
-    return tuple(x + y for x, y in zip(out, effect.post or zero))
+    return tuple(x + y for x, y in zip(out, post))
 
 
 def counter_step(mc: CounterMachine, config: CounterConfig) -> frozenset[CounterConfig]:
@@ -176,10 +186,10 @@ def pre_basis(effect: Effect, b: Vector) -> frozenset[Vector]:
     other counter holds the sum of the counters sent to it (itself
     included, unless it moves): its need is split in every way over them,
     or has no predecessor when nothing is sent to it, and `pre` is added
-    back.
+    back.  Raises WrongDimension when `pre` or `post` has another arity
+    than `b`.
     """
-    zero = (0,) * len(b)
-    pre, post = effect.pre or zero, effect.post or zero
+    pre, post = _vectors(effect, len(b))
     v = [(x - y if x > y else 0) + p for x, y, p in zip(b, post, pre)]
     into: dict[int, list[int]] = {i - 1: [] for i, _ in effect.dest}
     for i, j in effect.dest:

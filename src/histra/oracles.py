@@ -24,7 +24,6 @@ from .core import (
     Name,
     Reset,
     Word,
-    _outgoing,
     eps_closure,
     initial_config,
     make_hra,
@@ -129,7 +128,7 @@ def bounded_emptiness(a: Hra, max_letters: int = 8) -> EmptinessProbe:
         nxt: dict = {}
         for q, h in layer:
             letters = {h.fresh_name()}
-            for t in _outgoing(a).get(q, ()):
+            for t in a._outgoing.get(q, ()):
                 if isinstance(t.label, Accept) and t.label.pre:
                     pool = h.at(t.label.pre)
                     if pool:

@@ -41,7 +41,7 @@ from typing import Iterable, Optional
 
 from .constructions import StateTag, _explored
 from .core import (
-    Accept, Assignment, Hra, Reset, State, Transition, _outgoing, by_src, classify, explore,
+    Accept, Assignment, Hra, Reset, State, Transition, by_src, classify, explore,
     subsets,
 )
 from .counters import (
@@ -342,7 +342,7 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
 
     h0 = a.initial_assignment
     start = (a.initial, skeleton_of(h0, m, n))
-    _, edges = explore(_outgoing(a), start, moves)
+    _, edges = explore(a._outgoing, start, moves)
     initial = [x for x in map(h0.placeset_of, h0.names()) if pure(x)]
     readable = _readable_placesets(initial, [step for _, step, _ in edges])
     dmap = DimensionMap(tuple(readable) or (frozenset(),))
@@ -515,7 +515,7 @@ def eliminate_registers_colouring(a: Hra) -> Hra:
                 out.append((Accept(pre, x2h | {pool(j, c)}), f2[: j - 1] + (c,) + f2[j:]))
         return out
 
-    return _explored("col", _outgoing(a), (a.initial, ("",) * n), moves,
+    return _explored("col", a._outgoing, (a.initial, ("",) * n), moves,
                      lambda p: p[0] in a.finals, size, 0,
                      Assignment(a.initial_assignment.contents[:m] + (frozenset(),) * (3 * n)))
 

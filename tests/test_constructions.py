@@ -30,7 +30,7 @@ from histra import (
     vass_to_nonreset_hra,
 )
 from histra.constructions import StateTag, pad_type
-from histra.core import _outgoing, eps_closure, explore, initial_config, step
+from histra.core import eps_closure, explore, initial_config, step
 from histra.oracles import (
     Lang,
     bounded_bisimulation,
@@ -164,7 +164,7 @@ def test_random_pairs_union_intersection_concat(seed):
     i = intersection(a, b)
     c = concatenation(a, b)
     # the product builds only the pairs it reaches from the initial one
-    reached, _ = explore(_outgoing(i), (i.initial, None), lambda q, f, t: [(None, None)])
+    reached, _ = explore(i._outgoing, (i.initial, None), lambda q, f, t: [(None, None)])
     assert {q for q, _ in reached} == i.states
     for w in words:
         assert membership(u, w) == (la(w) or lb(w)), ("union", w)

@@ -1,6 +1,7 @@
 """One-step semantics, membership, classification, determinism."""
 
 import copy
+import dataclasses
 import pickle
 import random
 import types
@@ -359,7 +360,7 @@ def test_step_agrees_with_the_transition_scan_patched_in(subclass, monkeypatch):
                 # forgetting is the step, then the letter removed everywhere
                 assert forgotten == {(q, _removed(h, x)) for q, h in kept}, (seed, c, x)
                 probes.append((seed, c, x, kept, forgotten))
-    monkeypatch.setattr(core, "_accept_index", _scan_index)
+    monkeypatch.setattr(Hra, "_accept_index", property(_scan_index))
     for seed, c, x, kept, forgotten in probes:
         a = random_hra(seed, max_m=2, max_n=2, max_states=4, subclass=subclass)
         assert step(a, c, x) == kept, (seed, c, x)
@@ -535,8 +536,11 @@ def test_the_kept_reset_summaries_are_invisible():
     eps_closure(a, {initial_config(a)})
     step(a, initial_config(a), 0)
     assert reset_summaries(a) is reset_summaries(a)
-    assert core._outgoing(a) is core._outgoing(a)
-    assert core._accept_index(a) is core._accept_index(a)
+    assert a._outgoing is a._outgoing
+    assert a._accept_index is a._accept_index
+    fields = {f.name for f in dataclasses.fields(Hra)}
+    assert set(vars(b)) == fields
+    assert {"_outgoing", "_accept_index", "_closure", "_summaries"} <= set(vars(a)) - fields
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert pickle.dumps(a) == pickle.dumps(b)
     a2, b2 = copy.deepcopy(a), copy.deepcopy(b)
@@ -544,11 +548,11 @@ def test_the_kept_reset_summaries_are_invisible():
     assert pickle.dumps(a2) == pickle.dumps(b2)
     # an unpickled automaton keeps nothing, and builds the same again
     c = pickle.loads(pickle.dumps(a))
-    assert "_kept" not in vars(c) and c == a
-    assert ({q: set(ts) for q, ts in core._outgoing(c).items()}
-            == {q: set(ts) for q, ts in core._outgoing(a).items()})
+    assert set(vars(c)) == fields and c == a
+    assert ({q: set(ts) for q, ts in c._outgoing.items()}
+            == {q: set(ts) for q, ts in a._outgoing.items()})
     assert reset_summaries(c) == reset_summaries(a)
-    assert core._accept_index(c) == core._accept_index(a) != {}
+    assert c._accept_index == a._accept_index != {}
 
 
 def test_explore_maps_each_pair_to_the_edge_that_discovered_it(monkeypatch):

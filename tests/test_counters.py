@@ -45,6 +45,16 @@ def test_apply_add_guards_negativity():
     assert apply_effect(Add((0, -1)), (3, 0)) is None
 
 
+def test_apply_rejects_a_spelled_out_vector_of_another_arity():
+    with pytest.raises(WrongDimension, match="does not have arity 1"):
+        apply_effect(Effect((1, 0), (), (0, 0)), (5,))
+    with pytest.raises(WrongDimension, match="does not have arity 3"):
+        apply_effect(Effect((), (), (1, 0)), (5, 0, 0))
+    # () is the zero vector of any arity
+    assert apply_effect(Effect((), (), ()), (5,)) == (5,)
+    assert apply_effect(Effect((), (), (0, 2)), (5, 1)) == (5, 3)
+
+
 def test_apply_transfer_pours_and_zeroes():
     assert apply_effect(Transfer(1, 2), (3, 4)) == (0, 7)
 
@@ -54,6 +64,10 @@ def test_apply_reset_zeroes_one_dim():
 
 
 def test_make_validates_arity_and_ranges():
+    with pytest.raises(WrongDimension, match="at least one dimension"):
+        CounterMachine.make(0, ["q"], [])
+    with pytest.raises(WrongDimension, match="at least one dimension"):
+        Effect((), (), ()).canonical(0)
     with pytest.raises(WrongDimension):
         CounterMachine.make(2, ["q"], [("q", Add((1,)), "q")])
     with pytest.raises(WrongDimension):
@@ -183,6 +197,16 @@ def test_pre_basis_exhaustive(dims, cap):
                 out = apply_effect(eff, u)
                 hits = out is not None and _dominates(out, b)
                 assert hits == any(_dominates(u, v) for v in basis), (eff, b, u)
+
+
+def test_pre_basis_rejects_a_spelled_out_vector_of_another_arity():
+    with pytest.raises(WrongDimension, match="does not have arity 1"):
+        pre_basis(Effect((1, 0), (), (0, 0)), (3,))
+    with pytest.raises(WrongDimension, match="does not have arity 3"):
+        pre_basis(Effect((), (), (1, 0)), (3, 0, 0))
+    # () is the zero vector of any arity
+    assert pre_basis(Effect((), (), ()), (3,)) == {(3,)}
+    assert pre_basis(Effect((1,), (), ()), (3,)) == {(4,)}
 
 
 def _random_effect(rng, dims):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histra import Hra, membership, oracles, validate
+from histra import Hra, membership, validate
 from histra.oracles import (
     Lang,
     bounded_bisimulation,
@@ -152,7 +152,7 @@ def test_bounded_emptiness_agrees_with_the_transition_scan(subclass, monkeypatch
     for seed in range(60):
         a = random_hra(seed, max_m=2, max_n=1, max_states=4, subclass=subclass)
         probes.append(bounded_emptiness(a, 4))
-    monkeypatch.setattr(oracles, "_outgoing", _ScanEveryTransition)
+    monkeypatch.setattr(Hra, "_outgoing", property(_ScanEveryTransition))
     for seed, probe in enumerate(probes):
         a = random_hra(seed, max_m=2, max_n=1, max_states=4, subclass=subclass)
         assert bounded_emptiness(a, 4) == probe, (subclass, seed)
