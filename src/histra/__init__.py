@@ -48,8 +48,6 @@ from .counters import (
     backward_coverability,
     counter_step,
     forward_witness_search,
-    one_dim_rvass_reachability,
-    one_dim_rvass_witness,
     pre_basis,
 )
 from .errors import (
@@ -60,14 +58,12 @@ from .errors import (
     NoWitness,
     NonUnitEffect,
     NotDeterministic,
-    NotUnary,
     RegisterOverfull,
     RegistersPresent,
     ResetsPresent,
     ScopeViolation,
     SelfTransfer,
     TransfersOrResetsPresent,
-    TransfersPresent,
     ValidationError,
     WrongDimension,
 )
@@ -94,7 +90,6 @@ from .reductions import (
     restricted_hra_to_rvass,
     restriction_ok,
     rvass_to_hra,
-    unary_to_one_rvass,
     vass_to_nonreset_hra,
 )
 from .skeletons import (
@@ -117,13 +112,12 @@ __all__ = [
     # counters
     "Add", "CounterMachine", "CTransition", "Effect", "ForwardProbe", "ResetDim", "Transfer",
     "UpSet", "apply_effect", "backward_coverability", "counter_step",
-    "forward_witness_search", "one_dim_rvass_reachability", "one_dim_rvass_witness",
-    "pre_basis",
+    "forward_witness_search", "pre_basis",
     # errors
     "BadPlaceIndex", "DanglingState", "DuplicateFixName", "HistraError", "NoWitness",
-    "NonUnitEffect", "NotDeterministic", "NotUnary", "RegisterOverfull",
-    "RegistersPresent", "ResetsPresent", "ScopeViolation", "SelfTransfer",
-    "TransfersOrResetsPresent", "TransfersPresent", "ValidationError", "WrongDimension",
+    "NonUnitEffect", "NotDeterministic", "RegisterOverfull", "RegistersPresent",
+    "ResetsPresent", "ScopeViolation", "SelfTransfer", "TransfersOrResetsPresent",
+    "ValidationError", "WrongDimension",
     # oracles
     "EmptinessProbe", "Lang", "bounded_bisimulation", "bounded_determinism_check",
     "bounded_emptiness", "enumerate_words", "oracle_membership", "random_counter_machine",
@@ -131,8 +125,7 @@ __all__ = [
     # reductions
     "CounterReduction", "DimensionMap", "EmptinessResult", "colouring_scope_ok",
     "eliminate_registers_colouring", "emptiness", "hra_to_trvass", "nonreset_to_vass",
-    "restricted_hra_to_rvass", "restriction_ok", "rvass_to_hra", "unary_to_one_rvass",
-    "vass_to_nonreset_hra",
+    "restricted_hra_to_rvass", "restriction_ok", "rvass_to_hra", "vass_to_nonreset_hra",
     # skeletons
     "Skeleton", "enumerate_skeletons", "skel_at", "skel_move", "skel_reset",
     "skeleton_of",

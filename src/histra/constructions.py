@@ -37,7 +37,7 @@ from .core import (
     reset_summaries,
     subsets,
 )
-from .errors import DuplicateFixName, NotDeterministic
+from .errors import DuplicateFixName, NotDeterministic, retired
 
 
 @dataclass(frozen=True)
@@ -451,21 +451,7 @@ def containment_deterministic(a1: Hra, a2: Hra) -> bool:
     return bool(emptiness(gap).is_empty)
 
 
-# ---------------------------------------------------------------------------
-# names of the removed packed form
-#
-# `benchmarks/tracing.py` still lists these three as trace targets and looks
-# each one up by name, so the names stay, bound to functions that raise,
-# until that list drops them.
-
-
-def _retired(name: str):
-    def retired(*args, **kwargs):
-        raise NotImplementedError(
-            f"{name} is gone: complement_deterministic takes the automaton itself")
-    retired.__name__ = name
-    return retired
-
-
-to_packed, unpack, packed_determinism_witness = map(
-    _retired, ("to_packed", "unpack", "packed_determinism_witness"))
+# the removed packed form, kept as names for `benchmarks/tracing.py`
+to_packed, unpack, packed_determinism_witness = (
+    retired(name, "complement_deterministic on the automaton itself")
+    for name in ("to_packed", "unpack", "packed_determinism_witness"))

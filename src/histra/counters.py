@@ -1,5 +1,5 @@
-"""Counter machines whose edges are reset/transfer-net steps, plus the
-decision engines used by the automata reductions.
+"""Counter machines whose edges are reset/transfer-net steps, and backward
+coverability, the one procedure that decides them for the reductions.
 
 Configurations are (state, vector) pairs over non-negative ints.  Every
 edge carries one `Effect`, the affine step v ↦ M(v − pre) + post of
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Hashable, Iterable, NamedTuple, Optional
 
-from .errors import SelfTransfer, TransfersPresent, ValidationError, WrongDimension
+from .errors import SelfTransfer, ValidationError, WrongDimension, retired
 
 State = Hashable
 Vector = tuple[int, ...]
@@ -336,47 +336,8 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
     return False
 
 
-# ---------------------------------------------------------------------------
-# one-dimensional R-VASS state reachability
-
-
-def one_dim_rvass_witness(
-    mc: CounterMachine, init: CounterConfig, target_state: State
-) -> Optional[tuple[CounterConfig, ...]]:
-    """A reaching path for the one-dimensional case, or None.
-
-    The initial counter is truncated to |Q|^2 - 1 (larger values are
-    interchangeable for state reachability) and the counter is capped at
-    that plus |Q|^2.  `forward_witness_search` then explores the capped
-    space breadth-first; its step budget is the size of that space, so it
-    never stops early, and the path it returns is a shortest one within
-    the cap.  |Q| counts the initial state and the states of the machine
-    that spells each edge as unit steps: an edge with |pre|₁ + #resets +
-    |post|₁ = k > 1 adds k − 1 midpoints.  So |Q| ≥ 1, and the truncated
-    counter is never negative.
-    """
-    if mc.dims != 1:
-        raise WrongDimension(f"expected 1 dimension, got {mc.dims}")
-    if not mc.is_rvass():
-        raise TransfersPresent("one-dimensional engine handles additions and resets only")
-    q0, vec = init
-    if len(vec) != 1:
-        raise WrongDimension(f"initial vector has arity {len(vec)}, expected 1")
-    units = [sum(t.effect.pre) + len(t.effect.dest) + sum(t.effect.post) for t in mc.transitions]
-    nq = len(mc.states | {q0}) + sum(max(k - 1, 0) for k in units)
-    nsq = nq * nq
-    n0 = min(vec[0], nsq - 1)
-    cap = n0 + nsq
-    probe = forward_witness_search(
-        mc, (q0, (n0,)), target_state, counter_cap=cap, step_budget=nq * (cap + 1) + 1
-    )
-    return probe.path if probe.kind == "reachable" else None
-
-
-def one_dim_rvass_reachability(
-    mc: CounterMachine, init: CounterConfig, target_state: State
-) -> bool:
-    return one_dim_rvass_witness(mc, init, target_state) is not None
+# the removed one-counter engine, kept as a name for `benchmarks/tracing.py`
+one_dim_rvass_reachability = retired("one_dim_rvass_reachability", "backward_coverability")
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,6 @@ class WrongDimension(HistraError):
     pass
 
 
-class TransfersPresent(HistraError):
-    pass
-
-
 class NonUnitEffect(HistraError):
     pass
 
@@ -61,10 +57,6 @@ class SelfTransfer(HistraError):
 
 
 class ResetsPresent(HistraError):
-    pass
-
-
-class NotUnary(HistraError):
     pass
 
 
@@ -78,3 +70,13 @@ class ScopeViolation(HistraError):
 
 class NoWitness(HistraError):
     pass
+
+
+def retired(name: str, replacement: str):
+    """A function called `name` that raises NotImplementedError naming
+    `replacement`.  It keeps a removed name bound on its module, because
+    `benchmarks/tracing.py` looks each of its targets up by name."""
+    def gone(*args, **kwargs):
+        raise NotImplementedError(f"{name} is gone: use {replacement}")
+    gone.__name__ = name
+    return gone

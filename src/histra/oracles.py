@@ -4,7 +4,8 @@ The language predicates here are written straight from the word-level
 definitions, with no automata involved, so they can serve as independent
 ground truth for the machinery in the rest of the library.  The bounded
 engines (emptiness, bisimulation, determinism) only use the one-step
-semantics from `core`, never the constructions under test.
+semantics from `core`, never the constructions under test.  On one counter,
+`one_counter_coverable` decides coverability exactly with its own fixpoint.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .core import (
     make_hra,
     step,
 )
-from .counters import Add, CounterMachine, ResetDim, Transfer
+from .counters import Add, CounterConfig, CounterMachine, ResetDim, Transfer
+from .errors import WrongDimension
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +237,36 @@ def bounded_determinism_check(
             if c2 not in seen:
                 work.append((c2, used))
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# coverability on one counter
+
+
+def one_counter_coverable(mc: CounterMachine, init: CounterConfig, target_state) -> bool:
+    """Exact coverability on one counter, without `pre_basis` or `UpSet`.
+    Every upward-closed set of ℕ is a ray, so the target is covered from
+    (q, v) exactly when v ≥ need[q].  From need[target] = 0, each edge
+    lowers need at its source until nothing changes; values only fall in
+    ℕ, so the loop stops."""
+    if mc.dims != 1 or len(init[1]) != 1:
+        raise WrongDimension(f"expected one counter, got {mc.dims} and initial vector {init[1]!r}")
+    need = {target_state: 0}
+    changed = True
+    while changed:
+        changed = False
+        for t in mc.transitions:
+            if t.dst not in need:
+                continue
+            (pre,), (post,) = t.effect.pre or (0,), t.effect.post or (0,)
+            reset = (1, 0) in t.effect.dest  # the counter is zeroed before `post`
+            if reset and post < need[t.dst]:
+                continue
+            n = pre if reset else pre + max(need[t.dst] - post, 0)
+            if n < need.get(t.src, n + 1):
+                need[t.src], changed = n, True
+    q0, (v0,) = init
+    return q0 in need and v0 >= need[q0]
 
 
 # ---------------------------------------------------------------------------

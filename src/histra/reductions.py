@@ -18,10 +18,10 @@ configuration.
 There is one skeleton translation, `restricted_hra_to_rvass`, and it gives
 a counter only to the place-sets that a later step can read: a name parked
 anywhere else is dropped, which is exact since it is never consumed again.
-`nonreset_to_vass` and `unary_to_one_rvass` are that translation behind a
-check of their class.  `hra_to_trvass` keeps a counter for every
-non-empty history subset; it is the unpruned reference the others are
-checked against.
+On a unary automaton its machine is the paper's one-counter R-VASS, and
+`nonreset_to_vass` is the same translation behind a check of its class.
+`hra_to_trvass` keeps a counter for every non-empty history subset; it is
+the unpruned reference the others are checked against.
 
 `emptiness` decides every automaton the same way: the skeleton reduction
 `restricted_hra_to_rvass`, then backward coverability.  On the paper's
@@ -50,12 +50,12 @@ from .counters import (
 from .errors import (
     DanglingState,
     NonUnitEffect,
-    NotUnary,
     RegistersPresent,
     ResetsPresent,
     ScopeViolation,
     TransfersOrResetsPresent,
     WrongDimension,
+    retired,
 )
 from .skeletons import Skeleton, skel_at, skel_move, skel_reset, skeleton_of
 
@@ -364,12 +364,8 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
     return _reduction(dmap, tags.values(), transitions, finals, init)
 
 
-def unary_to_one_rvass(a: Hra) -> CounterReduction:
-    """Single-history automata always satisfy the reset discipline, so the
-    skeleton machine has exactly one counter."""
-    if a.m != 1:
-        raise NotUnary(f"expected 1 history, got {a.m}")
-    return restricted_hra_to_rvass(a)
+# the removed check for one history, kept as a name for `benchmarks/tracing.py`
+unary_to_one_rvass = retired("unary_to_one_rvass", "restricted_hra_to_rvass")
 
 
 # ---------------------------------------------------------------------------

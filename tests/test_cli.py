@@ -1,5 +1,7 @@
 """File formats and the command-line entry points."""
 
+from pathlib import Path
+
 import pytest
 
 from histra import (
@@ -24,7 +26,6 @@ from histra import (
     restricted_hra_to_rvass,
     rvass_to_hra,
     trace,
-    unary_to_one_rvass,
     union,
 )
 from histra.cli import (
@@ -301,7 +302,7 @@ def test_to_counters_round_trip_and_cover_on_random_automata(tmp_path, capsys):
     written = dict.fromkeys(_TO_COUNTERS, 0)
     for seed in range(100):
         f = _file(tmp_path, "a.hra", print_hra(random_hra(seed, max_m=2, max_n=1)))
-        a = parse_hra(open(f).read())
+        a = parse_hra(Path(f).read_text(encoding="utf-8"))
         empty = emptiness(a).is_empty
         for target, reduce in _TO_COUNTERS.items():
             out = str(tmp_path / f"{target}.cm")
@@ -312,7 +313,7 @@ def test_to_counters_round_trip_and_cover_on_random_automata(tmp_path, capsys):
                 continue
             assert main(["to-counters", f, "--target", target, "-o", out]) == 0
             written[target] += 1
-            doc = parse_counters(open(out).read())
+            doc = parse_counters(Path(out).read_text(encoding="utf-8"))
             assert (doc.machine, doc.query) == _as_printed(red), (seed, target)
             assert main(["cover", out]) == (1 if empty else 0), (seed, target)
     capsys.readouterr()
@@ -331,7 +332,7 @@ def test_to_counters_trvass_round_trip_and_cover_at_1024_counters(tmp_path, caps
     assert red.machine.dims == 1023
     out = str(tmp_path / "a.cm")
     assert main(["to-counters", f, "--target", "trvass", "-o", out]) == 0
-    doc = parse_counters(open(out).read())
+    doc = parse_counters(Path(out).read_text(encoding="utf-8"))
     assert (doc.machine, doc.query) == _as_printed(red)
     assert main(["cover", out]) == (1 if emptiness(a).is_empty else 0)
     capsys.readouterr()
@@ -535,7 +536,7 @@ def test_complement_flips_membership(tmp_path, capsys):
     f = _file(tmp_path, "distinct.hra", DISTINCT)
     out = str(tmp_path / "co.hra")
     assert main(["complement", f, "-o", out]) == 0
-    comp = parse_hra(open(out).read())
+    comp = parse_hra(Path(out).read_text(encoding="utf-8"))
     assert not membership(comp, (0, 1))
     assert membership(comp, (0, 0))
     assert membership(comp, (0, 1, 0))
@@ -614,7 +615,7 @@ def test_to_counters_then_cover(tmp_path, capsys):
     f = _file(tmp_path, "consume.hra", CONSUME)
     out = str(tmp_path / "machine.cm")
     assert main(["to-counters", f, "-o", out]) == 0
-    doc = parse_counters(open(out).read())
+    doc = parse_counters(Path(out).read_text(encoding="utf-8"))
     assert doc.query is not None
     assert main(["cover", out]) == 0
     assert "coverable: true" in capsys.readouterr().out
@@ -625,9 +626,9 @@ def test_to_counters_one_rvass_target(tmp_path, capsys):
     f = _file(tmp_path, "consume.hra", CONSUME)
     out = str(tmp_path / "machine.cm")
     assert main(["to-counters", f, "--target", "restricted", "-o", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text(encoding="utf-8")
     assert text.split()[1] == "1"  # single counter
-    red = unary_to_one_rvass(parse_hra(CONSUME))
+    red = restricted_hra_to_rvass(parse_hra(CONSUME))
     assert text == print_counters(CounterDocument(red.machine, (*red.init, red.target)))
     assert main(["cover", out]) == 0
 
@@ -684,7 +685,7 @@ def test_to_counters_keeps_an_edgeless_initial_state(tmp_path, capsys):
     for target in ("restricted", "trvass", "vass"):
         out = str(tmp_path / f"{target}.cm")
         assert main(["to-counters", f, "--target", target, "-o", out]) == 0
-        assert parse_counters(open(out).read()).query is not None
+        assert parse_counters(Path(out).read_text(encoding="utf-8")).query is not None
         assert main(["cover", out]) == 1
     assert "coverable: false" in capsys.readouterr().out
 
@@ -696,7 +697,7 @@ def _to_counters_vass_agrees_with_empty(tmp_path, text):
     f = _file(tmp_path, "reg.hra", text)
     out = str(tmp_path / "vass.cm")
     assert main(["to-counters", f, "--target", "vass", "-o", out]) == 0
-    doc = parse_counters(open(out).read())
+    doc = parse_counters(Path(out).read_text(encoding="utf-8"))
     assert doc.machine.is_vass()
     assert (doc.machine, doc.query) == _as_printed(nonreset_to_vass(parse_hra(text)))
     assert main(["cover", out]) == 0

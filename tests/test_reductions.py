@@ -12,7 +12,6 @@ from histra import (
     DimensionMap,
     Effect,
     NonUnitEffect,
-    NotUnary,
     RegistersPresent,
     Reset,
     ResetDim,
@@ -36,7 +35,6 @@ from histra import (
     restricted_hra_to_rvass,
     restriction_ok,
     rvass_to_hra,
-    unary_to_one_rvass,
     validate,
     vass_to_nonreset_hra,
 )
@@ -47,6 +45,7 @@ from histra.oracles import (
     Lang,
     bounded_emptiness,
     enumerate_words,
+    one_counter_coverable,
     oracle_membership,
     random_counter_machine,
     random_hra,
@@ -575,15 +574,12 @@ def test_vass_round_trip_50_random(seed):
 # unary
 
 
-def test_unary_requires_one_history():
-    with pytest.raises(NotUnary):
-        unary_to_one_rvass(two_tracks_hra())
-
-
 def test_unary_l3_machine_shape_and_verdicts():
-    red = unary_to_one_rvass(generate_then_consume_hra())
-    assert red.machine.dims == 1
+    # one history: the skeleton machine is the paper's one-counter R-VASS
+    red = restricted_hra_to_rvass(generate_then_consume_hra())
+    assert red.machine.dims == 1 and red.machine.is_rvass()
     assert backward_coverability(red.machine, red.init, red.target)
+    assert one_counter_coverable(red.machine, red.init, red.target)
 
 
 def test_unary_initial_counter_counts_pure_history_names():
@@ -597,7 +593,7 @@ def test_unary_initial_counter_counts_pure_history_names():
         finals=["f"],
         initial_contents={1: [4, 5], 2: [5]},
     )
-    red = unary_to_one_rvass(a)
+    red = restricted_hra_to_rvass(a)
     assert red.init[1] == (1,)  # only name 4 is at exactly {1}
 
 
