@@ -56,7 +56,7 @@ from .core import (
     trace,
     validate,
 )
-from .counters import Add, CounterMachine, CTransition, Effect, backward_coverability
+from .counters import Add, CounterMachine, CTransition, Effect, Units, backward_coverability
 from .errors import BadPlaceIndex, HistraError
 from .reductions import (
     emptiness,
@@ -379,33 +379,41 @@ def _parse_effect(toks: Sequence[str], klass: str, dims: int, ln: int) -> Effect
     if len(phases) == 1 and phases[0][0] == "ADD":
         eff = Add(phases[0][1])
     else:
-        pre = post = ()
+        head = tail = Add(())
         if phases[0][0] == "ADD":
-            pre = tuple(-x for x in phases.pop(0)[1])
+            head = Add(phases.pop(0)[1])
         if phases and phases[-1][0] == "ADD":
-            post = phases.pop()[1]
-        if min(pre + post, default=0) < 0 or any(op == "ADD" for op, _ in phases):
+            tail = Add(phases.pop()[1])
+        if head.post or tail.pre or any(op == "ADD" for op, _ in phases):
             raise ParseError(
                 f"line {ln}: out of phase: expected [ADD <no positive entries>] "
                 "(TRANSFER <i> <j> | RESET <i>)* [ADD <no negative entries>]"
             )
         moves = tuple(args if op == "TRANSFER" else (args[0], 0) for op, args in phases)
-        eff = Effect(pre, moves, post)
+        eff = Effect(head.pre, moves, tail.post)
     try:
         return eff.canonical(dims)
     except HistraError as exc:
         raise ParseError(f"line {ln}: {exc}") from None
 
 
-def _print_effect(e: Effect) -> str:
-    """An effect as the phases of a TRANS line: a lone ADD when it has no
-    moves and no counter that it both takes from and adds to."""
-    if not e.dest and not any(x and y for x, y in zip(e.pre, e.post)):
-        return "ADD " + " ".join(str(y - x) for x, y in zip(e.pre, e.post))
-    phases = ["ADD " + " ".join(str(-x) for x in e.pre)] if any(e.pre) else []
+def _print_effect(e: Effect, dims: int) -> str:
+    """An effect of a `dims`-counter machine as the phases of a TRANS line:
+    a lone ADD when it has no moves and no counter that it both takes from
+    and adds to.  Each ADD spells its vector out over every counter."""
+    def add(*signed: tuple[int, Units]) -> str:
+        v = [0] * dims
+        for sign, units in signed:
+            for i, x in units:
+                v[i - 1] += sign * x
+        return "ADD " + " ".join(map(str, v))
+
+    if not e.dest and not {i for i, _ in e.pre} & {i for i, _ in e.post}:
+        return add((-1, e.pre), (1, e.post))
+    phases = [add((-1, e.pre))] if e.pre else []
     phases += [f"TRANSFER {i} {j}" if j else f"RESET {i}" for i, j in e.dest]
-    if any(e.post):
-        phases.append("ADD " + " ".join(str(x) for x in e.post))
+    if e.post:
+        phases.append(add((1, e.post)))
     return " ".join(phases)
 
 
@@ -420,7 +428,7 @@ def print_counters(doc: CounterDocument) -> str:
     out.extend(sorted(f"STATE {tok[q]}" for q in mc.states - listed))
     lines = []
     for t in mc.transitions:
-        lines.append(f"TRANS {tok[t.src]} {tok[t.dst]} {_print_effect(t.effect)}")
+        lines.append(f"TRANS {tok[t.src]} {tok[t.dst]} {_print_effect(t.effect, mc.dims)}")
     out.extend(sorted(lines))
     if doc.query is not None:
         q0, vec, target = doc.query

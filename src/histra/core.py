@@ -13,9 +13,8 @@ Names are plain ints; words are sequences of ints.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 from itertools import chain, combinations
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     BadPlaceIndex,
@@ -185,11 +184,30 @@ Configuration = tuple[State, Assignment]
 # automata
 
 
+class _cached:
+    """A property computed on its first read and stored in the instance's
+    `__dict__`, where later reads find it first, since this descriptor has
+    no `__set__`.  Unlike `functools.cached_property` before Python 3.12, a
+    first read takes no lock shared by every instance of the class."""
+
+    def __init__(self, func: Callable) -> None:
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Hra:
     """An automaton of type (m, n).
 
-    Its derived indices are cached properties, built on first use: the
+    Its derived indices are cached (`_cached`), built on first use: the
     transitions grouped by source (`_outgoing`, `by_src` of `transitions`),
     which `trace` and every other search over it read; the accept index
     (`_accept_index`), which `step` reads; and the reset summaries
@@ -212,11 +230,11 @@ class Hra:
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @cached_property
+    @_cached
     def _outgoing(self) -> dict[State, list[Transition]]:
         return by_src(self.transitions)
 
-    @cached_property
+    @_cached
     def _accept_index(self) -> dict[State, dict[frozenset[int], list]]:
         """For each state with a letter transition, those transitions keyed
         by `pre`, each as its (`post`, `dst`) pair."""
@@ -227,7 +245,7 @@ class Hra:
                     (t.label.post, t.dst))
         return index
 
-    @cached_property
+    @_cached
     def _closure(self) -> dict[State, list[tuple[frozenset[int], State]]]:
         """Each state's reset summaries other than (∅, q), keyed only by the
         sources of resets: a lookup that hits costs a recursive comparison
@@ -241,7 +259,7 @@ class Hra:
         return {q: [(y, p) for p, y in list(explore(out, (q, frozenset()), moves)[0])[1:]]
                 for q in sources}
 
-    @cached_property
+    @_cached
     def _summaries(self) -> dict[State, frozenset[tuple[frozenset[int], State]]]:
         closure = self._closure
         return {q: frozenset([(frozenset(), q), *closure.get(q, ())]) for q in self.states}

@@ -5,10 +5,12 @@ Configurations are (state, vector) pairs over non-negative ints.  Every
 edge carries one `Effect`, the affine step v ↦ M(v − pre) + post of
 Finkel, McKenzie and Picaronny (*A well-structured framework for analysing
 Petri net extensions*, Inf. Comput. 2004): take `pre` away, move or zero
-some counters all at once, add `post`.  `Add`, `Transfer` and `ResetDim`
-build the three classic special cases.  The machine class follows from the
-moves: none gives a plain VASS, zeroing only an R-VASS, and transfers a
-TR-VASS.
+some counters all at once, add `post`.  An effect is sparse: `pre`, `dest`
+and `post` list only the counters it touches, numbered from 1, so its size
+follows those counters and not the machine's width.  `Add`, `Transfer` and
+`ResetDim` build the three classic special cases.  The machine class
+follows from the moves: none gives a plain VASS, zeroing only an R-VASS,
+and transfers a TR-VASS.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import SelfTransfer, ValidationError, WrongDimension, retired
 
 State = Hashable
 Vector = tuple[int, ...]
+Units = tuple[tuple[int, int], ...]
 CounterConfig = tuple[State, Vector]
 
 
@@ -29,22 +32,31 @@ class Effect(NamedTuple):
     """Subtract `pre`, which must leave every counter ≥ 0; then, all at
     once, send counter i to counter j for each pair (i, j) of `dest`, or
     zero it when j = 0, while the counters not listed stay put; then add
-    `post`.  Counters are numbered from 1 in `dest`.  `pre` and `post` are
-    non-negative vectors; () stands for the zero vector of any arity, and
-    `CounterMachine.make` spells it out."""
+    `post`.  `pre` and `post` are sparse: sorted (counter, amount) pairs
+    with a positive amount, every other counter taking or getting 0.  All
+    three number counters from 1, and none knows the machine's width, so
+    () is the zero step of any arity."""
 
-    pre: Vector
+    pre: Units
     dest: tuple[tuple[int, int], ...]
-    post: Vector
+    post: Units
 
     def canonical(self, dims: int) -> "Effect":
-        """This effect as an edge of a `dims`-counter machine: both vectors
-        spelled out and `dest` sorted.  Raises when it is no such edge."""
+        """This effect as an edge of a `dims`-counter machine, `dest`
+        sorted.  Raises when it is no such edge."""
         if dims < 1:
             raise WrongDimension("a counter machine needs at least one dimension")
-        (pre, post), dest = _vectors(self, dims), self.dest
-        if min(pre) < 0 or min(post) < 0:
-            raise ValidationError([f"{self!r}: pre and post must be non-negative"])
+        for units in (self.pre, self.post):
+            last = 0
+            for i, x in units:
+                if not 1 <= i <= dims:
+                    raise WrongDimension(f"{self!r} out of range for {dims} dims")
+                if x <= 0:
+                    raise ValidationError([f"{self!r}: pre and post amounts must be positive"])
+                if i <= last:
+                    raise ValidationError([f"{self!r}: pre and post counters must increase"])
+                last = i
+        dest = self.dest
         sources = {i for i, _ in dest}
         for i, j in dest:
             if not (1 <= i <= dims and 0 <= j <= dims):
@@ -55,24 +67,15 @@ class Effect(NamedTuple):
                 raise ValidationError([f"{self!r}: counter {j} is moved and also receives"])
         if len(sources) < len(dest):
             raise ValidationError([f"{self!r}: a counter is moved twice"])
-        return Effect(pre, tuple(sorted(dest)), post)
-
-
-def _vectors(effect: Effect, dims: int) -> tuple[Vector, Vector]:
-    """`pre` and `post` spelled out over `dims` counters; raises
-    WrongDimension when either is spelled out at another arity."""
-    zero = (0,) * dims
-    pre, post = effect.pre or zero, effect.post or zero
-    if len(pre) != dims or len(post) != dims:
-        raise WrongDimension(f"{effect!r} does not have arity {dims}")
-    return pre, post
+        return Effect(self.pre, tuple(sorted(dest)), self.post)
 
 
 def Add(vector: Iterable[int]) -> Effect:
-    """Component-wise addition; the result must stay non-negative."""
+    """Component-wise addition of a dense vector, entry k for counter k + 1
+    (counters past its end get 0); the result must stay non-negative."""
     v = tuple(vector)
-    pre = tuple([-x if x < 0 else 0 for x in v])
-    return Effect(pre, (), tuple([x if x > 0 else 0 for x in v]))
+    return Effect(tuple([(i, -x) for i, x in enumerate(v, 1) if x < 0]), (),
+                  tuple([(i, x) for i, x in enumerate(v, 1) if x > 0]))
 
 
 def Transfer(src: int, dst: int) -> Effect:
@@ -126,7 +129,7 @@ class CounterMachine:
             canon = shared.get(eff)
             if canon is None:
                 canon = eff.canonical(dims)
-                canon = shared.setdefault(canon, canon)  # () and (0, …) spell one vector
+                canon = shared.setdefault(canon, canon)  # `dest` in another order
                 shared[eff] = canon
             ts.append(CTransition(src, canon, dst))
         return CounterMachine(dims, frozenset(states), frozenset(ts))
@@ -138,31 +141,50 @@ class CounterMachine:
         return not any(j for t in self.transitions for _, j in t.effect.dest)
 
 
+def _check_range(effect: Effect, dims: int) -> None:
+    """Raise WrongDimension when `pre` or `post` names a counter above
+    `dims`; each is sorted, so its last pair has the highest counter."""
+    pre, _, post = effect
+    if pre and pre[-1][0] > dims or post and post[-1][0] > dims:
+        raise WrongDimension(f"{effect!r} out of range for {dims} dims")
+
+
 def apply_effect(effect: Effect, v: Vector) -> Optional[Vector]:
     """The successor vector, or None when taking `pre` away goes negative.
-    Raises WrongDimension when `pre` or `post` has another arity than `v`."""
-    pre, post = _vectors(effect, len(v))
-    out = [x - y for x, y in zip(v, pre)]
-    if min(out, default=0) < 0:
-        return None
-    moved = [(j, out[i - 1]) for i, j in effect.dest]
-    for i, _ in effect.dest:
-        out[i - 1] = 0
-    for j, x in moved:
-        if j:
-            out[j - 1] += x
-    return tuple(x + y for x, y in zip(out, post))
+    Raises WrongDimension when `pre` or `post` names a counter beyond `v`."""
+    _check_range(effect, len(v))
+    pre, dest, post = effect
+    out = list(v)
+    for i, x in pre:
+        if out[i - 1] < x:
+            return None
+        out[i - 1] -= x
+    if dest:
+        moved = [(j, out[i - 1]) for i, j in dest]
+        for i, _ in dest:
+            out[i - 1] = 0
+        for j, x in moved:
+            if j:
+                out[j - 1] += x
+    for i, x in post:
+        out[i - 1] += x
+    return tuple(out)
+
+
+def _successors(edges: Iterable[tuple[Effect, State]], v: Vector) -> set[CounterConfig]:
+    """The configurations that the (effect, target) pairs `edges` lead to
+    from vector `v`."""
+    out = set()
+    for effect, dst in edges:
+        v2 = apply_effect(effect, v)
+        if v2 is not None:
+            out.add((dst, v2))
+    return out
 
 
 def counter_step(mc: CounterMachine, config: CounterConfig) -> frozenset[CounterConfig]:
     q, v = config
-    out = set()
-    for t in mc.transitions:
-        if t.src == q:
-            v2 = apply_effect(t.effect, v)
-            if v2 is not None:
-                out.add((t.dst, v2))
-    return frozenset(out)
+    return frozenset(_successors(((t.effect, t.dst) for t in mc.transitions if t.src == q), v))
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +208,28 @@ def pre_basis(effect: Effect, b: Vector) -> frozenset[Vector]:
     other counter holds the sum of the counters sent to it (itself
     included, unless it moves): its need is split in every way over them,
     or has no predecessor when nothing is sent to it, and `pre` is added
-    back.  Raises WrongDimension when `pre` or `post` has another arity
-    than `b`.
+    back.  Raises WrongDimension when `pre` or `post` names a counter
+    beyond `b`.
     """
-    pre, post = _vectors(effect, len(b))
-    v = [(x - y if x > y else 0) + p for x, y, p in zip(b, post, pre)]
-    into: dict[int, list[int]] = {i - 1: [] for i, _ in effect.dest}
-    for i, j in effect.dest:
+    _check_range(effect, len(b))
+    pre, dest, post = effect
+    need = list(b)
+    for i, x in post:
+        need[i - 1] = max(need[i - 1] - x, 0)
+    v = need[:]
+    for i, x in pre:
+        v[i - 1] += x
+    into: dict[int, list[int]] = {i - 1: [] for i, _ in dest}
+    for i, j in dest:
         if j:
             into.setdefault(j - 1, [j - 1]).append(i - 1)
     spread = []
     for k, sources in into.items():
-        need = max(b[k] - post[k], 0)
-        v[k] = pre[k]
-        if need:
+        v[k] -= need[k]  # what `pre` takes from it
+        if need[k]:
             if not sources:
                 return frozenset()
-            spread.append((sources, _splits(need, len(sources))))
+            spread.append((sources, _splits(need[k], len(sources))))
     out = set()
     for choice in product(*(splits for _, splits in spread)):
         u = v[:]
@@ -245,7 +272,7 @@ def _live_counters(mc: CounterMachine, init_vec: Vector) -> list[int]:
     live = {i for i, x in enumerate(init_vec) if x}
     moves = []
     for t in mc.transitions:
-        live.update(i for i, x in enumerate(t.effect.post) if x)
+        live.update(i - 1 for i, _ in t.effect.post)
         moves.extend((i - 1, j - 1) for i, j in t.effect.dest if j)
     grown = True
     while grown:
@@ -255,6 +282,14 @@ def _live_counters(mc: CounterMachine, init_vec: Vector) -> list[int]:
                 live.add(j)
                 grown = True
     return sorted(live)
+
+
+def _dense_order(eff: Effect) -> tuple:
+    """A key that sorts effects of one machine as they sort with `pre` and
+    `post` spelled out over every counter: where two sparse lists first
+    differ in their counter, the one with the lower counter has the larger
+    entry there."""
+    return tuple((-i, x) for i, x in eff.pre), eff.dest, tuple((-i, x) for i, x in eff.post)
 
 
 def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state: State) -> bool:
@@ -275,12 +310,15 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
     basis element inserted at the initial state lies below the initial
     vector.
 
-    Set-up projects each effect object once per call and gives every edge
-    that carries it the same projection.  `CounterMachine.make` shares one
-    object per distinct effect, so that is once per distinct effect; a
+    Effects are sparse, so set-up reads only the counters each edge
+    touches.  It projects each effect object once per call and gives every
+    edge that carries it the same projection.  `CounterMachine.make` shares
+    one object per distinct effect, so that is once per distinct effect; a
     machine built by the constructor, whose equal effects may be separate
-    objects, gets the same answers from more projections.  Nothing is kept
-    on the machine between calls.
+    objects, gets the same answers from more projections.  The
+    predecessors of a state are sorted by the name of their source, then
+    by effect, in the order of the effects' vectors spelled out over L.
+    Nothing is kept on the machine between calls.
     """
     init_state, init_vec = init
     if len(init_vec) != mc.dims:
@@ -288,15 +326,16 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
     if init_state == target_state:
         return True
     live = _live_counters(mc, init_vec)
-    slot = {d: k + 1 for k, d in enumerate(live)}
-    dead = [d for d in range(mc.dims) if d not in slot]
+    slot = {d + 1: k for k, d in enumerate(live, 1)}  # counter → live counter, from 1
 
     def project(eff: Effect) -> Optional[Effect]:
         pre, dest, post = eff
-        if any(pre[d] for d in dead):
+        if any(i not in slot for i, _ in pre):
             return None
-        dest = tuple((slot[i - 1], slot[j - 1] if j else 0) for i, j in dest if i - 1 in slot)
-        return Effect(tuple([pre[d] for d in live]), dest, tuple([post[d] for d in live]))
+        dest = tuple((slot[i], slot[j] if j else 0) for i, j in dest if i in slot)
+        # every counter some `post` raises is live
+        return Effect(tuple([(slot[i], x) for i, x in pre]), dest,
+                      tuple([(slot[i], x) for i, x in post]))
 
     # states become ints, the initial state 0 and the target 1; predecessor
     # groups are sorted by name so the search order is the same in every
@@ -315,7 +354,7 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
             by_dst.setdefault(dst, set()).add((src, eff))
     names = {i: q for q, i in ids.items()}
     preds = {
-        dst: sorted(group, key=lambda e: (repr(names[e[0]]), e[1]))
+        dst: sorted(group, key=lambda e: (repr(names[e[0]]), _dense_order(e[1])))
         if len(group) > 1 else list(group)
         for dst, group in by_dst.items()
     }
@@ -366,6 +405,9 @@ def forward_witness_search(
     """
     if len(init[1]) != mc.dims:
         raise WrongDimension(f"initial vector has arity {len(init[1])}, expected {mc.dims}")
+    out_edges: dict[State, list[tuple[Effect, State]]] = {}
+    for t in mc.transitions:
+        out_edges.setdefault(t.src, []).append((t.effect, t.dst))
     parents: dict[CounterConfig, Optional[CounterConfig]] = {init: None}
 
     def path_to(c: CounterConfig) -> tuple[CounterConfig, ...]:
@@ -386,7 +428,7 @@ def forward_witness_search(
             return ForwardProbe("bound_exhausted")
         c = work.popleft()
         expanded += 1
-        for nxt in sorted(counter_step(mc, c), key=repr):
+        for nxt in sorted(_successors(out_edges.get(c[0], ()), c[1]), key=repr):
             if nxt in parents:
                 continue
             if any(x > counter_cap for x in nxt[1]):

@@ -258,7 +258,7 @@ def one_counter_coverable(mc: CounterMachine, init: CounterConfig, target_state)
         for t in mc.transitions:
             if t.dst not in need:
                 continue
-            (pre,), (post,) = t.effect.pre or (0,), t.effect.post or (0,)
+            pre, post = (dict(units).get(1, 0) for units in (t.effect.pre, t.effect.post))
             reset = (1, 0) in t.effect.dest  # the counter is zeroed before `post`
             if reset and post < need[t.dst]:
                 continue

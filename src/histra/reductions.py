@@ -45,7 +45,7 @@ from .core import (
     subsets,
 )
 from .counters import (
-    CounterConfig, CounterMachine, CTransition, Effect, Vector, backward_coverability,
+    CounterConfig, CounterMachine, CTransition, Effect, Units, Vector, backward_coverability,
 )
 from .errors import (
     DanglingState,
@@ -103,11 +103,21 @@ class DimensionMap:
             )
         return moves
 
-    def vector(self, xs: Iterable[frozenset[int]]) -> Vector:
-        """One unit at the dimension of each place-set in `xs`."""
-        v = [0] * len(self.placesets)
+    def units(self, xs: Iterable[frozenset[int]]) -> Units:
+        """One unit at the dimension of each place-set in `xs`, as an
+        effect's sorted (dimension, amount) pairs."""
+        count: dict[int, int] = {}
         for x in xs:
-            v[self.dim_of(x) - 1] += 1
+            d = self.dim_of(x)
+            count[d] = count.get(d, 0) + 1
+        return tuple(sorted(count.items()))
+
+    def vector(self, xs: Iterable[frozenset[int]]) -> Vector:
+        """`units(xs)` spelled out over every dimension: a configuration's
+        vector."""
+        v = [0] * len(self.placesets)
+        for d, x in self.units(xs):
+            v[d - 1] = x
         return tuple(v)
 
 
@@ -166,7 +176,7 @@ def hra_to_trvass(a: Hra) -> CounterReduction:
     for t in a.transitions:
         if isinstance(t.label, Accept):
             x, x2 = t.label.pre, t.label.post
-            eff = Effect(dmap.vector([x] if x else []), (), dmap.vector([x2] if x2 else []))
+            eff = Effect(dmap.units([x] if x else []), (), dmap.units([x2] if x2 else []))
         else:
             eff = Effect((), dmap.reset_moves(t.label.targets), ())
         transitions.append((t.src, eff, t.dst))
@@ -200,7 +210,7 @@ def rvass_to_hra(mc: CounterMachine, init: CounterConfig, target_state: State) -
     by_state_resets: dict[State, set[int]] = {}
     for t in mc.transitions:
         e = t.effect
-        if sum(e.pre) + len(e.dest) + sum(e.post) > 1:
+        if sum(x for _, x in e.pre + e.post) + len(e.dest) > 1:
             raise NonUnitEffect(f"{e!r} is more than one unit step")
         by_state_resets.setdefault(t.src, set()).update(i for i, _ in e.dest)
     multi = any(len(d) >= 2 for d in by_state_resets.values())
@@ -215,8 +225,8 @@ def rvass_to_hra(mc: CounterMachine, init: CounterConfig, target_state: State) -
     transitions: list[tuple[State, object, State]] = []
     states: set[State] = set(mc.states)
     for t in mc.transitions:
-        take = frozenset(i + 1 for i, x in enumerate(t.effect.pre) if x)
-        put = frozenset(i + 1 for i, x in enumerate(t.effect.post) if x)
+        take = frozenset(i for i, _ in t.effect.pre)
+        put = frozenset(i for i, _ in t.effect.post)
         if not t.effect.dest:
             lab = Accept(take, put) if take or put else Reset(frozenset())
             transitions.append((t.src, lab, t.dst))
@@ -349,9 +359,9 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
     kept = set(readable)
 
     def effect(take, y, puts) -> Effect:
-        return Effect(dmap.vector([take] if take else []),
+        return Effect(dmap.units([take] if take else []),
                       dmap.reset_moves(y) if y else (),
-                      dmap.vector([z for z in puts if z in kept]))
+                      dmap.units([z for z in puts if z in kept]))
 
     adj = by_src(CTransition(p, effect(take, y, puts), d) for p, (take, y, puts), d in edges
                  if take is None or take in kept)  # a take outside R is outside P
@@ -408,8 +418,8 @@ def vass_to_nonreset_hra(mc: CounterMachine, init: CounterConfig, target_state: 
     transitions: list[tuple[State, object, State]] = []
     for t in mc.transitions:
         e = t.effect
-        pending = tuple((i + 1, -1) for i, x in enumerate(e.pre) for _ in range(x))
-        pending += tuple((i + 1, +1) for i, x in enumerate(e.post) for _ in range(x))
+        pending = tuple((i, -1) for i, x in e.pre for _ in range(x))
+        pending += tuple((i, +1) for i, x in e.post for _ in range(x))
         if not pending:
             transitions.append((nodes[t.src], Accept(frozenset(), frozenset()), nodes[t.dst]))
             continue

@@ -368,7 +368,7 @@ def test_trans_line_with_phases_is_one_edge():
     text = "TRVASS 3\nTRANS a b ADD -1 0 0 TRANSFER 2 3 RESET 1 ADD 0 0 2\nQUERY a 1 1 0 b\n"
     doc = parse_counters(text)
     (t,) = doc.machine.transitions
-    assert t.effect == Effect((1, 0, 0), ((1, 0), (2, 3)), (0, 0, 2))
+    assert t.effect == Effect(((1, 1),), ((1, 0), (2, 3)), ((3, 2),))
     assert apply_effect(t.effect, (1, 1, 0)) == (0, 0, 3)
     printed = print_counters(doc)
     assert "TRANS a b ADD -1 0 0 RESET 1 TRANSFER 2 3 ADD 0 0 2" in printed

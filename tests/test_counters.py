@@ -46,14 +46,14 @@ def test_apply_add_guards_negativity():
     assert apply_effect(Add((0, -1)), (3, 0)) is None
 
 
-def test_apply_rejects_a_spelled_out_vector_of_another_arity():
-    with pytest.raises(WrongDimension, match="does not have arity 1"):
-        apply_effect(Effect((1, 0), (), (0, 0)), (5,))
-    with pytest.raises(WrongDimension, match="does not have arity 3"):
-        apply_effect(Effect((), (), (1, 0)), (5, 0, 0))
-    # () is the zero vector of any arity
+def test_apply_rejects_a_counter_out_of_range():
+    with pytest.raises(WrongDimension, match="out of range for 1 dims"):
+        apply_effect(Effect(((2, 1),), (), ()), (5,))
+    with pytest.raises(WrongDimension, match="out of range for 3 dims"):
+        apply_effect(Effect((), (), ((4, 1),)), (5, 0, 0))
+    # () is the zero step of any arity
     assert apply_effect(Effect((), (), ()), (5,)) == (5,)
-    assert apply_effect(Effect((), (), (0, 2)), (5, 1)) == (5, 3)
+    assert apply_effect(Effect((), (), ((2, 2),)), (5, 1)) == (5, 3)
 
 
 def test_apply_transfer_pours_and_zeroes():
@@ -70,7 +70,7 @@ def test_make_validates_arity_and_ranges():
     with pytest.raises(WrongDimension, match="at least one dimension"):
         Effect((), (), ()).canonical(0)
     with pytest.raises(WrongDimension):
-        CounterMachine.make(2, ["q"], [("q", Add((1,)), "q")])
+        CounterMachine.make(2, ["q"], [("q", Add((0, 0, 1)), "q")])
     with pytest.raises(WrongDimension):
         CounterMachine.make(2, ["q"], [("q", ResetDim(3), "q")])
     with pytest.raises(SelfTransfer):
@@ -78,10 +78,13 @@ def test_make_validates_arity_and_ranges():
     # wide entries are one edge; rvass_to_hra is what rejects them
     wide = CounterMachine.make(1, ["q"], [("q", Add((2,)), "q")])
     assert [t.effect for t in wide.transitions] == [Add((2,))]
+    # Add's vector may stop short: the counters it leaves out get 0
+    assert CounterMachine.make(2, ["q"], [("q", Add((1,)), "q")]) == CounterMachine.make(
+        2, ["q"], [("q", Add((1, 0)), "q")])
     with pytest.raises(WrongDimension):
-        CounterMachine.make(2, ["q"], [("q", Effect((1,), (), ()), "q")])
+        CounterMachine.make(2, ["q"], [("q", Effect(((3, 1),), (), ()), "q")])
     with pytest.raises(ValidationError):
-        CounterMachine.make(1, ["q"], [("q", Effect((-1,), (), ()), "q")])
+        CounterMachine.make(1, ["q"], [("q", Effect(((1, -1),), (), ()), "q")])
     with pytest.raises(ValidationError):
         CounterMachine.make(2, ["q"], [("q", Effect((), ((1, 2), (2, 0)), ()), "q")])
     with pytest.raises(ValidationError):
@@ -108,25 +111,25 @@ def test_canonical_sorts_a_wide_reset():
     dest = dmap.reset_moves(frozenset(range(1, 9)))
     assert len(dest) == 255 and {j for _, j in dest} == {0}
     eff = Effect((), tuple(reversed(dest)), ()).canonical(255)
-    assert eff.dest == tuple(sorted(dest)) and eff.pre == eff.post == (0,) * 255
+    assert eff.dest == tuple(sorted(dest)) and eff.pre == eff.post == ()
 
 
 def test_make_shares_one_canonical_object_per_effect():
     # equal before canonical form (two separate objects) or only after it
-    # (the zero vector spelled () or in full): one object on every edge
+    # (the moves listed in another order): one object on every edge
     edges = [
-        ("a", Effect((), ((2, 1),), ()), "b"),
-        ("b", Effect((), ((2, 1),), ()), "c"),
-        ("c", Effect((0, 0), ((2, 1),), (0, 0)), "a"),
-        ("a", Add((1, -1)), "c"),
-        ("b", Add((1, -1)), "a"),
+        ("a", Effect((), ((2, 1), (3, 0)), ()), "b"),
+        ("b", Effect((), ((2, 1), (3, 0)), ()), "c"),
+        ("c", Effect((), ((3, 0), (2, 1)), ()), "a"),
+        ("a", Add((1, -1, 0)), "c"),
+        ("b", Add((1, -1, 0)), "a"),
     ]
-    mc = CounterMachine.make(2, [], edges)
+    mc = CounterMachine.make(3, [], edges)
     by_src_dst = {(t.src, t.dst): t.effect for t in mc.transitions}
     moved = [by_src_dst[k] for k in [("a", "b"), ("b", "c"), ("c", "a")]]
-    assert moved[0] == Effect((0, 0), ((2, 1),), (0, 0))
+    assert moved[0] == Effect((), ((2, 1), (3, 0)), ())
     assert moved[0] is moved[1] is moved[2]
-    assert by_src_dst["a", "c"] is by_src_dst["b", "a"] == Add((1, -1))
+    assert by_src_dst["a", "c"] is by_src_dst["b", "a"] == Add((1, -1, 0))
 
 
 def test_make_raises_the_error_of_the_first_invalid_edge():
@@ -200,24 +203,93 @@ def test_pre_basis_exhaustive(dims, cap):
                 assert hits == any(_dominates(u, v) for v in basis), (eff, b, u)
 
 
-def test_pre_basis_rejects_a_spelled_out_vector_of_another_arity():
-    with pytest.raises(WrongDimension, match="does not have arity 1"):
-        pre_basis(Effect((1, 0), (), (0, 0)), (3,))
-    with pytest.raises(WrongDimension, match="does not have arity 3"):
-        pre_basis(Effect((), (), (1, 0)), (3, 0, 0))
-    # () is the zero vector of any arity
+def test_pre_basis_rejects_a_counter_out_of_range():
+    with pytest.raises(WrongDimension, match="out of range for 1 dims"):
+        pre_basis(Effect(((2, 1),), (), ()), (3,))
+    with pytest.raises(WrongDimension, match="out of range for 3 dims"):
+        pre_basis(Effect((), (), ((4, 1),)), (3, 0, 0))
+    # () is the zero step of any arity
     assert pre_basis(Effect((), (), ()), (3,)) == {(3,)}
-    assert pre_basis(Effect((1,), (), ()), (3,)) == {(4,)}
+    assert pre_basis(Effect(((1, 1),), (), ()), (3,)) == {(4,)}
+
+
+def _sparse(v):
+    """A vector as an effect's (counter, amount) pairs."""
+    return tuple((i, x) for i, x in enumerate(v, 1) if x)
+
+
+def _dense(units, dims):
+    """An effect's (counter, amount) pairs spelled out over `dims` counters."""
+    v = [0] * dims
+    for i, x in units:
+        v[i - 1] += x
+    return tuple(v)
+
+
+def _random_dense_effect(rng, dims):
+    """A compound effect as `CounterMachine.make` accepts it, with `pre`
+    and `post` spelled out: some counters move to a counter that does not
+    move, or are zeroed."""
+    moved = [i for i in range(1, dims + 1) if rng.random() < 0.5]
+    still = [j for j in range(1, dims + 1) if j not in moved]
+    dest = tuple(sorted((i, rng.choice([0] + still)) for i in moved))
+    pre, post = (tuple(rng.randint(0, 3) for _ in range(dims)) for _ in "ab")
+    return pre, dest, post
 
 
 def _random_effect(rng, dims):
-    """A compound effect as `CounterMachine.make` accepts it: some counters
-    move to a counter that does not move, or are zeroed."""
-    moved = [i for i in range(1, dims + 1) if rng.random() < 0.5]
-    still = [j for j in range(1, dims + 1) if j not in moved]
-    dest = tuple((i, rng.choice([0] + still)) for i in moved)
-    pre, post = (tuple(rng.randint(0, 3) for _ in range(dims)) for _ in "ab")
-    return Effect(pre, dest, post).canonical(dims)
+    pre, dest, post = _random_dense_effect(rng, dims)
+    return Effect(_sparse(pre), dest, _sparse(post)).canonical(dims)
+
+
+@pytest.mark.parametrize("pre, post, error", [
+    (((1, 0),), (), ValidationError),  # a zero amount
+    ((), ((2, 0),), ValidationError),
+    (((1, 1), (1, 2)), (), ValidationError),  # a repeated counter
+    ((), ((3, 1), (2, 1)), ValidationError),  # counters out of order
+    (((0, 1),), (), WrongDimension),  # counters are numbered from 1
+    ((), ((5, 1),), WrongDimension),  # counter 5 of 4
+    (((2, -1),), (), ValidationError),  # a negative amount
+])
+def test_canonical_rejects_a_malformed_sparse_vector(pre, post, error):
+    with pytest.raises(HistraError) as err:
+        Effect(pre, (), post).canonical(4)
+    assert type(err.value) is error
+
+
+def _dense_apply(effect, v):
+    """The step of a spelled-out (pre, dest, post) on `v`, phase by phase."""
+    pre, dest, post = effect
+    out = [x - y for x, y in zip(v, pre)]
+    if min(out, default=0) < 0:
+        return None
+    poured = [(j, out[i - 1]) for i, j in dest]
+    for i, _ in dest:
+        out[i - 1] = 0
+    for j, x in poured:
+        if j:
+            out[j - 1] += x
+    return tuple(x + y for x, y in zip(out, post))
+
+
+def test_sparse_effects_step_and_invert_as_their_dense_spelling():
+    # the minimal vectors of the brute-forced predecessor set in [0, 6]^d
+    # are the whole basis when b and the entries are at most 3
+    rng = random.Random(13)
+    for _ in range(120):
+        dims = rng.randint(1, 4)
+        dense = _random_dense_effect(rng, dims)
+        eff = Effect(_sparse(dense[0]), dense[1], _sparse(dense[2])).canonical(dims)
+        for v in _box(dims, 3):
+            assert apply_effect(eff, v) == _dense_apply(dense, v), (dense, v)
+        b = tuple(rng.randint(0, 3) for _ in range(dims))
+        hits = {
+            u for u in _box(dims, 6)
+            if (out := _dense_apply(dense, u)) is not None and _dominates(out, b)
+        }
+        minimal = {u for u in hits if not any(
+            u[i] and u[:i] + (u[i] - 1,) + u[i + 1:] in hits for i in range(dims))}
+        assert pre_basis(eff, b) == minimal, (dense, b)
 
 
 def test_pre_basis_is_the_minimal_predecessors_of_random_compound_effects():
@@ -239,14 +311,26 @@ def test_pre_basis_is_the_minimal_predecessors_of_random_compound_effects():
         assert pre_basis(eff, b) == minimal, (eff, b)
 
 
+def test_effects_sort_as_their_dense_spelling():
+    # the backward search orders predecessors by this key
+    rng = random.Random(14)
+    for _ in range(300):
+        dims = rng.randint(1, 4)
+        dense = [_random_dense_effect(rng, dims) for _ in range(4)]
+        sparse = {Effect(_sparse(pre), dest, _sparse(post)): (pre, dest, post)
+                  for pre, dest, post in dense}
+        assert [sparse[e] for e in sorted(sparse, key=counters._dense_order)] == sorted(
+            sparse.values()), dense
+
+
 def test_compound_effect_is_its_phases_one_at_a_time():
     rng = random.Random(12)
     for _ in range(300):
         dims = rng.randint(1, 4)
         eff = _random_effect(rng, dims)
-        phases = [Add(tuple(-x for x in eff.pre))]
+        phases = [Add(tuple(-x for x in _dense(eff.pre, dims)))]
         phases += [Transfer(i, j) if j else ResetDim(i) for i, j in eff.dest]
-        phases.append(Add(eff.post))
+        phases.append(Add(_dense(eff.post, dims)))
         v = tuple(rng.randint(0, 4) for _ in range(dims))
         w = v
         for phase in phases:
@@ -341,11 +425,61 @@ def test_forward_search_refuses_a_wrong_initial_arity():
         backward_coverability(mc, ("p", (0,)), "r")
 
 
+def _forward_by_counter_step(mc, init, target, step_budget, counter_cap):
+    """The breadth-first search of `forward_witness_search`, with each
+    configuration's successors from `counter_step`: (kind, path)."""
+    parents = {init: None}
+
+    def path_to(c):
+        out = []
+        while c is not None:
+            out.append(c)
+            c = parents[c]
+        return tuple(reversed(out))
+
+    if init[0] == target:
+        return "reachable", path_to(init)
+    work, clipped, expanded = [init], False, 0
+    while work:
+        if expanded >= step_budget:
+            return "bound_exhausted", None
+        c = work.pop(0)
+        expanded += 1
+        for nxt in sorted(counter_step(mc, c), key=repr):
+            if nxt in parents:
+                continue
+            if any(x > counter_cap for x in nxt[1]):
+                clipped = True
+                continue
+            parents[nxt] = c
+            if nxt[0] == target:
+                return "reachable", path_to(nxt)
+            work.append(nxt)
+    return ("bound_exhausted" if clipped else "not_reachable_within_bounds"), None
+
+
+def test_forward_search_probes_and_paths_follow_counter_step():
+    # grouping the edges by source once per call changes no probe and no path
+    rng = random.Random(17)
+    kinds = set()
+    for seed in range(150):
+        mc = random_counter_machine(seed, dims=1 + seed % 4, klass="trvass", max_states=5,
+                                    max_transitions=12)
+        init = ("c0", tuple(rng.randint(0, 2) for _ in range(mc.dims)))
+        target = rng.choice(sorted(mc.states))
+        budget, cap = rng.choice([(30, 4), (2_000, 6)])
+        probe = forward_witness_search(mc, init, target, step_budget=budget, counter_cap=cap)
+        want = _forward_by_counter_step(mc, init, target, budget, cap)
+        assert (probe.kind, probe.path) == want, seed
+        kinds.add(probe.kind)
+    assert len(kinds) == 3
+
+
 def _live(mc, init_vec):
     """Counters (0-based) that some run from init_vec can make non-zero."""
     live = {i for i, x in enumerate(init_vec) if x}
     for t in mc.transitions:
-        live |= {i for i, x in enumerate(t.effect.post) if x > 0}
+        live |= {i - 1 for i, _ in t.effect.post}
     while True:
         grown = live | {
             j - 1
@@ -466,7 +600,7 @@ def test_set_up_projects_each_distinct_effect_once(monkeypatch):
     # without it only the transfers fire
     dims = 8
     unit = lambda k: tuple(int(i == k) for i in range(dims))
-    effects = [Effect(unit(0), (), unit(1)), Transfer(2, 3), Effect(unit(2), (), unit(0))]
+    effects = [Effect(((1, 1),), (), ((2, 1),)), Transfer(2, 3), Effect(((3, 1),), (), ((1, 1),))]
     rng = random.Random(20)
     states = [f"s{i}" for i in range(10)]
     edges = set()
@@ -566,7 +700,8 @@ def _wide_one_counter_machine(seed: int) -> CounterMachine:
         pre = rng.choice((0, 0, 1, 2, 5, 20))
         dest = ((1, 0),) if rng.random() < 0.25 else ()
         post = rng.choice((0, 0, 1, 3, 5))
-        edges.append((rng.choice(states), Effect((pre,), dest, (post,)), rng.choice(states)))
+        eff = Effect(_sparse((pre,)), dest, _sparse((post,)))
+        edges.append((rng.choice(states), eff, rng.choice(states)))
     return CounterMachine.make(1, states, edges)
 
 
@@ -633,7 +768,7 @@ def test_one_dim_wide_pumps_feed_a_wide_take():
     # pumps: exact for both procedures, out of the forward search's reach
     zeroed = CounterMachine.make(1, [], [
         ("p", Add((5,)), "p"),
-        ("p", Effect((), ((1, 0),), (3,)), "q"),
+        ("p", Effect((), ((1, 0),), ((1, 3),)), "q"),
         ("q", Add((-4,)), "r"),
     ])
     for cover in (one_counter_coverable, backward_coverability):

@@ -228,4 +228,4 @@ def test_random_counter_machine_unit_effects():
         mc = random_counter_machine(seed, dims=3, klass="rvass", unit_effects=True)
         for t in mc.transitions:
             e = t.effect
-            assert sum(e.pre) + len(e.dest) + sum(e.post) <= 1
+            assert sum(x for _, x in e.pre + e.post) + len(e.dest) <= 1
