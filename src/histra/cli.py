@@ -625,6 +625,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (HistraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted: no answer", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

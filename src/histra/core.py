@@ -455,8 +455,16 @@ def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
     next letter)), so the run is the first-discovered path to the first
     accepting pair discovered: no accepting run has fewer moves, resets and
     letters alike.
+
+    As in `membership`, each name is forgotten at its last occurrence in
+    the word.  Forgetting maps the search over full assignments onto this
+    one edge for edge, so the fewest moves are the same, and on words of
+    distinct names the search no longer doubles with each letter.  The
+    configurations of the run are rebuilt with every name by replaying its
+    transitions from the initial configuration.
     """
     word = tuple(word)
+    last = {letter: i for i, letter in enumerate(word)}
 
     def at(h, k):
         """A pair's annotation: the assignment, the letters read and the
@@ -466,22 +474,31 @@ def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
     def moves(q, f, t):
         h, k, x = f
         if isinstance(t.label, Reset):
-            return [((t, None), at(h.reset_places(t.label.targets), k))]
+            y = t.label.targets  # the next letter leaves the places a reset empties
+            return [((t, None), (h.reset_places(y), k, None if x is None else x - y))]
         if x == t.label.pre:
-            return [((t, word[k]), at(h.move_name(word[k], t.label.post, a.m), k + 1))]
+            put = h.forget_name if last[word[k]] == k else h.move_name
+            return [((t, word[k]), at(put(word[k], t.label.post, a.m), k + 1))]
         return []
 
     reached, _ = explore(a._outgoing, (a.initial, at(a.initial_assignment, 0)), moves)
     goal = next((p for p in reached if p[0] in a.finals and p[1][1] == len(word)), None)
     if goal is None:
         return None
-    steps = []
+    chosen = []
     node = goal
     while reached[node] is not None:
-        prev, (t, letter) = reached[node]
-        steps.append(TraceStep(t, letter, (node[0], node[1][0])))
-        node = prev
-    return tuple(reversed(steps))
+        node, move = reached[node]
+        chosen.append(move)
+    steps = []
+    h = a.initial_assignment
+    for t, letter in reversed(chosen):
+        if letter is None:
+            h = h.reset_places(t.label.targets)
+        else:
+            h = h.move_name(letter, t.label.post, a.m)
+        steps.append(TraceStep(t, letter, (t.dst, h)))
+    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------

@@ -284,12 +284,9 @@ def _live_counters(mc: CounterMachine, init_vec: Vector) -> list[int]:
     return sorted(live)
 
 
-def _dense_order(eff: Effect) -> tuple:
-    """A key that sorts effects of one machine as they sort with `pre` and
-    `post` spelled out over every counter: where two sparse lists first
-    differ in their counter, the one with the lower counter has the larger
-    entry there."""
-    return tuple((-i, x) for i, x in eff.pre), eff.dest, tuple((-i, x) for i, x in eff.post)
+def _named_first(pair: tuple[State, tuple]) -> tuple[str, tuple]:
+    """Both counter searches' order: the state's `repr`, then the numbers."""
+    return repr(pair[0]), pair[1]
 
 
 def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state: State) -> bool:
@@ -306,19 +303,18 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
     changes nothing, so that pair is dropped; everything else reads and
     writes L alone (a move out of L lands in L).  The machine projected
     onto L therefore covers `target_state` from the projected `init`
-    exactly when the original machine does.  The search stops as soon as a
-    basis element inserted at the initial state lies below the initial
-    vector.
+    exactly when the original machine does.  The search starts at
+    `target_state` and stops as soon as a basis element inserted at the
+    initial state lies below the initial vector.
 
     Effects are sparse, so set-up reads only the counters each edge
     touches.  It projects each effect object once per call and gives every
     edge that carries it the same projection.  `CounterMachine.make` shares
     one object per distinct effect, so that is once per distinct effect; a
     machine built by the constructor, whose equal effects may be separate
-    objects, gets the same answers from more projections.  The
-    predecessors of a state are sorted by the name of their source, then
-    by effect, in the order of the effects' vectors spelled out over L.
-    Nothing is kept on the machine between calls.
+    objects, gets the same answers from more projections.  A state's
+    predecessors are sorted by `_named_first`: source, then projected
+    effect.  Nothing is kept on the machine between calls.
     """
     init_state, init_vec = init
     if len(init_vec) != mc.dims:
@@ -337,11 +333,7 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
         return Effect(tuple([(slot[i], x) for i, x in pre]), dest,
                       tuple([(slot[i], x) for i, x in post]))
 
-    # states become ints, the initial state 0 and the target 1; predecessor
-    # groups are sorted by name so the search order is the same in every
-    # process
-    ids: dict[State, int] = {init_state: 0, target_state: 1}
-    by_dst: dict[int, set[tuple[int, Effect]]] = {}
+    by_dst: dict[State, set[tuple[State, Effect]]] = {}
     projected: dict[int, Optional[Effect]] = {}  # by id(effect), for this call only
     for t in mc.transitions:
         key = id(t.effect)
@@ -349,27 +341,23 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
             projected[key] = project(t.effect)
         eff = projected[key]
         if eff is not None:
-            src = ids.setdefault(t.src, len(ids))
-            dst = ids.setdefault(t.dst, len(ids))
-            by_dst.setdefault(dst, set()).add((src, eff))
-    names = {i: q for q, i in ids.items()}
+            by_dst.setdefault(t.dst, set()).add((t.src, eff))
     preds = {
-        dst: sorted(group, key=lambda e: (repr(names[e[0]]), _dense_order(e[1])))
-        if len(group) > 1 else list(group)
+        dst: sorted(group, key=_named_first) if len(group) > 1 else list(group)
         for dst, group in by_dst.items()
     }
 
     start = tuple(init_vec[d] for d in live)
     seen = UpSet()
     zero = (0,) * len(live)
-    seen.insert(1, zero)
-    work = deque([(1, zero)])
+    seen.insert(target_state, zero)
+    work = deque([(target_state, zero)])
     while work:
         q, b = work.popleft()
         for src, eff in preds.get(q, ()):
             for c in sorted(pre_basis(eff, b)):
                 if seen.insert(src, c):
-                    if src == 0 and all(x <= y for x, y in zip(c, start)):
+                    if src == init_state and all(x <= y for x, y in zip(c, start)):
                         return True
                     work.append((src, c))
     return False
@@ -428,7 +416,7 @@ def forward_witness_search(
             return ForwardProbe("bound_exhausted")
         c = work.popleft()
         expanded += 1
-        for nxt in sorted(_successors(out_edges.get(c[0], ()), c[1]), key=repr):
+        for nxt in sorted(_successors(out_edges.get(c[0], ()), c[1]), key=_named_first):
             if nxt in parents:
                 continue
             if any(x > counter_cap for x in nxt[1]):

@@ -647,6 +647,23 @@ def test_cover_requires_query_line(tmp_path, capsys):
     assert "QUERY" in capsys.readouterr().err
 
 
+def test_an_interrupt_exits_2_without_a_traceback(tmp_path, capsys, monkeypatch):
+    import histra.cli as cli
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "backward_coverability", interrupted)
+    f = _file(tmp_path, "m.cm", "VASS 1\nTRANS a b ADD 1\nQUERY a 0 b\n")
+    try:  # an uncaught interrupt would stop the whole test run
+        code = main(["cover", f])
+    except BaseException as exc:
+        pytest.fail(f"main let {exc!r} through")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "interrupt" in err and "Traceback" not in err
+
+
 def test_classify_command(tmp_path, capsys):
     f = _file(tmp_path, "consume.hra", CONSUME)
     assert main(["classify", f]) == 0

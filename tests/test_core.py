@@ -603,6 +603,25 @@ def test_trace_reads_the_next_letters_placeset_once_per_pair(monkeypatch):
             assert len(calls) <= searched[0] + 1, (seed, w)
 
 
+def test_trace_forgets_each_name_after_its_last_letter(monkeypatch):
+    # on a word of distinct names the reached pairs grow with its length,
+    # not with the subsets of its names
+    sizes = []
+
+    def recording(adj, start, moves):
+        reached, edges = explore(adj, start, moves)
+        sizes.append(len(reached))
+        return reached, edges
+
+    monkeypatch.setattr(core, "explore", recording)
+    a = constructions.intersection(two_tracks_hra(), no_immediate_repeat_history_hra())
+    w = tuple(range(12))
+    run = trace(a, w)
+    assert run is not None and sizes == [sizes[0]]
+    assert sizes[0] <= len(a.states) * 13
+    _replay(a, w, run)
+
+
 def test_membership_epsilon_word():
     import dataclasses
 

@@ -311,18 +311,6 @@ def test_pre_basis_is_the_minimal_predecessors_of_random_compound_effects():
         assert pre_basis(eff, b) == minimal, (eff, b)
 
 
-def test_effects_sort_as_their_dense_spelling():
-    # the backward search orders predecessors by this key
-    rng = random.Random(14)
-    for _ in range(300):
-        dims = rng.randint(1, 4)
-        dense = [_random_dense_effect(rng, dims) for _ in range(4)]
-        sparse = {Effect(_sparse(pre), dest, _sparse(post)): (pre, dest, post)
-                  for pre, dest, post in dense}
-        assert [sparse[e] for e in sorted(sparse, key=counters._dense_order)] == sorted(
-            sparse.values()), dense
-
-
 def test_compound_effect_is_its_phases_one_at_a_time():
     rng = random.Random(12)
     for _ in range(300):
@@ -445,7 +433,7 @@ def _forward_by_counter_step(mc, init, target, step_budget, counter_cap):
             return "bound_exhausted", None
         c = work.pop(0)
         expanded += 1
-        for nxt in sorted(counter_step(mc, c), key=repr):
+        for nxt in sorted(counter_step(mc, c), key=lambda n: (repr(n[0]), n[1])):
             if nxt in parents:
                 continue
             if any(x > counter_cap for x in nxt[1]):
@@ -473,6 +461,12 @@ def test_forward_search_probes_and_paths_follow_counter_step():
         assert (probe.kind, probe.path) == want, seed
         kinds.add(probe.kind)
     assert len(kinds) == 3
+
+
+def test_forward_search_orders_successors_by_state_then_numbers():
+    # numbers compare as numbers: (9,) comes before (10,), whose text sorts first
+    mc = CounterMachine.make(1, [], [("p", Add((9,)), "q"), ("p", Add((10,)), "q")])
+    assert forward_witness_search(mc, ("p", (0,)), "q").path[-1] == ("q", (9,))
 
 
 def _live(mc, init_vec):
