@@ -9,9 +9,11 @@ the initial one: intersection, name fixing and the colouring elimination
 (in `reductions`) through `_explored`, one tag per pair and one transition
 per edge; register doubling keeps its own tail for its "mid" states.
 Complementation, the one operation that needs a deterministic input, works
-on the `Hra` itself: it reads the reset summaries and accept index, cached
-properties of the automaton, and its input states are tagged so that the
-states it adds are always new.
+on the `Hra` itself, registers included, and keeps its type: it reads the
+reset summaries and accept index, cached properties of the automaton,
+judges determinism and builds states only for the states reachable from
+the initial one, and its input states are tagged so that the states it
+adds are always new.
 
 A construction makes one `StateTag` per state it creates, kept in a dict,
 and every transition endpoint, initial state or final naming that state is
@@ -379,29 +381,57 @@ def registers_to_histories(a: Hra) -> Hra:
 
 
 def complement_deterministic(a: Hra) -> Hra:
-    """Accepts the words `a` rejects, for a deterministic `a` of any type.
+    """Accepts the words `a` rejects, for a deterministic `a` of any type
+    (m, n); the complement has type (m, n) too.
 
-    Registers are first turned into histories (`registers_to_histories`).
-    A move of the history-only automaton from state q is a reset-then-accept:
-    resets from q to some p whose targets union to Y (a reset summary
-    (Y, p) of q), then a letter transition p --ACC pre : post--> dst.  It is
-    written (Y, pre, post, dst); moves that differ only in p are one move.
-    A move matches q on place-set x when x - Y = pre, and the automaton is
-    deterministic when no state and place-set are matched by two moves.
+    A move of `a` from state q is a reset-then-accept: resets from q to
+    some p whose targets union to Y (a reset summary (Y, p) of q), then a
+    letter transition p --ACC pre : post--> dst.  It is written
+    (Y, pre, post, dst); moves that differ only in p are one move.  A move
+    matches q on place-set x when x - Y = pre, and the automaton is
+    deterministic when no state reachable from the initial one and
+    place-set are matched by two moves.
 
-    The complement keeps every move, sends each state and place-set that no
-    move matches to a final sink, and makes final exactly the states none of
-    whose reset summaries reaches a final state.  Each input state q becomes
+    The complement keeps every move of the reachable states, sends each
+    reachable state and place-set that no move matches to a final sink,
+    and makes final exactly the reachable states none of whose reset
+    summaries reaches a final state.  Each input state q becomes
     `StateTag("co", (q,))`, so the sink and the "mid" state that each move
     with a reset passes through are new even when `a` is itself a
-    complement.  One scan, states in `repr` order and place-sets in `subsets`
-    order, raises `NotDeterministic` at the first pair two moves match, in
-    the terms of `a`: every move first resets the dead copies of registers,
-    so that place-set holds only live ones, which map back to registers."""
-    b = registers_to_histories(a)
-    summaries, index = reset_summaries(b), b._accept_index
-    places = frozenset(range(1, b.m + 1))
-    co = {q: StateTag("co", (q,)) for q in b.states}
+    complement.  One scan, states in `repr` order and place-sets in
+    `subsets` order, raises `NotDeterministic` at the first pair two moves
+    match.
+
+    Why this is exact with registers, over the m + n places of `a`:
+
+    - A move fires on a letter whose place-set is x exactly when x - Y =
+      pre: the resets empty the places of Y, register places as well as
+      history places, so after them the letter sits at x - Y.  So a
+      deterministic `a` has at most one move per reached configuration
+      and letter, and the complement, which keeps that move, has the
+      same one.
+    - A move writing the letter into a register evicts the name the
+      register held.  That happens inside the move's own letter
+      transition, which the complement keeps label for label, so from
+      the same configuration both automata reach the same assignment:
+      the complement's run follows the run of `a` configuration for
+      configuration until `a` has no move.
+    - When no move matches, the letter's place-set x is one of the
+      `subsets` of all places, so the edge Accept(x, ∅) to the sink
+      fires.  It removes the letter from every place it held, registers
+      included, and writes no register, so it evicts nothing; the sink
+      then empties every place and takes each letter as a fresh name,
+      so it accepts whatever follows, whatever the registers held.
+    - A state unreachable from the initial one lies on no run of `a`.
+      Its co-state would lie on no run of the complement either: every
+      transition into it would come from the co-state of a state with a
+      transition to it, so of another unreachable state.  Leaving them
+      out changes neither language, and a conflict at such a state is
+      met by no run."""
+    summaries, index = reset_summaries(a), a._accept_index
+    places = frozenset(a.places)
+    reached, _ = explore(a._outgoing, (a.initial, None), lambda q, f, t: [(None, None)])
+    co = {q: StateTag("co", (q,)) for q, _ in reached}
     sink = StateTag("sink", ())
     states = [sink, *co.values()]
     transitions = []
@@ -415,15 +445,12 @@ def complement_deterministic(a: Hra) -> Hra:
         transitions.append(Transition(src, Accept(pre, post), dst))
 
     emit(sink, places, frozenset(), frozenset(), sink)
-    for q in sorted(b.states, key=repr):
+    for q in sorted(co, key=repr):
         moves = {(y, pre, post, dst) for y, p in summaries[q]
                  for pre, outs in index.get(p, {}).items() for post, dst in outs}
         for x in subsets(places):
             hits = sum([x - y == pre for y, pre, _, _ in moves])
             if hits > 1:
-                if b is not a:  # back to a's state; live copy f[j] is place m + j + 1
-                    q, f = q.payload
-                    x = [i if i <= a.m else a.m + 1 + f.index(i) for i in x]
                 raise NotDeterministic(
                     f"two transitions match state {q!r} on place-set {sorted(x)}")
             if not hits:
@@ -431,14 +458,14 @@ def complement_deterministic(a: Hra) -> Hra:
         for y, pre, post, dst in moves:
             emit(co[q], y, pre, post, co[dst])
     return Hra(
-        m=b.m,
-        n=0,
+        m=a.m,
+        n=a.n,
         states=frozenset(states),
-        initial=co[b.initial],
-        initial_assignment=b.initial_assignment,
+        initial=co[a.initial],
+        initial_assignment=a.initial_assignment,
         transitions=frozenset(transitions),
-        finals=frozenset([sink, *(co[q] for q in b.states
-                                  if not any(p in b.finals for _, p in summaries[q]))]),
+        finals=frozenset([sink, *(co[q] for q in co
+                                  if not any(p in a.finals for _, p in summaries[q]))]),
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Hashable, Iterable, NamedTuple, Optional
 
-from .errors import SelfTransfer, ValidationError, WrongDimension, retired
+from .errors import DanglingState, SelfTransfer, ValidationError, WrongDimension, retired
 
 State = Hashable
 Vector = tuple[int, ...]
@@ -147,6 +147,17 @@ def _check_range(effect: Effect, dims: int) -> None:
     pre, _, post = effect
     if pre and pre[-1][0] > dims or post and post[-1][0] > dims:
         raise WrongDimension(f"{effect!r} out of range for {dims} dims")
+
+
+def _check_init(mc: CounterMachine, init: CounterConfig, *target: State) -> None:
+    """Raise WrongDimension unless the vector of `init` has the machine's
+    arity; given a target state, raise DanglingState unless it and the
+    state of `init` are both states of the machine."""
+    q0, v0 = init
+    if len(v0) != mc.dims:
+        raise WrongDimension(f"initial vector has arity {len(v0)}, expected {mc.dims}")
+    if target and not {q0, *target} <= mc.states:
+        raise DanglingState(f"{q0!r} or {target[0]!r} is not a state of the machine")
 
 
 def apply_effect(effect: Effect, v: Vector) -> Optional[Vector]:
@@ -316,9 +327,8 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
     predecessors are sorted by `_named_first`: source, then projected
     effect.  Nothing is kept on the machine between calls.
     """
+    _check_init(mc, init)
     init_state, init_vec = init
-    if len(init_vec) != mc.dims:
-        raise WrongDimension(f"initial vector has arity {len(init_vec)}, expected {mc.dims}")
     if init_state == target_state:
         return True
     live = _live_counters(mc, init_vec)
@@ -391,8 +401,7 @@ def forward_witness_search(
     was exhausted without ever clipping a successor, so that verdict is
     definite.
     """
-    if len(init[1]) != mc.dims:
-        raise WrongDimension(f"initial vector has arity {len(init[1])}, expected {mc.dims}")
+    _check_init(mc, init)
     out_edges: dict[State, list[tuple[Effect, State]]] = {}
     for t in mc.transitions:
         out_edges.setdefault(t.src, []).append((t.effect, t.dst))

@@ -45,16 +45,15 @@ from .core import (
     subsets,
 )
 from .counters import (
-    CounterConfig, CounterMachine, CTransition, Effect, Units, Vector, backward_coverability,
+    CounterConfig, CounterMachine, CTransition, Effect, Units, Vector, _check_init,
+    backward_coverability,
 )
 from .errors import (
-    DanglingState,
     NonUnitEffect,
     RegistersPresent,
     ResetsPresent,
     ScopeViolation,
     TransfersOrResetsPresent,
-    WrongDimension,
     retired,
 )
 from .skeletons import Skeleton, skel_at, skel_move, skel_reset, skeleton_of
@@ -216,11 +215,8 @@ def rvass_to_hra(mc: CounterMachine, init: CounterConfig, target_state: State) -
     multi = any(len(d) >= 2 for d in by_state_resets.values())
     m = max(mc.dims, 4 if multi else 3)
 
+    _check_init(mc, init, target_state)
     q0, v0 = init
-    if len(v0) != mc.dims:
-        raise WrongDimension(f"initial vector has arity {len(v0)}, expected {mc.dims}")
-    if not {q0, target_state} <= mc.states:
-        raise DanglingState(f"{q0!r} or {target_state!r} is not a state of the machine")
 
     transitions: list[tuple[State, object, State]] = []
     states: set[State] = set(mc.states)
@@ -399,11 +395,8 @@ def vass_to_nonreset_hra(mc: CounterMachine, init: CounterConfig, target_state: 
     as one single-name step per unit: its `pre` first, then its `post`."""
     if not mc.is_vass():
         raise TransfersOrResetsPresent("input must be a plain addition machine")
+    _check_init(mc, init, target_state)
     q0, v0 = init
-    if len(v0) != mc.dims:
-        raise WrongDimension(f"initial vector has arity {len(v0)}, expected {mc.dims}")
-    if not {q0, target_state} <= mc.states:
-        raise DanglingState(f"{q0!r} or {target_state!r} is not a state of the machine")
     mprime = max(1, math.ceil(math.log2(mc.dims + 1)))
 
     def code(i: int) -> frozenset[int]:

@@ -9,6 +9,7 @@ import dataclasses
 import math
 import random
 import time
+from itertools import islice
 
 from histra import (
     Add,
@@ -355,15 +356,22 @@ def test_colouring_register_elimination_matches_oracle_and_hand_built_automaton(
 # ---------------------------------------------------------------------------
 
 
+def _deterministic_sources(count, max_n):
+    """The first `count` deterministic draws; with `max_n`, only draws that
+    have a register."""
+    drawn = (random_hra(seed, max_m=2, max_n=max_n, max_states=3) for seed in range(2000))
+    if max_n:
+        drawn = (a for a in drawn if a.n)
+    found = list(islice((a for a in drawn if deterministic(a)), count))
+    assert len(found) == count
+    return found
+
+
 def test_deterministic_complementation_and_containment():
-    sources = [all_distinct_hra(), two_step_distinct_hra(), generate_then_consume_hra()]
-    for seed in range(2000):
-        if len(sources) == 10:
-            break
-        cand = random_hra(seed, max_m=2, max_n=0, max_states=3)
-        if deterministic(cand):
-            sources.append(cand)
-    assert len(sources) == 10
+    sources = [all_distinct_hra(), two_step_distinct_hra(), generate_then_consume_hra(),
+               *_deterministic_sources(7, max_n=0),
+               anchored_blocks_hra(0), anchored_distinct_hra(0),
+               *_deterministic_sources(4, max_n=1)]
     for a in sources:
         comp = complement_deterministic(a)
         for w in enumerate_words(ALPHA, 5):
@@ -371,6 +379,8 @@ def test_deterministic_complementation_and_containment():
         assert containment_deterministic(a, a)
     assert containment_deterministic(two_step_distinct_hra(), all_distinct_hra())
     assert not containment_deterministic(all_distinct_hra(), two_step_distinct_hra())
+    assert containment_deterministic(anchored_distinct_hra(0), anchored_blocks_hra(0))
+    assert not containment_deterministic(anchored_distinct_hra(0), anchored_distinct_hra(1))
 
 
 # ---------------------------------------------------------------------------

@@ -380,8 +380,8 @@ _FRESH_TWICE = [("q", Accept(frozenset(), frozenset({2})), "r"),
 ], ids=["read-twice", "fresh-twice"])
 def test_nondeterminism_with_registers_names_the_input_state_and_places(
         initial, transitions, placeset):
-    """The error speaks of the input, not of its register-free form: state
-    q, and the live copy of register 2 mapped back to place 2."""
+    """The error speaks of the input's own state and places: state q, and
+    register place 2."""
     a = make_hra(1, 1, states=["p", "q", "r", "t"], initial=initial,
                  transitions=transitions, finals=["r"])
     with pytest.raises(NotDeterministic) as err:
@@ -414,12 +414,38 @@ def test_complement_is_exact_xor():
 
 
 def test_complement_takes_register_automata():
+    """Registers are complemented in place: the type is kept, and no history
+    copies or mid states of the register-free form are built."""
     a = anchored_blocks_hra(0)
     comp = complement_deterministic(a)
-    assert (comp.m, comp.n) == (a.m + 2 * a.n, 0)
-    assert comp == complement_deterministic(registers_to_histories(a))
+    assert (comp.m, comp.n) == (a.m, a.n)
     for w in enumerate_words(ALPHA, 5):
         assert membership(comp, w) != membership(a, w), w
+    assert len(comp.states) < len(complement_deterministic(registers_to_histories(a)).states)
+
+
+def test_complement_judges_only_reachable_states():
+    """A conflict at an unreachable state is no conflict of any run: the
+    automaton is complemented, as is its padding with an unused register.
+    It accepts words of distinct names, as q loops on a fresh name; the
+    unreachable state u has two moves on a fresh name."""
+    fresh = Accept(frozenset(), frozenset({1}))
+    a = make_hra(1, 0, states=["q", "u", "v", "w"], initial="q",
+                 transitions=[("q", fresh, "q"), ("u", fresh, "v"), ("u", fresh, "w")],
+                 finals=["q"])
+    for b in (a, pad_type(a, 1, 1)):
+        comp = complement_deterministic(b)
+        assert (comp.m, comp.n) == (b.m, b.n)
+        assert not any(s.kind == "co" and s.payload[0] == "u" for s in comp.states)
+        for w in enumerate_words(ALPHA, 5):
+            assert membership(comp, w) == (len(set(w)) < len(w)), (b, w)
+
+
+def test_determinism_is_kept_by_padding():
+    """An unused register changes no language, so it changes no verdict."""
+    for seed in range(200):
+        a = random_hra(seed, max_m=2, max_n=1, max_states=4)
+        assert deterministic(a) == deterministic(pad_type(a, a.m, a.n + 1)), seed
 
 
 def test_complement_of_register_automaton_via_elimination():
@@ -458,7 +484,8 @@ def test_complement_of_a_complement_adds_new_states():
     assert not membership(complement_deterministic(c), ())
     for a in _deterministic_draws():
         c = complement_deterministic(a)
-        assert len(complement_deterministic(c).states) > len(c.states)
+        cc = complement_deterministic(c)
+        assert all(s.payload[0] in c.states for s in cc.states if s.kind == "co")
         assert containment_deterministic(c, c)
 
 
