@@ -59,7 +59,6 @@ from .errors import (
     NonUnitEffect,
     NotDeterministic,
     RegisterOverfull,
-    RegistersPresent,
     ResetsPresent,
     ScopeViolation,
     SelfTransfer,
@@ -115,9 +114,9 @@ __all__ = [
     "forward_witness_search", "pre_basis",
     # errors
     "BadPlaceIndex", "DanglingState", "DuplicateFixName", "HistraError", "NoWitness",
-    "NonUnitEffect", "NotDeterministic", "RegisterOverfull", "RegistersPresent",
-    "ResetsPresent", "ScopeViolation", "SelfTransfer", "TransfersOrResetsPresent",
-    "ValidationError", "WrongDimension",
+    "NonUnitEffect", "NotDeterministic", "RegisterOverfull", "ResetsPresent",
+    "ScopeViolation", "SelfTransfer", "TransfersOrResetsPresent", "ValidationError",
+    "WrongDimension",
     # oracles
     "EmptinessProbe", "Lang", "bounded_bisimulation", "bounded_determinism_check",
     "bounded_emptiness", "enumerate_words", "oracle_membership", "random_counter_machine",

@@ -42,7 +42,6 @@ from .constructions import (
     concatenation,
     intersection,
     kleene_star,
-    registers_to_histories,
     union,
 )
 from .core import (
@@ -58,6 +57,7 @@ from .core import (
 )
 from .counters import Add, CounterMachine, CTransition, Effect, Units, backward_coverability
 from .errors import BadPlaceIndex, HistraError
+from .oracles import bounded_emptiness
 from .reductions import (
     emptiness,
     hra_to_trvass,
@@ -494,12 +494,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_empty(args) -> int:
     doc = _load(args.file)
-    res = emptiness(doc.hra, engine=args.engine, bound=args.bound)
-    if res.is_empty is None:
-        print(f"empty: unknown (engine: {res.engine}, bound exhausted)")
-        return 2
-    print(f"empty: {'true' if res.is_empty else 'false'} (engine: {res.engine})")
-    return 0 if res.is_empty else 1
+    if args.engine == "bounded":
+        kind = bounded_emptiness(doc.hra, args.bound).kind
+        if kind == "bound_exhausted":
+            print("empty: unknown (engine: bounded, bound exhausted)")
+            return 2
+        is_empty, engine = kind == "empty_within_bound", "bounded"
+    else:
+        is_empty, engine = emptiness(doc.hra).is_empty, "restricted"
+    print(f"empty: {'true' if is_empty else 'false'} (engine: {engine})")
+    return 0 if is_empty else 1
 
 
 # the constructions that write a new automaton file, by command or `--op`
@@ -523,7 +527,7 @@ def _cmd_build(args) -> int:
 def _cmd_to_counters(args) -> int:
     a = _load(args.file).hra
     if args.target == "trvass":
-        red = hra_to_trvass(registers_to_histories(a))
+        red = hra_to_trvass(a)
     elif args.target == "vass":
         red = nonreset_to_vass(a)
     else:

@@ -475,7 +475,7 @@ def containment_deterministic(a1: Hra, a2: Hra) -> bool:
     from .reductions import emptiness  # local import: reductions builds on this module
 
     gap = intersection(a1, complement_deterministic(a2))
-    return bool(emptiness(gap).is_empty)
+    return emptiness(gap).is_empty
 
 
 # the removed packed form, kept as names for `benchmarks/tracing.py`

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Hashable, Iterable, NamedTuple, Optional
 
 from .errors import DanglingState, SelfTransfer, ValidationError, WrongDimension, retired
@@ -203,10 +203,11 @@ def counter_step(mc: CounterMachine, config: CounterConfig) -> frozenset[Counter
 
 
 def _splits(n: int, parts: int) -> list[tuple[int, ...]]:
-    """Every way to write n as an ordered sum of `parts` naturals."""
-    if parts == 1:
-        return [(n,)]
-    return [(k,) + rest for k in range(n + 1) for rest in _splits(n - k, parts - 1)]
+    """Every way to write n as an ordered sum of `parts` naturals, in
+    lexicographic order: the gaps between `parts` − 1 sorted cuts of 0..n.
+    No recursion, so a transfer may pour any number of counters."""
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+            for cuts in combinations_with_replacement(range(n + 1), parts - 1)]
 
 
 def pre_basis(effect: Effect, b: Vector) -> frozenset[Vector]:

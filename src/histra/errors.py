@@ -36,10 +36,6 @@ class DuplicateFixName(HistraError):
     pass
 
 
-class RegistersPresent(HistraError):
-    pass
-
-
 class NotDeterministic(HistraError):
     pass
 

@@ -273,6 +273,9 @@ def one_counter_coverable(mc: CounterMachine, init: CounterConfig, target_state)
 # seeded generators
 
 
+_NAME_POOL = (0, 1, 2)  # the names a drawn automaton's initial assignment uses
+
+
 def random_hra(
     seed: int,
     *,
@@ -281,7 +284,6 @@ def random_hra(
     max_states: int = 4,
     max_transitions: int = 6,
     subclass: Optional[str] = None,
-    name_pool: Sequence[Name] = (0, 1, 2),
 ) -> Hra:
     """A structurally valid automaton drawn deterministically from `seed`.
 
@@ -329,13 +331,13 @@ def random_hra(
 
     contents: dict[int, list[Name]] = {}
     for i in histories:
-        picks = rand_subset(list(name_pool))
+        picks = rand_subset(_NAME_POOL)
         if picks:
             contents[i] = sorted(picks)
     if subclass != "colouring":
         for i in registers:
             if rng.random() < 0.5:
-                contents[i] = [rng.choice(list(name_pool))]
+                contents[i] = [rng.choice(_NAME_POOL)]
     finals = [q for q in states if rng.random() < 0.5]
     return make_hra(m, n, states, states[0], transitions, finals, contents)
 

@@ -20,16 +20,18 @@ a counter only to the place-sets that a later step can read: a name parked
 anywhere else is dropped, which is exact since it is never consumed again.
 On a unary automaton its machine is the paper's one-counter R-VASS, and
 `nonreset_to_vass` is the same translation behind a check of its class.
-`hra_to_trvass` keeps a counter for every non-empty history subset; it is
-the unpruned reference the others are checked against.
+`hra_to_trvass` turns registers into histories first and then keeps a
+counter for every non-empty history subset; it is the unpruned reference
+the skeleton translation is checked against.
 
-`emptiness` decides every automaton the same way: the skeleton reduction
-`restricted_hra_to_rvass`, then backward coverability.  On the paper's
+`emptiness` has one pipeline: `restricted_hra_to_rvass`, then backward
+coverability, which is exact on every automaton.  On the paper's
 restricted class the machine has resets only (an R-VASS); a reset that
 wipes some histories but not all becomes transfers, which backward
 coverability decides just as well, since transfers and resets are both
-monotone.  The other translations are kept as library results and
-cross-checks.
+monotone.  It takes no options: the bounded word search of
+`oracles.bounded_emptiness` is the tests' oracle, not a second path here.
+The other translations are kept as library results and cross-checks.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .constructions import StateTag, _explored
+from .constructions import StateTag, _explored, registers_to_histories
 from .core import (
     Accept, Assignment, Hra, Reset, State, Transition, by_src, classify, explore,
     subsets,
@@ -50,7 +52,6 @@ from .counters import (
 )
 from .errors import (
     NonUnitEffect,
-    RegistersPresent,
     ResetsPresent,
     ScopeViolation,
     TransfersOrResetsPresent,
@@ -152,7 +153,9 @@ def _reduction(
 
 
 def hra_to_trvass(a: Hra) -> CounterReduction:
-    """One counter per non-empty subset of histories.  Each transition is
+    """One counter per non-empty subset of histories, after
+    `registers_to_histories` has turned any registers into histories (an
+    automaton without registers is taken as it is).  Each transition is
     one edge: a letter takes a unit from the counter of its pre-set and
     puts one on the counter of its post-set, and a reset of Y pours every
     counter X that meets Y into the counter of X∖Y, or zeroes it when
@@ -168,8 +171,7 @@ def hra_to_trvass(a: Hra) -> CounterReduction:
     reference the other translations are checked against.  With no
     history at all, one inert counter stands in, since a machine needs a
     dimension."""
-    if a.n > 0:
-        raise RegistersPresent("translation expects a history-only automaton")
+    a = registers_to_histories(a)
     dmap = DimensionMap(tuple(subsets(range(1, a.m + 1))[1:]) or (frozenset(),))
     transitions: list[tuple[State, object, State]] = []
     for t in a.transitions:
@@ -525,25 +527,15 @@ def eliminate_registers_colouring(a: Hra) -> Hra:
 
 @dataclass(frozen=True)
 class EmptinessResult:
-    is_empty: Optional[bool]  # None only from the bounded engine
-    engine: str
+    is_empty: bool
+    engine: str  # always "restricted"
 
 
-def emptiness(a: Hra, engine: str = "auto", bound: int = 8) -> EmptinessResult:
-    """Is the language empty?
-
-    engine="auto" (reported as "restricted") is exact on every automaton:
-    `restricted_hra_to_rvass`, whose machine is an R-VASS on the restricted
-    class and turns other resets into transfers, then backward
-    coverability.  engine="bounded" runs `bounded_emptiness` with `bound`
-    letters and answers None when that proves nothing."""
-    if engine == "auto":
-        red = restricted_hra_to_rvass(a)
-        covered = backward_coverability(red.machine, red.init, red.target)
-        return EmptinessResult(not covered, "restricted")
-    if engine == "bounded":
-        from .oracles import bounded_emptiness
-
-        verdicts = {"nonempty": False, "empty_within_bound": True}
-        return EmptinessResult(verdicts.get(bounded_emptiness(a, bound).kind), engine)
-    raise ValueError(f"unknown engine {engine!r}")
+def emptiness(a: Hra) -> EmptinessResult:
+    """Is the language empty?  Exact on every automaton: the machine of
+    `restricted_hra_to_rvass` (an R-VASS on the restricted class, with
+    other resets turned into transfers), then backward coverability of its
+    target."""
+    red = restricted_hra_to_rvass(a)
+    covered = backward_coverability(red.machine, red.init, red.target)
+    return EmptinessResult(not covered, "restricted")

@@ -12,7 +12,6 @@ from histra import (
     eliminate_registers_colouring,
     hra_to_trvass,
     nonreset_to_vass,
-    registers_to_histories,
     restricted_hra_to_rvass,
 )
 from histra.oracles import one_counter_coverable
@@ -23,7 +22,7 @@ def _translation_verdicts(a):
     applies to `a`?  Keyed by translation.  `emptiness` uses none of them
     but the one-counter machine, its own reduction on a unary automaton,
     which is decided here by the oracle instead of its solver."""
-    red = hra_to_trvass(registers_to_histories(a))
+    red = hra_to_trvass(a)
     out = {"trvass": not backward_coverability(red.machine, red.init, red.target)}
     flags = classify(a)
     if flags.non_reset and (a.n == 0 or colouring_scope_ok(a)):

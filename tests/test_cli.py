@@ -22,7 +22,6 @@ from histra import (
     kleene_star,
     membership,
     nonreset_to_vass,
-    registers_to_histories,
     restricted_hra_to_rvass,
     rvass_to_hra,
     trace,
@@ -40,7 +39,8 @@ from histra.cli import (
     print_counters,
     print_hra,
 )
-from histra.oracles import enumerate_words, random_counter_machine, random_hra
+import histra.zoo as zoo
+from histra.oracles import bounded_emptiness, enumerate_words, random_counter_machine, random_hra
 from histra.zoo import generate_then_consume_hra, two_tracks_hra
 
 DISTINCT = """\
@@ -248,7 +248,7 @@ def test_counter_round_trip_is_stable():
 def test_counter_round_trip_keeps_edgeless_states():
     edgeless = 0
     for seed in range(100):
-        red = hra_to_trvass(registers_to_histories(random_hra(seed, max_m=2, max_n=1)))
+        red = hra_to_trvass(random_hra(seed, max_m=2, max_n=1))
         text = print_counters(CounterDocument(red.machine, (*red.init, red.target)))
         doc = parse_counters(text)
         assert len(doc.machine.states) == len(red.machine.states), seed
@@ -281,7 +281,7 @@ def test_counter_round_trip_on_random_machines():
 
 _TO_COUNTERS = {
     "restricted": restricted_hra_to_rvass,
-    "trvass": lambda a: hra_to_trvass(registers_to_histories(a)),
+    "trvass": hra_to_trvass,
     "vass": nonreset_to_vass,
 }
 
@@ -328,7 +328,7 @@ def test_to_counters_trvass_round_trip_and_cover_at_1024_counters(tmp_path, caps
     text = print_hra(random_hra(6, max_m=6, max_n=2, max_states=12, max_transitions=40))
     f = _file(tmp_path, "a.hra", text)
     a = parse_hra(text)
-    red = hra_to_trvass(registers_to_histories(a))
+    red = hra_to_trvass(a)
     assert red.machine.dims == 1023
     out = str(tmp_path / "a.cm")
     assert main(["to-counters", f, "--target", "trvass", "-o", out]) == 0
@@ -532,6 +532,33 @@ def test_empty_bound_must_be_non_negative(tmp_path, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+def _zoo_automata():
+    """Every automaton of `histra.zoo`, the anchored ones at name 0."""
+    singles = [zoo.all_distinct_hra, zoo.generate_then_consume_hra, zoo.anchored_blocks_hra,
+               zoo.two_tracks_hra, zoo.not_all_twice_hra, zoo.no_immediate_repeat_register_hra,
+               zoo.no_immediate_repeat_history_hra, zoo.anchored_distinct_hra,
+               zoo.two_step_distinct_hra]
+    return [make() for make in singles] + list(zoo.alternating_pair_hras())
+
+
+def test_empty_bounded_exits_by_the_probe_s_kind(tmp_path, capsys):
+    verdicts = {
+        "nonempty": (1, "empty: false (engine: bounded)\n"),
+        "empty_within_bound": (0, "empty: true (engine: bounded)\n"),
+        "bound_exhausted": (2, "empty: unknown (engine: bounded, bound exhausted)\n"),
+    }
+    seen = set()
+    automata = _zoo_automata() + [random_hra(seed) for seed in range(100)]
+    for i, a in enumerate(automata):
+        f = _file(tmp_path, f"a{i}.hra", print_hra(a))
+        for bound in (0, 3, 8):
+            kind = bounded_emptiness(a, bound).kind
+            seen.add(kind)
+            code = main(["empty", f, "--engine", "bounded", "--bound", str(bound)])
+            assert (code, capsys.readouterr().out) == verdicts[kind], (i, bound)
+    assert seen == set(verdicts)
+
+
 def test_complement_flips_membership(tmp_path, capsys):
     f = _file(tmp_path, "distinct.hra", DISTINCT)
     out = str(tmp_path / "co.hra")
@@ -639,6 +666,15 @@ def test_to_counters_uncoverable_when_no_finals(tmp_path, capsys):
     assert main(["to-counters", f, "-o", out]) == 0
     assert main(["cover", out]) == 1
     assert "coverable: false" in capsys.readouterr().out
+
+
+def test_cover_pours_a_thousand_counters_into_one(tmp_path, capsys):
+    pour = " ".join(f"TRANSFER {i} 1001" for i in range(1, 1001))
+    text = (f"TRVASS 1001\nTRANS p q {pour}\n"
+            f"TRANS q r ADD {'0 ' * 1000}-1\nQUERY p {'1 ' * 1000}0 r\n")
+    assert main(["cover", _file(tmp_path, "pour.cm", text)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "coverable: true\n" and err == ""
 
 
 def test_cover_requires_query_line(tmp_path, capsys):

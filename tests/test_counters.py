@@ -213,6 +213,15 @@ def test_pre_basis_rejects_a_counter_out_of_range():
     assert pre_basis(Effect(((1, 1),), (), ()), (3,)) == {(4,)}
 
 
+def test_pre_basis_splits_a_need_over_a_thousand_sources():
+    # 1,000 counters poured into counter 1,001: one unit there comes from
+    # any one of the 1,001 counters that reach it
+    pour = Effect((), tuple((i, 1001) for i in range(1, 1001)), ())
+    basis = pre_basis(pour, (0,) * 1000 + (1,))
+    assert len(basis) == 1001
+    assert all(sorted(v) == [0] * 1000 + [1] for v in basis)
+
+
 def _sparse(v):
     """A vector as an effect's (counter, amount) pairs."""
     return tuple((i, x) for i, x in enumerate(v, 1) if x)
@@ -649,10 +658,9 @@ def test_search_stops_once_the_initial_configuration_is_covered(monkeypatch):
 
 _RECORD_INSERTS = """
 from histra import UpSet, backward_coverability, hra_to_trvass, kleene_star
-from histra.constructions import registers_to_histories
 from histra.zoo import anchored_distinct_hra
 
-red = hra_to_trvass(registers_to_histories(kleene_star(anchored_distinct_hra(0))))
+red = hra_to_trvass(kleene_star(anchored_distinct_hra(0)))
 inserted = []
 insert = UpSet.insert
 def recording(self, q, v):

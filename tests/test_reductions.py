@@ -12,7 +12,6 @@ from histra import (
     DimensionMap,
     Effect,
     NonUnitEffect,
-    RegistersPresent,
     Reset,
     ResetDim,
     ResetsPresent,
@@ -145,9 +144,12 @@ def test_trvass_initial_vector_counts_placesets():
     assert counts == {s(1): 1, s(2): 1, s(1, 2): 1}  # no counter for ∅
 
 
-def test_trvass_rejects_registers():
-    with pytest.raises(RegistersPresent):
-        hra_to_trvass(anchored_blocks_hra(0))
+def test_trvass_turns_registers_into_histories_first():
+    a = anchored_blocks_hra(0)
+    assert hra_to_trvass(a) == hra_to_trvass(registers_to_histories(a))
+    for seed in range(200):
+        a = random_hra(seed, max_m=2, max_n=2)
+        assert hra_to_trvass(a) == hra_to_trvass(registers_to_histories(a)), seed
 
 
 def test_trvass_no_finals_is_uncoverable():
@@ -158,7 +160,7 @@ def test_trvass_no_finals_is_uncoverable():
 def test_trvass_on_ten_histories_agrees_with_emptiness():
     # six histories and two registers become ten histories: 1,023 counters
     a = random_hra(6, max_m=6, max_n=2, max_states=12, max_transitions=40)
-    red = hra_to_trvass(registers_to_histories(a))
+    red = hra_to_trvass(a)
     assert red.machine.dims == 1023
     covered = backward_coverability(red.machine, red.init, red.target)
     assert covered == (not emptiness(a).is_empty)
@@ -296,7 +298,7 @@ def test_readable_counters_are_exact_and_pruned():
                        subclass=_SUBCLASSES[seed % len(_SUBCLASSES)])
         red = restricted_hra_to_rvass(a)
         covered = backward_coverability(red.machine, red.init, red.target)
-        full = hra_to_trvass(registers_to_histories(a))
+        full = hra_to_trvass(a)
         assert covered == backward_coverability(full.machine, full.init, full.target), seed
         probe = bounded_emptiness(a, 6).kind
         if probe == "nonempty":
@@ -708,16 +710,9 @@ def test_auto_routing_by_class():
 
 
 def test_bounded_engine_definite_and_indeterminate():
-    res = emptiness(generate_then_consume_hra(), engine="bounded")
-    assert res.is_empty is False
+    assert bounded_emptiness(generate_then_consume_hra()).kind == "nonempty"
     hopeless = _strip_finals(all_distinct_hra())
-    res2 = emptiness(hopeless, engine="bounded", bound=3)
-    assert res2.is_empty is None
-
-
-def test_unknown_engine_is_rejected():
-    with pytest.raises(ValueError):
-        emptiness(two_tracks_hra(), engine="trvass")
+    assert bounded_emptiness(hopeless, 3).kind == "bound_exhausted"
 
 
 @pytest.mark.parametrize("seed", range(50))
