@@ -1,28 +1,29 @@
 """Translations between automata and counter machines, and the emptiness
 pipeline built on one of them.
 
-The common shape: a non-empty place-set X ⊆ histories corresponds to a
-counter whose value tracks how many names sit at exactly X, and a name
-whose place-set becomes empty is forgotten, since no later step can read
-it.  Register structure, being finite, is folded into the control state as
-a skeleton.  Every translation to a counter machine emits at most one edge
-per automaton transition (per reached skeleton pair in the skeleton
-translation): taking a name from X, the pours and wipes of a reset, names
-released from registers and putting a name at X′ together form one
-`Effect`, since its takes come first, then its moves, then its puts.  Each
+The common shape: a non-empty place-set X corresponds to a counter whose
+value tracks how many names sit at exactly X, and a name whose place-set
+becomes empty is forgotten, since no later step can read it.  Every
+translation to a counter machine emits at most one edge per automaton
+transition (per reached skeleton pair in the skeleton translation): taking
+a name from X, the pours and wipes of a reset, names evicted from
+registers and putting a name at X′ together form one `Effect`, since its
+takes come first, then its moves, then its puts.  Each
 translation ends the same way: zero-effect edges lead from the images of
 the final states to one target control state, so the language is
 non-empty exactly when that state is coverable from the initial
 configuration.
 
-There is one skeleton translation, `restricted_hra_to_rvass`, and it gives
-a counter only to the place-sets that a later step can read: a name parked
-anywhere else is dropped, which is exact since it is never consumed again.
-On a unary automaton its machine is the paper's one-counter R-VASS, and
-`nonreset_to_vass` is the same translation behind a check of its class.
-`hra_to_trvass` turns registers into histories first and then keeps a
-counter for every non-empty history subset; it is the unpruned reference
-the skeleton translation is checked against.
+There is one skeleton translation, `restricted_hra_to_rvass`.  It folds
+register structure, being finite, into the control state as a skeleton,
+and gives a counter only to the history place-sets that a later step can
+read: a name parked anywhere else is dropped, which is exact since it is
+never consumed again.  On a unary automaton its machine is the paper's
+one-counter R-VASS, and `nonreset_to_vass` is the same translation behind
+a check of its class.  `hra_to_trvass` keeps the automaton's own states and a
+counter for every non-empty place-set, registers included, a register
+write moving the name it evicts; it is the unpruned reference the
+skeleton translation is checked against.
 
 `emptiness` has one pipeline: `restricted_hra_to_rvass`, then backward
 coverability, which is exact on every automaton.  On the paper's
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterable
 
-from .constructions import StateTag, _explored, registers_to_histories
+from .constructions import StateTag, _explored
 from .core import (
     Accept, Assignment, Hra, Reset, State, Transition, by_src, classify, explore,
     subsets,
@@ -103,11 +104,12 @@ class DimensionMap:
             )
         return moves
 
-    def units(self, xs: Iterable[frozenset[int]]) -> Units:
+    def units(self, xs: Iterable[frozenset[int] | None]) -> Units:
         """One unit at the dimension of each place-set in `xs`, as an
-        effect's sorted (dimension, amount) pairs."""
+        effect's sorted (dimension, amount) pairs.  An entry ∅ (a forgotten
+        name) or None (a name no counter holds) adds nothing."""
         count: dict[int, int] = {}
-        for x in xs:
+        for x in filter(None, xs):
             d = self.dim_of(x)
             count[d] = count.get(d, 0) + 1
         return tuple(sorted(count.items()))
@@ -153,31 +155,35 @@ def _reduction(
 
 
 def hra_to_trvass(a: Hra) -> CounterReduction:
-    """One counter per non-empty subset of histories, after
-    `registers_to_histories` has turned any registers into histories (an
-    automaton without registers is taken as it is).  Each transition is
-    one edge: a letter takes a unit from the counter of its pre-set and
-    puts one on the counter of its post-set, and a reset of Y pours every
-    counter X that meets Y into the counter of X∖Y, or zeroes it when
-    X ⊆ Y.
+    """One counter per non-empty subset of all m + n places, registers
+    included, and one edge per transition.  A letter X → X′ takes a unit
+    from the counter of X, pours every counter that meets the registers
+    R′ of X′ into the counter of its place-set without R′, and puts a unit
+    on the counter of X′.  The take comes first, so the pour evicts only
+    the other names that R′ held, as `Assignment.move_name` does.  A reset
+    of Y pours every counter X that meets Y into the counter of X∖Y, or
+    zeroes it when X ⊆ Y.  Without registers no letter pours, and the
+    machine of a history-only automaton of the restricted class is an
+    R-VASS.
 
-    A name whose place-set becomes ∅ is forgotten, and this is exact: no
-    edge could take from a ∅ counter, since a letter whose pre is ∅ reads
-    a fresh name, which no counter holds, and no reset moves ∅.  So a ∅
-    count would never enable or block an edge.  With no counter to pour
-    into, a reset that wipes every history only zeroes, and the machine
-    of a history-only automaton of the restricted class is an R-VASS.
-    Unlike `restricted_hra_to_rvass`, nothing is pruned: this is the
-    reference the other translations are checked against.  With no
-    history at all, one inert counter stands in, since a machine needs a
-    dimension."""
-    a = registers_to_histories(a)
-    dmap = DimensionMap(tuple(subsets(range(1, a.m + 1))[1:]) or (frozenset(),))
+    This is exact.  By induction on the length of a run, counter X counts
+    the names at exactly X.  A letter moves the name it reads from X to
+    X′, and its write to R′ moves every other name at a Z that meets R′
+    to Z∖R′; a reset of Y moves every name at Z to Z∖Y.  The edge does
+    just that to the counts, and the automaton's own semantics keeps each
+    register at one name or none, so the machine needs no bound of its
+    own.  A name whose place-set becomes ∅ is forgotten: no edge takes
+    from ∅, since a letter whose pre is ∅ reads a fresh name, so a ∅
+    count would never enable or block an edge.  Unlike
+    `restricted_hra_to_rvass`, nothing is pruned: this is the reference
+    the other translations are checked against."""
+    regs = frozenset(range(a.m + 1, a.m + a.n + 1))
+    dmap = DimensionMap(tuple(subsets(a.places)[1:]))
     transitions: list[tuple[State, object, State]] = []
     for t in a.transitions:
         if isinstance(t.label, Accept):
             x, x2 = t.label.pre, t.label.post
-            eff = Effect(dmap.units([x] if x else []), (), dmap.units([x2] if x2 else []))
+            eff = Effect(dmap.units([x]), dmap.reset_moves(x2 & regs), dmap.units([x2]))
         else:
             eff = Effect((), dmap.reset_moves(t.label.targets), ())
         transitions.append((t.src, eff, t.dst))
@@ -357,7 +363,7 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
     kept = set(readable)
 
     def effect(take, y, puts) -> Effect:
-        return Effect(dmap.units([take] if take else []),
+        return Effect(dmap.units([take]),
                       dmap.reset_moves(y) if y else (),
                       dmap.units([z for z in puts if z in kept]))
 

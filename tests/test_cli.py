@@ -22,6 +22,7 @@ from histra import (
     kleene_star,
     membership,
     nonreset_to_vass,
+    registers_to_histories,
     restricted_hra_to_rvass,
     rvass_to_hra,
     trace,
@@ -323,9 +324,11 @@ def test_to_counters_round_trip_and_cover_on_random_automata(tmp_path, capsys):
 
 
 def test_to_counters_trvass_round_trip_and_cover_at_1024_counters(tmp_path, capsys):
-    # six histories and two registers: the full translation has a counter
-    # for each of the 2^10 - 1 non-empty place-sets
-    text = print_hra(random_hra(6, max_m=6, max_n=2, max_states=12, max_transitions=40))
+    # six histories and two registers, each register doubled into two
+    # histories: the full translation has a counter for each of the
+    # 2^10 - 1 non-empty place-sets
+    a = random_hra(6, max_m=6, max_n=2, max_states=12, max_transitions=40)
+    text = print_hra(registers_to_histories(a))
     f = _file(tmp_path, "a.hra", text)
     a = parse_hra(text)
     red = hra_to_trvass(a)

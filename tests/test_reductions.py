@@ -71,7 +71,7 @@ def _strip_finals(a):
 
 
 # ---------------------------------------------------------------------------
-# full translation (histories only -> transfer machines)
+# full translation (every place-set -> transfer machines)
 
 
 def test_trvass_dimensions_are_the_nonempty_history_subsets():
@@ -94,10 +94,10 @@ def test_trvass_has_no_empty_counter_and_is_rvass_on_the_restricted_class():
 @pytest.mark.parametrize("pruned", [False, True], ids=["all", "pruned"])
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 8])
 def test_reset_moves_match_their_definition(m, pruned):
-    # the map of hra_to_trvass (every non-empty history subset) and a pruned
-    # one, as restricted_hra_to_rvass builds, with no singleton counters, so
-    # that some X∖Y ≠ ∅ has no counter; every reset set up to m = 4, and 20
-    # seeded ones on the 255 counters of m = 8
+    # the map of hra_to_trvass without registers (every non-empty history
+    # subset) and a pruned one, as restricted_hra_to_rvass builds, with no
+    # singleton counters, so that some X∖Y ≠ ∅ has no counter; every reset
+    # set up to m = 4, and 20 seeded ones on the 255 counters of m = 8
     hist = range(1, m + 1)
     placesets = tuple(x for x in subsets(hist)[1:] if not pruned or len(x) > 1)
     dmap = DimensionMap(placesets or (s(),))
@@ -144,12 +144,21 @@ def test_trvass_initial_vector_counts_placesets():
     assert counts == {s(1): 1, s(2): 1, s(1, 2): 1}  # no counter for ∅
 
 
-def test_trvass_turns_registers_into_histories_first():
-    a = anchored_blocks_hra(0)
-    assert hra_to_trvass(a) == hra_to_trvass(registers_to_histories(a))
-    for seed in range(200):
-        a = random_hra(seed, max_m=2, max_n=2)
-        assert hra_to_trvass(a) == hra_to_trvass(registers_to_histories(a)), seed
+def _covered(red):
+    return backward_coverability(red.machine, red.init, red.target)
+
+
+def test_trvass_counts_register_names_in_their_own_counters():
+    # a counter per non-empty place-set of all m + n places, the
+    # automaton's own states and one edge per transition, with the verdict
+    # of the machine that doubles each register into two histories first
+    draws = [random_hra(seed, max_m=2, max_n=2) for seed in range(200)]
+    for a in [anchored_blocks_hra(0), *draws]:
+        red = hra_to_trvass(a)
+        assert red.machine.dims == 2 ** (a.m + a.n) - 1, a
+        assert red.machine.states == a.states | {red.target}, a
+        assert len(red.machine.transitions) <= len(a.transitions) + len(a.finals), a
+        assert _covered(red) == _covered(hra_to_trvass(registers_to_histories(a))), a
 
 
 def test_trvass_no_finals_is_uncoverable():
@@ -158,12 +167,12 @@ def test_trvass_no_finals_is_uncoverable():
 
 
 def test_trvass_on_ten_histories_agrees_with_emptiness():
-    # six histories and two registers become ten histories: 1,023 counters
+    # six histories and two registers have 255 place-sets; doubling each
+    # register into two histories first makes ten histories: 1,023 counters
     a = random_hra(6, max_m=6, max_n=2, max_states=12, max_transitions=40)
-    red = hra_to_trvass(a)
-    assert red.machine.dims == 1023
-    covered = backward_coverability(red.machine, red.init, red.target)
-    assert covered == (not emptiness(a).is_empty)
+    direct, wide = hra_to_trvass(a), hra_to_trvass(registers_to_histories(a))
+    assert (direct.machine.dims, wide.machine.dims) == (255, 1023)
+    assert _covered(direct) == _covered(wide) == (not emptiness(a).is_empty)
 
 
 def test_trvass_decides_l3():
@@ -211,18 +220,23 @@ def _counts(h, placesets):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_trvass_cosimulation_random_walks(seed):
-    a = random_hra(seed, max_m=2, max_n=0, max_states=4)
-    red = hra_to_trvass(a)
-    tracked = red.dimension_map.placesets  # every counter
-    rng = random.Random(seed)
-    mcfg = red.init
-    assert mcfg[1] == _counts(a.initial_assignment, tracked)
-    for _cfg, t, _letter, (q2, h2) in _random_walk(a, rng, 12):
-        want = _counts(h2, tracked)
-        hops = counter_step(red.machine, mcfg)
-        matches = [hop for hop in hops if hop[0] == q2 and hop[1] == want]
-        assert matches, (seed, t, q2, want, hops)
-        mcfg = matches[0]
+    # with registers too: a letter written to a register moves the name
+    # the register held in the same edge
+    for a in (random_hra(seed, max_m=2, max_n=0, max_states=4),
+              random_hra(seed, max_m=2, max_n=2, max_states=4)):
+        red = hra_to_trvass(a)
+        # equal effects between the same states merge into one edge
+        assert len(red.machine.transitions) <= len(a.transitions) + len(a.finals), seed
+        tracked = red.dimension_map.placesets  # every counter
+        rng = random.Random(seed)
+        mcfg = red.init
+        assert mcfg[1] == _counts(a.initial_assignment, tracked)
+        for _cfg, t, _letter, (q2, h2) in _random_walk(a, rng, 12):
+            want = _counts(h2, tracked)
+            hops = counter_step(red.machine, mcfg)
+            matches = [hop for hop in hops if hop[0] == q2 and hop[1] == want]
+            assert matches, (seed, t, q2, want, hops)
+            mcfg = matches[0]
 
 
 def _partial_resets():
@@ -717,12 +731,14 @@ def test_bounded_engine_definite_and_indeterminate():
 
 @pytest.mark.parametrize("seed", range(50))
 def test_engines_agree_on_random_automata(seed, translation_verdicts):
-    a = random_hra(seed, max_m=2, max_n=1, max_states=4)
-    verdict = emptiness(a).is_empty
-    verdicts = translation_verdicts(a)
-    assert set(verdicts.values()) == {verdict}, (seed, verdict, verdicts)
-    probe = bounded_emptiness(a, 8)
-    if probe.kind == "nonempty":
-        assert verdict is False, (seed, verdicts)
-    elif probe.kind == "empty_within_bound":
-        assert verdict is True, (seed, verdicts)
+    # two registers as well: one letter may evict several names at once
+    for a in (random_hra(seed, max_m=2, max_n=1, max_states=4),
+              random_hra(seed, max_m=2, max_n=2, max_states=4)):
+        verdict = emptiness(a).is_empty
+        verdicts = translation_verdicts(a)
+        assert set(verdicts.values()) == {verdict}, (seed, verdict, verdicts)
+        probe = bounded_emptiness(a, 8)
+        if probe.kind == "nonempty":
+            assert verdict is False, (seed, verdicts)
+        elif probe.kind == "empty_within_bound":
+            assert verdict is True, (seed, verdicts)
