@@ -21,7 +21,6 @@ from .core import (
     SubclassFlags,
     TraceStep,
     Transition,
-    by_src,
     classify,
     eps_closure,
     explore,
@@ -106,7 +105,7 @@ __all__ = [
     "fix_names", "intersection", "kleene_star", "pad_type", "registers_to_histories", "union",
     # core
     "Accept", "Assignment", "Hra", "Reset", "SubclassFlags", "TraceStep", "Transition",
-    "by_src", "classify", "eps_closure", "explore", "initial_config", "make_hra", "membership",
+    "classify", "eps_closure", "explore", "initial_config", "make_hra", "membership",
     "permute_word", "reset_summaries", "step", "subsets", "trace", "validate",
     # counters
     "Add", "CounterMachine", "CTransition", "Effect", "ForwardProbe", "ResetDim", "Transfer",

@@ -208,12 +208,13 @@ class Hra:
     """An automaton of type (m, n).
 
     Its derived indices are cached (`_cached`), built on first use: the
-    transitions grouped by source (`_outgoing`, `by_src` of `transitions`),
-    which `trace` and every other search over it read; the accept index
-    (`_accept_index`), which `step` reads; and the reset summaries
-    (`reset_summaries`), with the part of them the silent closure reads
-    (`_closure`).  None is a field, so `==`, `hash`, `repr` and the pickled
-    state ignore them.  Do not mutate them."""
+    transitions grouped by source in iteration order (`_outgoing`, where a
+    state with no outgoing transition has no key, so look states up with
+    `.get(q, ())`), which `trace` and every other search over it read; the
+    accept index (`_accept_index`), which `step` reads; and the reset
+    summaries (`reset_summaries`), with the part of them the silent closure
+    reads (`_closure`).  None is a field, so `==`, `hash`, `repr` and the
+    pickled state ignore them.  Do not mutate them."""
 
     m: int
     n: int
@@ -232,7 +233,10 @@ class Hra:
 
     @_cached
     def _outgoing(self) -> dict[State, list[Transition]]:
-        return by_src(self.transitions)
+        adj: dict[State, list[Transition]] = {}
+        for t in self.transitions:
+            adj.setdefault(t.src, []).append(t)
+        return adj
 
     @_cached
     def _accept_index(self) -> dict[State, dict[frozenset[int], list]]:
@@ -326,16 +330,6 @@ def validate(a: Hra) -> None:
 
 # ---------------------------------------------------------------------------
 # operational semantics
-
-
-def by_src(transitions: Iterable) -> dict[State, list]:
-    """Group transitions of any kind (anything with a `src`) by source state,
-    keeping their iteration order.  A state with no outgoing transition has
-    no key, so look states up with `.get(q, ())`."""
-    adj: dict[State, list] = {}
-    for t in transitions:
-        adj.setdefault(t.src, []).append(t)
-    return adj
 
 
 def explore(adj: Mapping[State, Sequence], start: tuple, moves) -> tuple[dict, list]:

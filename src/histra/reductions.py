@@ -18,12 +18,15 @@ There is one skeleton translation, `restricted_hra_to_rvass`.  It folds
 register structure, being finite, into the control state as a skeleton,
 and gives a counter only to the history place-sets that a later step can
 read: a name parked anywhere else is dropped, which is exact since it is
-never consumed again.  On a unary automaton its machine is the paper's
-one-counter R-VASS, and `nonreset_to_vass` is the same translation behind
-a check of its class.  `hra_to_trvass` keeps the automaton's own states and a
-counter for every non-empty place-set, registers included, a register
-write moving the name it evicts; it is the unpruned reference the
-skeleton translation is checked against.
+never consumed again.  One search over (state, skeleton) pairs gives its
+control states and edges, so a pair that only edges with a dead take
+reach is a control state that no run from the initial one enters.  On a
+unary automaton its machine is the paper's one-counter R-VASS, and
+`nonreset_to_vass` is the same translation behind a check of its class.
+`hra_to_trvass` keeps the automaton's own states and a counter for every
+non-empty place-set, registers included, a register write moving the
+name it evicts; it is the unpruned reference the skeleton translation is
+checked against.
 
 `emptiness` has one pipeline: `restricted_hra_to_rvass`, then backward
 coverability, which is exact on every automaton.  On the paper's
@@ -44,12 +47,10 @@ from typing import Iterable
 
 from .constructions import StateTag, _explored
 from .core import (
-    Accept, Assignment, Hra, Reset, State, Transition, by_src, classify, explore,
-    subsets,
+    Accept, Assignment, Hra, Reset, State, Transition, classify, explore, subsets,
 )
 from .counters import (
-    CounterConfig, CounterMachine, CTransition, Effect, Units, Vector, _check_init,
-    backward_coverability,
+    CounterConfig, CounterMachine, Effect, Units, Vector, _check_init, backward_coverability,
 )
 from .errors import (
     NonUnitEffect,
@@ -143,7 +144,8 @@ def _reduction(
 ) -> CounterReduction:
     """Close a translation: a zero-effect edge from every final control
     state to the target `StateTag("target", ())`, then the machine.
-    `states` are the control states, edgeless ones included."""
+    `states` are the control states, edgeless ones and ones that `init`
+    cannot reach included."""
     goal = StateTag("target", ())
     edges = transitions + [(q, Effect((), (), ()), goal) for q in finals]
     mc = CounterMachine.make(len(dmap.placesets), {goal, *states}, edges)
@@ -314,19 +316,25 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
     counter whose place-set X meets the targets Y into the counter for X∖Y
     (a transfer), or zeroes it when X ⊆ Y.
 
-    Only the readable place-sets R of `_readable_placesets` get a counter,
-    computed over the edges the skeleton search reaches.  A put into a set
+    One search over (state, skeleton) pairs gives the machine: every pair
+    it reaches is a control state, and each of its edges is one counter
+    edge.  Only the readable place-sets R of `_readable_placesets` get a
+    counter, computed over the edges of that search.  A put into a set
     outside R is dropped, a reset move into one becomes a zeroing, and an
-    edge whose take lies outside the produced sets P is dropped (with the
-    control states only it led to).  This is exact.  By induction on the
-    length of a run: every name that sits at a pure place-set sits at one
-    in P, and a pure name at X ∉ R is never read again.  A letter reads a
-    pure name only at its pre, which is in R when it is in P.  A letter
-    that reads another name leaves it where it is.  A reset of Y either
-    misses X, or moves the name to X∖Y, which is empty (the name is
-    forgotten) or again in P∖R, since R is closed backward.  So the
-    counters of R count exactly the names at each X ∈ R, and dropping the
-    rest changes no step that can fire.
+    edge whose take lies outside the produced sets P is dropped.  A pair
+    that only such dead edges reach stays as a control state that `init`
+    cannot reach.
+
+    This is exact.  By induction on the length of a run: every name that
+    sits at a pure place-set sits at one in P, and a pure name at X ∉ R is
+    never read again.  A letter reads a pure name only at its pre, which
+    is in R when it is in P; a take outside P never fires, so neither its
+    edge nor a pair only such edges reach lies on any run.  A letter that
+    reads another name leaves it where it is.  A reset of Y either misses
+    X, or moves the name to X∖Y, which is empty (the name is forgotten) or
+    again in P∖R, since R is closed backward.  So the counters of R count
+    exactly the names at each X ∈ R, and dropping the rest changes no step
+    that can fire.
 
     On the restricted class (`restriction_ok`) every reset wipes all
     histories, so no move has a target and the machine is an R-VASS; any
@@ -356,7 +364,7 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
 
     h0 = a.initial_assignment
     start = (a.initial, skeleton_of(h0, m, n))
-    _, edges = explore(a._outgoing, start, moves)
+    reached, edges = explore(a._outgoing, start, moves)
     initial = [x for x in map(h0.placeset_of, h0.names()) if pure(x)]
     readable = _readable_placesets(initial, [step for _, step, _ in edges])
     dmap = DimensionMap(tuple(readable) or (frozenset(),))
@@ -367,12 +375,9 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
                       dmap.reset_moves(y) if y else (),
                       dmap.units([z for z in puts if z in kept]))
 
-    adj = by_src(CTransition(p, effect(take, y, puts), d) for p, (take, y, puts), d in edges
-                 if take is None or take in kept)  # a take outside R is outside P
-    # the pairs still reachable over the kept edges
-    reached, out = explore(adj, (start, None), lambda p, _, t: [(t.effect, None)])
-    tags = {p: StateTag("st", p) for p, _ in reached}
-    transitions = [(tags[p], eff, tags[d]) for (p, _), eff, (d, _) in out]
+    tags = {p: StateTag("st", p) for p in reached}
+    transitions = [(tags[p], effect(take, y, puts), tags[d]) for p, (take, y, puts), d in edges
+                   if take is None or take in kept]  # a take outside R is outside P
     finals = [tags[p] for p in tags if p[0] in a.finals]
     init = (tags[start], dmap.vector([x for x in initial if x in kept]))
     return _reduction(dmap, tags.values(), transitions, finals, init)

@@ -37,7 +37,8 @@ from histra import (
     validate,
     vass_to_nonreset_hra,
 )
-from histra.core import initial_config, subsets
+import histra.reductions as reductions
+from histra.core import explore, initial_config, subsets
 from histra.cli import parse_counters
 from histra.counters import CounterMachine, counter_step
 from histra.oracles import (
@@ -342,6 +343,17 @@ def test_readable_counters_are_exact_and_pruned():
             for t in a.transitions if isinstance(t.label, Accept) and t.label.post
         )
     assert zeroed and dropped, (zeroed, dropped)
+
+
+def test_wide_automata_keep_the_skeleton_machine_narrow():
+    # sixteen histories, of which a run only ever fills {1,2} and {1}: the
+    # skeleton machine counts those two place-sets, the reference all 2^16 - 1
+    a = make_hra(16, 0, ["p", "q"], "p",
+                 [("p", Accept(s(), s(1, 2)), "p"), ("p", Reset(s(2)), "p"),
+                  ("p", Accept(s(1), s()), "q")], ["q"])
+    assert restricted_hra_to_rvass(a).machine.dims == 2
+    assert emptiness(a).is_empty is False
+    assert hra_to_trvass(a).machine.dims == 65_535
 
 
 # ---------------------------------------------------------------------------
@@ -673,11 +685,24 @@ def _reachable(initial, arcs):
     return seen
 
 
+def _recorded_explore(monkeypatch):
+    """What each call of `explore` from `histra.reductions` returns, in order."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(explore(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(reductions, "explore", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("subclass", [None, "restricted", "colouring"])
-def test_explored_outputs_reach_every_state(subclass):
-    # the constructions and the skeleton reduction emit only what a search
-    # from the initial pair reaches (the reduction's target is reachable
-    # only when a final state is)
+def test_explored_outputs_reach_every_state(subclass, monkeypatch):
+    # the constructions emit only what a search from the initial pair
+    # reaches; the skeleton machine is that one search: its pairs, and its
+    # edges whose take has a counter (a pair only dead takes reach stays)
+    calls = _recorded_explore(monkeypatch)
     for seed in range(150):
         a = random_hra(seed, max_m=2, max_n=2, max_states=4, max_transitions=8,
                        subclass=subclass)
@@ -689,10 +714,38 @@ def test_explored_outputs_reach_every_state(subclass):
         for b in built:
             reached = _reachable(b.initial, [(t.src, t.dst) for t in b.transitions])
             assert reached == b.states, (seed, b)
+        calls.clear()
         red = restricted_hra_to_rvass(a)
-        mc = red.machine
-        reached = _reachable(red.init[0], [(t.src, t.dst) for t in mc.transitions])
-        assert reached | {red.target} == mc.states, seed
+        ((reached, edges),) = calls
+        tags = {p: StateTag("st", p) for p in reached}
+        mc, dmap = red.machine, red.dimension_map
+        assert mc.states == {red.target, *tags.values()}, seed
+        live = {(tags[p], dmap.units([take]), tags[d]) for p, (take, _, _), d in edges
+                if take is None or take in dmap.placesets}
+        assert {(t.src, t.effect.pre, t.dst) for t in mc.transitions
+                if t.dst != red.target} == live, seed
+        assert {t.src for t in mc.transitions if t.dst == red.target} == {
+            tags[p] for p in reached if p[0] in a.finals}, seed
+
+
+def test_skeleton_translation_searches_once(monkeypatch):
+    calls = _recorded_explore(monkeypatch)
+    for a in (two_tracks_hra(), anchored_blocks_hra(0), _partial_reset_then_read(),
+              random_hra(7, max_m=2, max_n=2, max_states=4)):
+        calls.clear()
+        restricted_hra_to_rvass(a)
+        assert len(calls) == 1, a
+
+
+def test_a_pair_only_a_dead_take_reaches_stays_unreachable():
+    # no step produces a name at {1}, so the read of one never fires
+    a = make_hra(1, 0, ["p", "q"], "p", [("p", Accept(s(1), s()), "q")], ["q"])
+    red = restricted_hra_to_rvass(a)
+    p, q = (StateTag("st", (x, skeleton_of(a.initial_assignment, 1, 0))) for x in "pq")
+    assert red.machine.states == {p, q, red.target}
+    assert {(t.src, t.dst) for t in red.machine.transitions} == {(q, red.target)}
+    assert red.init[0] == p
+    assert emptiness(a).is_empty
 
 
 # ---------------------------------------------------------------------------
