@@ -10,9 +10,10 @@ the initial one: intersection, name fixing and the colouring elimination
 per edge; register doubling keeps its own tail for its "mid" states.
 Complementation, the one operation that needs a deterministic input, works
 on the `Hra` itself, registers included, and keeps its type: it reads the
-reset summaries and accept index, cached properties of the automaton,
-judges determinism and builds states only for the states reachable from
-the initial one, and its input states are tagged so that the states it
+reset summaries, accept index and produced place-sets, cached properties
+of the automaton, judges determinism and builds only for the states
+reachable from the initial one and for letters at ∅ or at a place-set a
+run can produce, and its input states are tagged so that the states it
 adds are always new.
 
 A construction makes one `StateTag` per state it creates, kept in a dict,
@@ -37,7 +38,6 @@ from .core import (
     Transition,
     explore,
     reset_summaries,
-    subsets,
 )
 from .errors import DuplicateFixName, NotDeterministic, retired
 
@@ -392,15 +392,16 @@ def complement_deterministic(a: Hra) -> Hra:
     deterministic when no state reachable from the initial one and
     place-set are matched by two moves.
 
-    The complement keeps every move of the reachable states, sends each
-    reachable state and place-set that no move matches to a final sink,
-    and makes final exactly the reachable states none of whose reset
-    summaries reaches a final state.  Each input state q becomes
-    `StateTag("co", (q,))`, so the sink and the "mid" state that each move
-    with a reset passes through are new even when `a` is itself a
-    complement.  One scan, states in `repr` order and place-sets in
-    `subsets` order, raises `NotDeterministic` at the first pair two moves
-    match.
+    Only place-sets x in {∅} ∪ P are judged, where P is `a._produced`,
+    the non-empty place-sets a run can produce.  The complement keeps
+    every move of the reachable states, sends each reachable state and
+    such x that no move matches to a final sink, and makes final exactly
+    the reachable states none of whose reset summaries reaches a final
+    state.  Each input state q becomes `StateTag("co", (q,))`, so the sink
+    and the "mid" state that each move with a reset passes through are
+    new even when `a` is itself a complement.  One scan, states in `repr`
+    order and place-sets in `subsets` order, raises `NotDeterministic` at
+    the first pair two moves match.
 
     Why this is exact with registers, over the m + n places of `a`:
 
@@ -416,18 +417,27 @@ def complement_deterministic(a: Hra) -> Hra:
       the same configuration both automata reach the same assignment:
       the complement's run follows the run of `a` configuration for
       configuration until `a` has no move.
-    - When no move matches, the letter's place-set x is one of the
-      `subsets` of all places, so the edge Accept(x, ∅) to the sink
-      fires.  It removes the letter from every place it held, registers
-      included, and writes no register, so it evicts nothing; the sink
-      then empties every place and takes each letter as a fresh name,
-      so it accepts whatever follows, whatever the registers held.
+    - When no move matches, the letter's place-set x is ∅ or in P (see
+      the last case), so the edge Accept(x, ∅) to the sink fires.  It
+      removes the letter from every place it held, registers included,
+      and writes no register, so it evicts nothing; the sink then
+      empties every place and takes each letter as a fresh name, so it
+      accepts whatever follows, whatever the registers held.
     - A state unreachable from the initial one lies on no run of `a`.
       Its co-state would lie on no run of the complement either: every
       transition into it would come from the co-state of a state with a
       transition to it, so of another unreachable state.  Leaving them
       out changes neither language, and a conflict at such a state is
-      met by no run."""
+      met by no run.
+    - By induction on the length of a run of `a`, every name sits at ∅
+      or at a place-set in P: a letter puts its name at its `post` and
+      takes other names out of the registers of `post`, a reset of Y
+      takes a name at X to X∖Y, and P holds the initial names'
+      place-sets and every `post` and is closed under both cuts.  The
+      complement's run follows that of `a` up to the sink, so it too
+      reads every letter at ∅ or in P.  So a conflict, or a missing
+      move, at a place-set outside P meets no run, just as one at an
+      unreachable state does."""
     summaries, index = reset_summaries(a), a._accept_index
     places = frozenset(a.places)
     reached, _ = explore(a._outgoing, (a.initial, None), lambda q, f, t: [(None, None)])
@@ -448,7 +458,7 @@ def complement_deterministic(a: Hra) -> Hra:
     for q in sorted(co, key=repr):
         moves = {(y, pre, post, dst) for y, p in summaries[q]
                  for pre, outs in index.get(p, {}).items() for post, dst in outs}
-        for x in subsets(places):
+        for x in (frozenset(), *a._produced):
             hits = sum([x - y == pre for y, pre, _, _ in moves])
             if hits > 1:
                 raise NotDeterministic(

@@ -211,10 +211,11 @@ class Hra:
     transitions grouped by source in iteration order (`_outgoing`, where a
     state with no outgoing transition has no key, so look states up with
     `.get(q, ())`), which `trace` and every other search over it read; the
-    accept index (`_accept_index`), which `step` reads; and the reset
+    accept index (`_accept_index`), which `step` reads; the reset
     summaries (`reset_summaries`), with the part of them the silent closure
-    reads (`_closure`).  None is a field, so `==`, `hash`, `repr` and the
-    pickled state ignore them.  Do not mutate them."""
+    reads (`_closure`); and the place-sets a run can produce (`_produced`),
+    which complementation reads.  None is a field, so `==`, `hash`, `repr`
+    and the pickled state ignore them.  Do not mutate them."""
 
     m: int
     n: int
@@ -262,6 +263,20 @@ class Hra:
         # every pair reached but the first, (q, ∅) itself
         return {q: [(y, p) for p, y in list(explore(out, (q, frozenset()), moves)[0])[1:]]
                 for q in sources}
+
+    @_cached
+    def _produced(self) -> tuple[frozenset[int], ...]:
+        """The non-empty place-sets a name can sit at, in `subsets` order:
+        those of the initial names and every `post`, closed under losing
+        each reset's targets and the registers each `post` writes (a write
+        evicts the register's old name).  By induction on the length of a
+        run, every name sits at ∅ or at one of these."""
+        h0, labels = self.initial_assignment, [t.label for t in self.transitions]
+        posts = [lab.post for lab in labels if isinstance(lab, Accept)]
+        cuts = [lab.targets if isinstance(lab, Reset)
+                else frozenset(i for i in lab.post if i > self.m) for lab in labels]
+        produced = _cut_closure([*map(h0.placeset_of, h0.names()), *posts], cuts)
+        return tuple(sorted(produced, key=lambda x: (len(x), sorted(x))))
 
     @_cached
     def _summaries(self) -> dict[State, frozenset[tuple[frozenset[int], State]]]:
@@ -356,6 +371,24 @@ def explore(adj: Mapping[State, Sequence], start: tuple, moves) -> tuple[dict, l
                     reached[nxt] = (node, x)
                     queue.append(nxt)
     return reached, edges
+
+
+def _cut_closure(seeds: Iterable[frozenset[int]],
+                 cuts: Iterable[frozenset[int]]) -> set[frozenset[int]]:
+    """The non-empty sets of `seeds`, closed under X ↦ X∖Y for each Y in
+    `cuts`, where an empty X∖Y is dropped: the forward closure behind
+    `Hra._produced` and the skeleton translation's produced sets."""
+    cuts = {y for y in cuts if y}
+    produced = {x for x in seeds if x}
+    todo = list(produced)
+    while todo:
+        x = todo.pop()
+        for y in cuts:
+            z = x - y
+            if z and z not in produced:
+                produced.add(z)
+                todo.append(z)
+    return produced
 
 
 def subsets(items: Iterable[int]) -> list[frozenset[int]]:

@@ -47,7 +47,7 @@ from typing import Iterable
 
 from .constructions import StateTag, _explored
 from .core import (
-    Accept, Assignment, Hra, Reset, State, Transition, classify, explore, subsets,
+    Accept, Assignment, Hra, Reset, State, Transition, _cut_closure, classify, explore, subsets,
 )
 from .counters import (
     CounterConfig, CounterMachine, Effect, Units, Vector, _check_init, backward_coverability,
@@ -72,8 +72,11 @@ def _mask(x: frozenset[int]) -> int:
 
 @dataclass(frozen=True)
 class DimensionMap:
-    """Which place-set each counter dimension stands for.  No translation
-    gives ∅ a counter: a name whose place-set becomes empty is forgotten.
+    """Which place-set each counter dimension stands for.  No counter
+    counts the names at ∅: a name whose place-set becomes empty is
+    forgotten.  Only `restricted_hra_to_rvass` gives ∅ a counter, its one
+    inert counter when no place-set is readable, since a machine needs a
+    dimension; no edge touches it.
     The place-set → dimension index, the same index keyed by place bitmask
     (bit p for place p) and the moves of each reset are built once per map;
     none is a field, so equality, hashing and repr see `placesets` only."""
@@ -289,15 +292,7 @@ def _readable_placesets(initial, steps) -> list[frozenset[int]]:
     R ⊆ P are the takes in P, closed backward: X is in R when X∖Y is in R
     for some reset target Y that meets X."""
     resets = {y for _, y, _ in steps if y}
-    produced = set(initial).union(*(puts for _, _, puts in steps))
-    todo = list(produced)
-    while todo:
-        x = todo.pop()
-        for y in resets:
-            z = x - y
-            if z and z not in produced:
-                produced.add(z)
-                todo.append(z)
+    produced = _cut_closure(set(initial).union(*(puts for _, _, puts in steps)), resets)
     readable = {x for x, _, _ in steps if x in produced}
     while more := {x for x in produced - readable
                    if any(x & y and x - y in readable for y in resets)}:

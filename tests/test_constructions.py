@@ -441,6 +441,44 @@ def test_complement_judges_only_reachable_states():
             assert membership(comp, w) == (len(set(w)) < len(w)), (b, w)
 
 
+def test_complement_judges_only_produced_place_sets():
+    """No run puts a name at [1, 2] and then reaches p, so the two moves of q
+    that both match there (read [1, 2], or wipe 2 and read [1]) meet no
+    run: the automaton complements."""
+    one, two, both = frozenset({1}), frozenset({2}), frozenset({1, 2})
+    a = make_hra(2, 0, states=["s", "t", "q", "p", "f"], initial="s",
+                 transitions=[("s", Accept(frozenset(), one), "t"),
+                              ("t", Accept(frozenset(), two), "q"),
+                              ("q", Accept(both, frozenset()), "f"),
+                              ("q", Reset(two), "p"),
+                              ("p", Accept(one, frozenset()), "f")],
+                 finals=["f"])
+    assert both not in a._produced
+    comp = complement_deterministic(a)
+    for w in enumerate_words((0, 1, 2, 3), 4):
+        assert membership(comp, w) != membership(a, w), w
+
+
+def _round_robin(m, finals=None):
+    """q_i takes a fresh name into history i + 1 and moves on to q_(i+1 mod m):
+    it accepts exactly the words of distinct names."""
+    states = [f"q{i}" for i in range(m)]
+    return make_hra(m, 0, states=states, initial="q0",
+                    transitions=[(q, Accept(frozenset(), frozenset({i + 1})), states[(i + 1) % m])
+                                 for i, q in enumerate(states)],
+                    finals=states if finals is None else finals)
+
+
+def test_complement_of_a_wide_automaton_stays_small():
+    """Twelve histories give 2^12 place-sets, but a run produces only the
+    twelve singletons.  Each state reads ∅ and gets a sink edge for each
+    singleton: with the sink's own two, 158 transitions in all."""
+    a = _round_robin(12)
+    assert len(complement_deterministic(a).transitions) == 158
+    assert containment_deterministic(a, a)
+    assert not containment_deterministic(a, _round_robin(12, finals=[f"q{i}" for i in range(1, 12)]))
+
+
 def test_determinism_is_kept_by_padding():
     """An unused register changes no language, so it changes no verdict."""
     for seed in range(200):

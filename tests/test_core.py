@@ -538,9 +538,11 @@ def test_the_kept_reset_summaries_are_invisible():
     assert reset_summaries(a) is reset_summaries(a)
     assert a._outgoing is a._outgoing
     assert a._accept_index is a._accept_index
+    assert a._produced is a._produced
     fields = {f.name for f in dataclasses.fields(Hra)}
     assert set(vars(b)) == fields
-    assert {"_outgoing", "_accept_index", "_closure", "_summaries"} <= set(vars(a)) - fields
+    assert ({"_outgoing", "_accept_index", "_closure", "_summaries", "_produced"}
+            <= set(vars(a)) - fields)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert pickle.dumps(a) == pickle.dumps(b)
     a2, b2 = copy.deepcopy(a), copy.deepcopy(b)
@@ -553,6 +555,29 @@ def test_the_kept_reset_summaries_are_invisible():
             == {q: set(ts) for q, ts in a._outgoing.items()})
     assert reset_summaries(c) == reset_summaries(a)
     assert c._accept_index == a._accept_index != {}
+    assert c._produced == a._produced != ()
+
+
+def test_every_name_sits_at_a_produced_place_set():
+    """By induction on the length of a run, every name sits at ∅ or at a
+    place-set of `_produced`: walk every configuration up to five letters,
+    each letter a name present or one fresh name."""
+    placements = 0
+    for seed in range(600):
+        a = random_hra(seed, max_m=3, max_n=2, max_states=4, max_transitions=8)
+        produced = {frozenset(), *a._produced}
+        assert list(a._produced) == [x for x in core.subsets(a.places)[1:] if x in produced]
+        seen = frontier = eps_closure(a, {initial_config(a)})
+        for _ in range(5):
+            frontier = eps_closure(a, {c2 for c in frontier
+                                       for x in (*c[1].names(), c[1].fresh_name())
+                                       for c2 in step(a, c, x)})
+            seen |= frontier
+        for _, h in seen:
+            for name in h.names():
+                assert h.placeset_of(name) in produced, (seed, h, name)
+                placements += 1
+    assert placements > 10_000
 
 
 def test_explore_maps_each_pair_to_the_edge_that_discovered_it(monkeypatch):
