@@ -48,6 +48,7 @@ from .core import (
     Accept,
     Assignment,
     Hra,
+    Label,
     Reset,
     Transition,
     classify,
@@ -254,6 +255,13 @@ def _fmt_set(x: frozenset[int]) -> str:
     return ",".join(str(p) for p in sorted(x)) if x else "-"
 
 
+def _fmt_label(lab: Label) -> str:
+    """A label as the tail of a TRANS line: `ACC X : X'` or `RST X`."""
+    if isinstance(lab, Accept):
+        return f"ACC {_fmt_set(lab.pre)} : {_fmt_set(lab.post)}"
+    return f"RST {_fmt_set(lab.targets)}"
+
+
 def print_hra(a: Hra, names: Optional[NameTable] = None) -> str:
     names = names if names is not None else NameTable()
     tok = _state_tokens(a.states)
@@ -265,16 +273,8 @@ def print_hra(a: Hra, names: Optional[NameTable] = None) -> str:
     for place in range(1, a.m + a.n + 1):
         for name in sorted(h0.place(place)):
             out.append(f"INIT {place} {names.token(name)}")
-    lines = []
-    for t in a.transitions:
-        if isinstance(t.label, Accept):
-            lines.append(
-                f"TRANS {tok[t.src]} {tok[t.dst]} ACC "
-                f"{_fmt_set(t.label.pre)} : {_fmt_set(t.label.post)}"
-            )
-        else:
-            lines.append(f"TRANS {tok[t.src]} {tok[t.dst]} RST {_fmt_set(t.label.targets)}")
-    out.extend(sorted(lines))
+    out.extend(sorted(f"TRANS {tok[t.src]} {tok[t.dst]} {_fmt_label(t.label)}"
+                      for t in a.transitions))
     return "\n".join(out) + "\n"
 
 
@@ -478,17 +478,10 @@ def _cmd_run(args) -> int:
     if args.trace:
         steps = trace(doc.hra, word)
         tok = _state_tokens(doc.hra.states)
-        here = doc.hra.initial
-        print(f"  {tok[here]}")
+        print(f"  {tok[doc.hra.initial]}")
         for s in steps:
             letter = doc.names.token(s.letter) if s.letter is not None else "eps"
-            lab = s.transition.label
-            if isinstance(lab, Accept):
-                shown = f"ACC {_fmt_set(lab.pre)} : {_fmt_set(lab.post)}"
-            else:
-                shown = f"RST {_fmt_set(lab.targets)}"
-            here = s.transition.dst
-            print(f"  --[{letter}]--> {tok[here]} via {shown}")
+            print(f"  --[{letter}]--> {tok[s.transition.dst]} via {_fmt_label(s.transition.label)}")
     return 0
 
 

@@ -37,7 +37,6 @@ from .core import (
     Reset,
     Transition,
     explore,
-    reset_summaries,
 )
 from .errors import DuplicateFixName, NotDeterministic, retired
 
@@ -438,10 +437,11 @@ def complement_deterministic(a: Hra) -> Hra:
       reads every letter at ∅ or in P.  So a conflict, or a missing
       move, at a place-set outside P meets no run, just as one at an
       unreachable state does."""
-    summaries, index = reset_summaries(a), a._accept_index
+    closure, index = a._closure, a._accept_index
     places = frozenset(a.places)
     reached, _ = explore(a._outgoing, (a.initial, None), lambda q, f, t: [(None, None)])
     co = {q: StateTag("co", (q,)) for q, _ in reached}
+    summaries = {q: [(frozenset(), q), *closure.get(q, ())] for q in co}
     sink = StateTag("sink", ())
     states = [sink, *co.values()]
     transitions = []

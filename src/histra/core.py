@@ -211,10 +211,11 @@ class Hra:
     transitions grouped by source in iteration order (`_outgoing`, where a
     state with no outgoing transition has no key, so look states up with
     `.get(q, ())`), which `trace` and every other search over it read; the
-    accept index (`_accept_index`), which `step` reads; the reset
-    summaries (`reset_summaries`), with the part of them the silent closure
-    reads (`_closure`); and the place-sets a run can produce (`_produced`),
-    which complementation reads.  None is a field, so `==`, `hash`, `repr`
+    accept index (`_accept_index`), which `step` reads; the one table of
+    reset summaries (`_closure`, without the pair (∅, q) of each state q),
+    which the silent closure, `reset_summaries` and complementation read;
+    and the place-sets a run can produce (`_produced`), which
+    complementation reads.  None is a field, so `==`, `hash`, `repr`
     and the pickled state ignore them.  Do not mutate them."""
 
     m: int
@@ -254,7 +255,7 @@ class Hra:
     def _closure(self) -> dict[State, list[tuple[frozenset[int], State]]]:
         """Each state's reset summaries other than (∅, q), keyed only by the
         sources of resets: a lookup that hits costs a recursive comparison
-        of nested `StateTag`s."""
+        of nested `StateTag`s.  Every reader adds (∅, q) itself."""
         def moves(p, y, t):
             return [(None, y | t.label.targets)] if isinstance(t.label, Reset) else []
 
@@ -277,11 +278,6 @@ class Hra:
                 else frozenset(i for i in lab.post if i > self.m) for lab in labels]
         produced = _cut_closure([*map(h0.placeset_of, h0.names()), *posts], cuts)
         return tuple(sorted(produced, key=lambda x: (len(x), sorted(x))))
-
-    @_cached
-    def _summaries(self) -> dict[State, frozenset[tuple[frozenset[int], State]]]:
-        closure = self._closure
-        return {q: frozenset([(frozenset(), q), *closure.get(q, ())]) for q in self.states}
 
 
 def make_hra(
@@ -576,9 +572,10 @@ def _fra_shape(a: Hra) -> bool:
 
 def reset_summaries(a: Hra) -> dict[State, frozenset[tuple[frozenset[int], State]]]:
     """For each state q, all pairs (Y, p) with q reaching p through resets
-    whose targets union to Y (includes (empty, q)).  A cached property of
-    the automaton (see `Hra`): every call returns the same dict."""
-    return a._summaries
+    whose targets union to Y (includes (empty, q)).  Each call builds a new
+    dict from the automaton's cached table `Hra._closure`."""
+    closure = a._closure
+    return {q: frozenset([(frozenset(), q), *closure.get(q, ())]) for q in a.states}
 
 
 # ---------------------------------------------------------------------------

@@ -151,11 +151,14 @@ def _check_range(effect: Effect, dims: int) -> None:
 
 def _check_init(mc: CounterMachine, init: CounterConfig, *target: State) -> None:
     """Raise WrongDimension unless the vector of `init` has the machine's
-    arity; given a target state, raise DanglingState unless it and the
-    state of `init` are both states of the machine."""
+    arity, and ValidationError when it has a negative entry; given a
+    target state, raise DanglingState unless it and the state of `init` are
+    both states of the machine."""
     q0, v0 = init
     if len(v0) != mc.dims:
         raise WrongDimension(f"initial vector has arity {len(v0)}, expected {mc.dims}")
+    if min(v0, default=0) < 0:
+        raise ValidationError([f"initial vector {tuple(v0)!r} has a negative entry"])
     if target and not {q0, *target} <= mc.states:
         raise DanglingState(f"{q0!r} or {target[0]!r} is not a state of the machine")
 
@@ -296,6 +299,28 @@ def _live_counters(mc: CounterMachine, init_vec: Vector) -> list[int]:
     return sorted(live)
 
 
+def _pump(eff: Effect) -> Optional[tuple[tuple[int, int, int], ...]]:
+    """For an effect with no moves that adds at least what it takes on
+    every counter, its (0-based counter, pre, post) triples over the
+    counters it adds to; None for any other effect."""
+    pre, dest, post = eff
+    if dest:
+        return None
+    taken = dict(pre)
+    pump = tuple([(i - 1, taken.pop(i, 0), y) for i, y in post])
+    return None if taken or any(y < x for _, x, y in pump) else pump
+
+
+def _pump_limit(pump: tuple[tuple[int, int, int], ...], b: Vector) -> Vector:
+    """The limit L of f(b) = pre + max(b − post, 0) iterated, for the
+    triples of a `_pump` effect: L_k = pre_k where post_k > pre_k, else
+    max(b_k, pre_k)."""
+    v = list(b)
+    for k, x, y in pump:
+        v[k] = x if y > x else max(v[k], x)
+    return tuple(v)
+
+
 def _named_first(pair: tuple[State, tuple]) -> tuple[str, tuple]:
     """Both counter searches' order: the state's `repr`, then the numbers."""
     return repr(pair[0]), pair[1]
@@ -327,6 +352,17 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
     objects, gets the same answers from more projections.  A state's
     predecessors are sorted by `_named_first`: source, then projected
     effect.  Nothing is kept on the machine between calls.
+
+    A self-loop is accelerated when its projected effect has no moves and
+    adds at least what it takes on every counter (`_pump`).  Its
+    pre-image of b is f(b) = pre + max(b − post, 0), and iterating f
+    reaches the limit L of `_pump_limit` in finitely many steps: a counter
+    with post > pre falls by post − pre per step until it reaches pre, and
+    one with post = pre is max(b, pre) after one step.  The search inserts
+    L in place of f(b).  This is exact.  L is an iterate, so the loop
+    taken that many times covers b from L; and f(b) ≥ L while f is
+    monotone and fixes L, so ↑L holds every later iterate, each of which
+    the search would otherwise insert one pass at a time.
     """
     _check_init(mc, init)
     init_state, init_vec = init
@@ -344,7 +380,7 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
         return Effect(tuple([(slot[i], x) for i, x in pre]), dest,
                       tuple([(slot[i], x) for i, x in post]))
 
-    by_dst: dict[State, set[tuple[State, Effect]]] = {}
+    by_dst: dict[State, set[tuple[State, Effect, Optional[tuple]]]] = {}
     projected: dict[int, Optional[Effect]] = {}  # by id(effect), for this call only
     for t in mc.transitions:
         key = id(t.effect)
@@ -352,7 +388,8 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
             projected[key] = project(t.effect)
         eff = projected[key]
         if eff is not None:
-            by_dst.setdefault(t.dst, set()).add((t.src, eff))
+            pump = _pump(eff) if t.src == t.dst else None
+            by_dst.setdefault(t.dst, set()).add((t.src, eff, pump))
     preds = {
         dst: sorted(group, key=_named_first) if len(group) > 1 else list(group)
         for dst, group in by_dst.items()
@@ -365,8 +402,9 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
     work = deque([(target_state, zero)])
     while work:
         q, b = work.popleft()
-        for src, eff in preds.get(q, ()):
-            for c in sorted(pre_basis(eff, b)):
+        for src, eff, pump in preds.get(q, ()):
+            basis = (_pump_limit(pump, b),) if pump is not None else sorted(pre_basis(eff, b))
+            for c in basis:
                 if seen.insert(src, c):
                     if src == init_state and all(x <= y for x, y in zip(c, start)):
                         return True

@@ -30,7 +30,7 @@ from .core import (
     make_hra,
     step,
 )
-from .counters import Add, CounterConfig, CounterMachine, ResetDim, Transfer
+from .counters import Add, CounterConfig, CounterMachine, ResetDim, Transfer, _check_init
 from .errors import WrongDimension
 
 
@@ -249,8 +249,9 @@ def one_counter_coverable(mc: CounterMachine, init: CounterConfig, target_state)
     (q, v) exactly when v ≥ need[q].  From need[target] = 0, each edge
     lowers need at its source until nothing changes; values only fall in
     ℕ, so the loop stops."""
-    if mc.dims != 1 or len(init[1]) != 1:
-        raise WrongDimension(f"expected one counter, got {mc.dims} and initial vector {init[1]!r}")
+    if mc.dims != 1:
+        raise WrongDimension(f"expected one counter, got {mc.dims}")
+    _check_init(mc, init)
     need = {target_state: 0}
     changed = True
     while changed:

@@ -7,12 +7,12 @@ becomes empty is forgotten, since no later step can read it.  Every
 translation to a counter machine emits at most one edge per automaton
 transition (per reached skeleton pair in the skeleton translation): taking
 a name from X, the pours and wipes of a reset, names evicted from
-registers and putting a name at X′ together form one `Effect`, since its
-takes come first, then its moves, then its puts.  Each
-translation ends the same way: zero-effect edges lead from the images of
-the final states to one target control state, so the language is
-non-empty exactly when that state is coverable from the initial
-configuration.
+registers and putting a name at X′ together form one `Effect`
+(`DimensionMap.effect`), since its takes come first, then its moves, then
+its puts.  Each translation ends the same way: zero-effect edges lead from
+the images of the final states to one target control state, so the
+language is non-empty exactly when that state is coverable from the
+initial configuration.
 
 There is one skeleton translation, `restricted_hra_to_rvass`.  It folds
 register structure, being finite, into the control state as a skeleton,
@@ -79,7 +79,9 @@ class DimensionMap:
     dimension; no edge touches it.
     The place-set → dimension index, the same index keyed by place bitmask
     (bit p for place p) and the moves of each reset are built once per map;
-    none is a field, so equality, hashing and repr see `placesets` only."""
+    none is a field, so equality, hashing and repr see `placesets` only.
+    Both translations to a counter machine spell their edges through
+    `effect`."""
 
     placesets: tuple[frozenset[int], ...]
 
@@ -117,6 +119,16 @@ class DimensionMap:
             d = self.dim_of(x)
             count[d] = count.get(d, 0) + 1
         return tuple(sorted(count.items()))
+
+    def effect(self, take: frozenset[int] | None, moved: frozenset[int] | None,
+               puts: Iterable[frozenset[int]]) -> Effect:
+        """The one spelling of a counter edge: take a unit from the counter
+        of `take`, then make the moves of a reset of `moved`, then put a
+        unit on the counter of each of `puts`.  A take or moved set that is
+        None or ∅ does nothing, and a put at a place-set with no counter is
+        dropped: its name is never read again."""
+        return Effect(self.units([take]), self.reset_moves(moved) if moved else (),
+                      self.units(filter(self._index.__contains__, puts)))
 
     def vector(self, xs: Iterable[frozenset[int]]) -> Vector:
         """`units(xs)` spelled out over every dimension: a configuration's
@@ -188,9 +200,9 @@ def hra_to_trvass(a: Hra) -> CounterReduction:
     for t in a.transitions:
         if isinstance(t.label, Accept):
             x, x2 = t.label.pre, t.label.post
-            eff = Effect(dmap.units([x]), dmap.reset_moves(x2 & regs), dmap.units([x2]))
+            eff = dmap.effect(x, x2 & regs, [x2])
         else:
-            eff = Effect((), dmap.reset_moves(t.label.targets), ())
+            eff = dmap.effect(None, t.label.targets, ())
         transitions.append((t.src, eff, t.dst))
     h0 = a.initial_assignment
     init = (a.initial, dmap.vector(map(h0.placeset_of, h0.names())))
@@ -364,14 +376,9 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
     readable = _readable_placesets(initial, [step for _, step, _ in edges])
     dmap = DimensionMap(tuple(readable) or (frozenset(),))
     kept = set(readable)
-
-    def effect(take, y, puts) -> Effect:
-        return Effect(dmap.units([take]),
-                      dmap.reset_moves(y) if y else (),
-                      dmap.units([z for z in puts if z in kept]))
-
     tags = {p: StateTag("st", p) for p in reached}
-    transitions = [(tags[p], effect(take, y, puts), tags[d]) for p, (take, y, puts), d in edges
+    transitions = [(tags[p], dmap.effect(take, y, puts), tags[d])
+                   for p, (take, y, puts), d in edges
                    if take is None or take in kept]  # a take outside R is outside P
     finals = [tags[p] for p in tags if p[0] in a.finals]
     init = (tags[start], dmap.vector([x for x in initial if x in kept]))

@@ -26,6 +26,8 @@ from histra import (
     counter_step,
     forward_witness_search,
     pre_basis,
+    rvass_to_hra,
+    vass_to_nonreset_hra,
 )
 from histra.cli import CounterDocument, print_counters
 from histra.core import subsets
@@ -801,6 +803,57 @@ def test_one_dim_large_initial_counter():
         assert cover(mc, ("p", (10_000,)), "q")
         assert cover(mc, ("p", (1,)), "q")
         assert not cover(mc, ("p", (0,)), "q")
+
+
+def _pump_machine(k: int, take: int = 0) -> CounterMachine:
+    """p loops taking `take` and adding take + 1, then p --−k--> q."""
+    pump = Effect(_sparse((take,)), (), _sparse((take + 1,)))
+    return CounterMachine.make(1, [], [("p", pump, "p"), ("p", Add((-k,)), "q")])
+
+
+def test_a_pumping_self_loop_is_inserted_at_its_limit(monkeypatch):
+    inserts = []
+    insert = UpSet.insert
+
+    def counting(self, q, v):
+        inserts.append(v)
+        return insert(self, q, v)
+
+    monkeypatch.setattr(UpSet, "insert", counting)
+    # target, then p at 10^9, then the loop's limit p at 0, which is init
+    assert backward_coverability(_pump_machine(10**9), ("p", (0,)), "q")
+    assert inserts == [(0,), (10**9,), (0,)]
+    # a loop that takes 1 before it adds 2 stops at 1, which 0 lies below;
+    # the limit is its own pre-image, so the search ends there
+    inserts.clear()
+    assert not backward_coverability(_pump_machine(10**9, take=1), ("p", (0,)), "q")
+    assert inserts == [(0,), (10**9,), (1,), (1,)]
+    # a counter the loop takes and gives back in equal amounts keeps what
+    # the cone needs, at least what the loop takes; the other falls to 0
+    loop = Effect(((1, 2),), (), ((1, 2), (2, 1)))
+    mc = CounterMachine.make(2, [], [("p", loop, "p"), ("p", Add((-5, -10**9)), "q")])
+    inserts.clear()
+    assert backward_coverability(mc, ("p", (5, 0)), "q")
+    assert inserts == [(0, 0), (5, 10**9), (5, 0)]
+    assert not backward_coverability(mc, ("p", (4, 10**9)), "q")
+
+
+def test_pumping_verdicts_agree_with_the_one_counter_oracle():
+    for k, take, v0 in product((1, 2, 7, 100, 10**4), (0, 1, 3), (0, 1, 3, 10**4)):
+        mc = _pump_machine(k, take)
+        verdict = one_counter_coverable(mc, ("p", (v0,)), "q")
+        assert backward_coverability(mc, ("p", (v0,)), "q") == verdict, (k, take, v0)
+        assert verdict == (v0 >= min(k, take)), (k, take, v0)
+
+
+@pytest.mark.parametrize("query", [backward_coverability, forward_witness_search,
+                                   one_counter_coverable, rvass_to_hra, vass_to_nonreset_hra])
+def test_a_negative_initial_entry_is_an_input_error(query):
+    # states stay implicit: q is a state because an edge ends there
+    mc = CounterMachine.make(1, [], [("p", Add((1,)), "q")])
+    with pytest.raises(ValidationError):
+        query(mc, ("p", (-1,)), "q")
+    query(mc, ("p", (0,)), "q")  # the same query with 0 is fine
 
 
 @pytest.mark.parametrize("module, name, replacement", [
