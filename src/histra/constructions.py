@@ -46,14 +46,17 @@ class StateTag:
     """Constructed-state annotation; `payload` is construction-specific.
 
     Tags nest (a "copies" tag of a product pair, a "mid" tag holding a
-    whole transition), so the hash of `(kind, payload)` is computed on
-    first use and kept.  The kept value is not a field: `==` and `repr`
-    ignore it, and it is left out of the pickled state, so an unpickled
-    tag rehashes under its own process's hash seed."""
+    whole transition), so the hash of `(kind, payload)` and the repr
+    `<kind:p1,p2,...>` are each computed on first use and kept: the
+    counter searches sort states by repr.  The kept values are not
+    fields: `==` and `hash` ignore them, and they are left out of the
+    pickled state, so an unpickled tag rehashes under its own process's
+    hash seed and rebuilds the same repr."""
 
     kind: str
     payload: tuple
-    _hash = None  # not a field: no annotation
+    _hash = None  # not fields: no annotation
+    _repr = None
 
     def __hash__(self) -> int:
         h = self._hash
@@ -66,8 +69,11 @@ class StateTag:
         return {"kind": self.kind, "payload": self.payload}
 
     def __repr__(self) -> str:
-        inner = ",".join(repr(p) for p in self.payload)
-        return f"<{self.kind}:{inner}>"
+        r = self._repr
+        if r is None:
+            r = f"<{self.kind}:{','.join(map(repr, self.payload))}>"
+            object.__setattr__(self, "_repr", r)
+        return r
 
 
 # ---------------------------------------------------------------------------

@@ -322,7 +322,10 @@ def _pump_limit(pump: tuple[tuple[int, int, int], ...], b: Vector) -> Vector:
 
 
 def _named_first(pair: tuple[State, tuple]) -> tuple[str, tuple]:
-    """Both counter searches' order: the state's `repr`, then the numbers."""
+    """Both counter searches' order: the state's `repr`, then the numbers.
+
+    A constructed state is a `StateTag`, which keeps its repr after the
+    first call, so this reads the kept string."""
     return repr(pair[0]), pair[1]
 
 

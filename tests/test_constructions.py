@@ -3,6 +3,7 @@ complementation, containment."""
 
 import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -251,10 +252,18 @@ def test_equal_state_tags_hash_equal():
 
 
 def test_deepcopy_of_a_state_tag_is_equal_and_hashes_equal():
+    fresh = {t: t for t in _nested_states()}
     for t in _nested_states():
         hash(t)
+        kept = repr(t)
+        assert repr(t) is kept
+        assert kept == f"<{t.kind}:{','.join(map(repr, t.payload))}>"
+        # the kept hash and repr are not pickled: a read tag pickles as an unread twin
+        twin = fresh[t]
+        assert twin is not t and twin._repr is None
+        assert pickle.dumps(t) == pickle.dumps(twin)
         twin = copy.deepcopy(t)
-        assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+        assert twin == t and hash(twin) == hash(t) and repr(twin) == kept
 
 
 _PICKLE_STATES = """
@@ -267,13 +276,14 @@ def states():
     return registers_to_histories(a).states
 
 if sys.argv[1] == "dump":
-    tags = sorted(states(), key=repr)
-    set(tags)  # every tag keeps its hash under this seed
+    tags = sorted(states(), key=repr)  # every tag keeps its repr
+    set(tags)  # and its hash under this seed
     sys.stdout.buffer.write(pickle.dumps(tags))
 else:
     tags = pickle.loads(sys.stdin.buffer.read())
-    fresh = set(states())
-    print(len(tags), sum(t in fresh for t in tags))
+    fresh = {t: t for t in states()}
+    same = [t for t in tags if t in fresh and repr(t) == repr(fresh[t]) and repr(t) is repr(t)]
+    print(len(tags), sum(t in fresh for t in tags), len(same))
 """
 
 
@@ -287,8 +297,8 @@ def test_a_pickled_state_tag_rehashes_under_the_loading_seed():
             capture_output=True, timeout=120, check=True,
         ).stdout
 
-    n, found = run("1", "load", run("0", "dump")).split()
-    assert int(n) == 43 and found == n
+    n, found, same_repr = run("1", "load", run("0", "dump")).split()
+    assert int(n) == 43 and found == same_repr == n
 
 
 def _unshared_states(a):
