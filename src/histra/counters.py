@@ -98,14 +98,18 @@ class CTransition:
 @dataclass(frozen=True)
 class CounterMachine:
     """Its states are the given ones together with every transition
-    endpoint.  The constructor takes the edges as they are; `make`
-    validates them first."""
+    endpoint.  The constructor checks only that there is a dimension and
+    takes the edges as they are: for callers whose effects are canonical
+    already, the translations (`reductions.DimensionMap.effect`) and the
+    counter-file reader.  `make` validates them first."""
 
     dims: int
     states: frozenset[State]
     transitions: frozenset[CTransition]
 
     def __post_init__(self) -> None:
+        if self.dims < 1:
+            raise WrongDimension("a counter machine needs at least one dimension")
         ends = {q for t in self.transitions for q in (t.src, t.dst)}
         object.__setattr__(self, "states", frozenset(self.states) | ends)
 
@@ -115,14 +119,15 @@ class CounterMachine:
         states: Iterable[State],
         transitions: Iterable[tuple[State, Effect, State]],
     ) -> "CounterMachine":
-        """Validate the effects and build the machine.
+        """Validate the effects and build the machine: the entry point for
+        a machine built by hand, whose effects may be in any order or
+        invalid.
 
         Each distinct effect is validated once, and every edge whose effect
         is equal (before or after `Effect.canonical`) shares one canonical
         object.  An invalid effect raises at its first edge, so the error is
-        that of the first invalid edge in input order."""
-        if dims < 1:
-            raise WrongDimension("a counter machine needs at least one dimension")
+        that of the first invalid edge in input order; a machine with no
+        dimension raises at its first edge or in the constructor."""
         shared: dict[Effect, Effect] = {}
         ts = []
         for src, eff, dst in transitions:
@@ -349,10 +354,11 @@ def backward_coverability(mc: CounterMachine, init: CounterConfig, target_state:
 
     Effects are sparse, so set-up reads only the counters each edge
     touches.  It projects each effect object once per call and gives every
-    edge that carries it the same projection.  `CounterMachine.make` shares
-    one object per distinct effect, so that is once per distinct effect; a
-    machine built by the constructor, whose equal effects may be separate
-    objects, gets the same answers from more projections.  A state's
+    edge that carries it the same projection.  `CounterMachine.make`, the
+    translations' `DimensionMap.effect` and the counter-file reader each
+    share one object per distinct effect, so that is once per distinct
+    effect; a machine built by the constructor from separate equal effect
+    objects gets the same answers from more projections.  A state's
     predecessors are sorted by `_named_first`: source, then projected
     effect.  Nothing is kept on the machine between calls.
 

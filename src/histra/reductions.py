@@ -12,7 +12,10 @@ registers and putting a name at X′ together form one `Effect`
 its puts.  Each translation ends the same way: zero-effect edges lead from
 the images of the final states to one target control state, so the
 language is non-empty exactly when that state is coverable from the
-initial configuration.
+initial configuration.  The map builds each distinct effect once, valid by
+construction, and shares one object per distinct value, so `_reduction`
+builds the machine without `CounterMachine.make`, which would validate
+every effect a second time; `make` is for machines built by hand.
 
 There is one skeleton translation, `restricted_hra_to_rvass`.  It folds
 register structure, being finite, into the control state as a skeleton,
@@ -50,7 +53,8 @@ from .core import (
     Accept, Assignment, Hra, Reset, State, Transition, _cut_closure, classify, explore, subsets,
 )
 from .counters import (
-    CounterConfig, CounterMachine, Effect, Units, Vector, _check_init, backward_coverability,
+    CounterConfig, CounterMachine, CTransition, Effect, Units, Vector, _check_init,
+    backward_coverability,
 )
 from .errors import (
     NonUnitEffect,
@@ -78,10 +82,11 @@ class DimensionMap:
     inert counter when no place-set is readable, since a machine needs a
     dimension; no edge touches it.
     The place-set → dimension index, the same index keyed by place bitmask
-    (bit p for place p) and the moves of each reset are built once per map;
-    none is a field, so equality, hashing and repr see `placesets` only.
-    Both translations to a counter machine spell their edges through
-    `effect`."""
+    (bit p for place p), the moves of each reset and the effect of each
+    edge spelling are built once per map; none is a field, so equality,
+    hashing and repr see `placesets` only.  Both translations to a counter
+    machine spell their edges through `effect`, and nothing validates
+    those effects again: `effect` builds only canonical ones."""
 
     placesets: tuple[frozenset[int], ...]
 
@@ -90,6 +95,8 @@ class DimensionMap:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_masks", {_mask(x): d for x, d in index.items()})
         object.__setattr__(self, "_resets", {})
+        object.__setattr__(self, "_effects", {})  # one build per distinct spelling
+        object.__setattr__(self, "_shared", {})  # one object per distinct effect
 
     def dim_of(self, x: frozenset[int]) -> int:
         try:
@@ -126,9 +133,20 @@ class DimensionMap:
         of `take`, then make the moves of a reset of `moved`, then put a
         unit on the counter of each of `puts`.  A take or moved set that is
         None or ∅ does nothing, and a put at a place-set with no counter is
-        dropped: its name is never read again."""
-        return Effect(self.units([take]), self.reset_moves(moved) if moved else (),
-                      self.units(filter(self._index.__contains__, puts)))
+        dropped: its name is never read again.
+
+        The result is canonical by construction, what `Effect.canonical`
+        would return: `units` sorts its pairs, `reset_moves` lists its
+        sources in dimension order, and a reset of Y sends X to X∖Y ≠ X,
+        which no move takes from.  Each spelling is built once, and equal
+        effects of different spellings are one object."""
+        key = (take, moved, tuple(puts))
+        eff = self._effects.get(key)
+        if eff is None:
+            eff = Effect(self.units([take]), self.reset_moves(moved) if moved else (),
+                         self.units(filter(self._index.__contains__, key[2])))
+            eff = self._effects[key] = self._shared.setdefault(eff, eff)
+        return eff
 
     def vector(self, xs: Iterable[frozenset[int]]) -> Vector:
         """`units(xs)` spelled out over every dimension: a configuration's
@@ -153,17 +171,21 @@ class CounterReduction:
 def _reduction(
     dmap: DimensionMap,
     states: Iterable[State],
-    transitions: list,
+    transitions: list[CTransition],
     finals: Iterable[State],
     init: CounterConfig,
 ) -> CounterReduction:
     """Close a translation: a zero-effect edge from every final control
     state to the target `StateTag("target", ())`, then the machine.
     `states` are the control states, edgeless ones and ones that `init`
-    cannot reach included."""
+    cannot reach included.  Every effect, the zero one too, comes from
+    `dmap.effect`, so it is canonical and shared already, and the machine
+    is built by its constructor, which still rejects a map with no
+    dimension."""
     goal = StateTag("target", ())
-    edges = transitions + [(q, Effect((), (), ()), goal) for q in finals]
-    mc = CounterMachine.make(len(dmap.placesets), {goal, *states}, edges)
+    zero = dmap.effect(None, None, ())
+    edges = transitions + [CTransition(q, zero, goal) for q in finals]
+    mc = CounterMachine(len(dmap.placesets), frozenset({goal, *states}), frozenset(edges))
     return CounterReduction(mc, init, goal, dmap)
 
 
@@ -196,14 +218,14 @@ def hra_to_trvass(a: Hra) -> CounterReduction:
     the other translations are checked against."""
     regs = frozenset(range(a.m + 1, a.m + a.n + 1))
     dmap = DimensionMap(tuple(subsets(a.places)[1:]))
-    transitions: list[tuple[State, object, State]] = []
+    transitions: list[CTransition] = []
     for t in a.transitions:
         if isinstance(t.label, Accept):
             x, x2 = t.label.pre, t.label.post
             eff = dmap.effect(x, x2 & regs, [x2])
         else:
             eff = dmap.effect(None, t.label.targets, ())
-        transitions.append((t.src, eff, t.dst))
+        transitions.append(CTransition(t.src, eff, t.dst))
     h0 = a.initial_assignment
     init = (a.initial, dmap.vector(map(h0.placeset_of, h0.names())))
     return _reduction(dmap, a.states, transitions, a.finals, init)
@@ -377,7 +399,7 @@ def restricted_hra_to_rvass(a: Hra) -> CounterReduction:
     dmap = DimensionMap(tuple(readable) or (frozenset(),))
     kept = set(readable)
     tags = {p: StateTag("st", p) for p in reached}
-    transitions = [(tags[p], dmap.effect(take, y, puts), tags[d])
+    transitions = [CTransition(tags[p], dmap.effect(take, y, puts), tags[d])
                    for p, (take, y, puts), d in edges
                    if take is None or take in kept]  # a take outside R is outside P
     finals = [tags[p] for p in tags if p[0] in a.finals]

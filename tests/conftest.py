@@ -1,5 +1,5 @@
-"""Shared cross-checks for the emptiness tests, and the determinism test
-that complementation applies."""
+"""Shared cross-checks for the emptiness tests, the determinism test
+that complementation applies, and the catalogue automata."""
 
 import pytest
 
@@ -15,6 +15,16 @@ from histra import (
     restricted_hra_to_rvass,
 )
 from histra.oracles import one_counter_coverable
+import histra.zoo as zoo
+
+
+def zoo_automata():
+    """Every automaton of `histra.zoo`, the anchored ones at name 0."""
+    singles = [zoo.all_distinct_hra, zoo.generate_then_consume_hra, zoo.anchored_blocks_hra,
+               zoo.two_tracks_hra, zoo.not_all_twice_hra, zoo.no_immediate_repeat_register_hra,
+               zoo.no_immediate_repeat_history_hra, zoo.anchored_distinct_hra,
+               zoo.two_step_distinct_hra]
+    return [make() for make in singles] + list(zoo.alternating_pair_hras())
 
 
 def _translation_verdicts(a):

@@ -40,9 +40,10 @@ from histra.cli import (
     print_counters,
     print_hra,
 )
-import histra.zoo as zoo
 from histra.oracles import bounded_emptiness, enumerate_words, random_counter_machine, random_hra
 from histra.zoo import generate_then_consume_hra, two_tracks_hra
+
+from conftest import zoo_automata
 
 DISTINCT = """\
 HRA 1 0
@@ -535,15 +536,6 @@ def test_empty_bound_must_be_non_negative(tmp_path, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
-def _zoo_automata():
-    """Every automaton of `histra.zoo`, the anchored ones at name 0."""
-    singles = [zoo.all_distinct_hra, zoo.generate_then_consume_hra, zoo.anchored_blocks_hra,
-               zoo.two_tracks_hra, zoo.not_all_twice_hra, zoo.no_immediate_repeat_register_hra,
-               zoo.no_immediate_repeat_history_hra, zoo.anchored_distinct_hra,
-               zoo.two_step_distinct_hra]
-    return [make() for make in singles] + list(zoo.alternating_pair_hras())
-
-
 def test_empty_bounded_exits_by_the_probe_s_kind(tmp_path, capsys):
     verdicts = {
         "nonempty": (1, "empty: false (engine: bounded)\n"),
@@ -551,7 +543,7 @@ def test_empty_bounded_exits_by_the_probe_s_kind(tmp_path, capsys):
         "bound_exhausted": (2, "empty: unknown (engine: bounded, bound exhausted)\n"),
     }
     seen = set()
-    automata = _zoo_automata() + [random_hra(seed) for seed in range(100)]
+    automata = zoo_automata() + [random_hra(seed) for seed in range(100)]
     for i, a in enumerate(automata):
         f = _file(tmp_path, f"a{i}.hra", print_hra(a))
         for bound in (0, 3, 8):

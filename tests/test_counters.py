@@ -70,6 +70,8 @@ def test_make_validates_arity_and_ranges():
     with pytest.raises(WrongDimension, match="at least one dimension"):
         CounterMachine.make(0, ["q"], [])
     with pytest.raises(WrongDimension, match="at least one dimension"):
+        CounterMachine(0, frozenset({"q"}), frozenset())  # the constructor checks it too
+    with pytest.raises(WrongDimension, match="at least one dimension"):
         Effect((), (), ()).canonical(0)
     with pytest.raises(WrongDimension):
         CounterMachine.make(2, ["q"], [("q", Add((0, 0, 1)), "q")])

@@ -8,9 +8,11 @@ import pytest
 from histra import (
     Accept,
     Add,
+    Assignment,
     DanglingState,
     DimensionMap,
     Effect,
+    Hra,
     NonUnitEffect,
     Reset,
     ResetDim,
@@ -60,7 +62,7 @@ from histra.zoo import (
     two_tracks_hra,
 )
 
-from conftest import deterministic
+from conftest import deterministic, zoo_automata
 
 
 def s(*xs):
@@ -165,6 +167,34 @@ def test_trvass_counts_register_names_in_their_own_counters():
 def test_trvass_no_finals_is_uncoverable():
     red = hra_to_trvass(_strip_finals(generate_then_consume_hra()))
     assert not backward_coverability(red.machine, red.init, red.target)
+
+
+def test_translations_build_canonical_shared_effects_without_validating(monkeypatch):
+    # every edge is spelled by `DimensionMap.effect`, canonical by
+    # construction and one object per distinct effect, so nothing calls
+    # `Effect.canonical`, and `make` of the same edges builds the same machine
+    automata = zoo_automata() + [random_hra(seed, max_m=3, max_n=2) for seed in range(100)]
+    calls = []
+    canonical = Effect.canonical
+    monkeypatch.setattr(Effect, "canonical", lambda e, dims: calls.append(e) or canonical(e, dims))
+    machines = [translate(a).machine for a in automata
+                for translate in (hra_to_trvass, restricted_hra_to_rvass)]
+    assert calls == []
+    monkeypatch.undo()
+    for mc in machines:
+        edges = [(t.src, t.effect, t.dst) for t in mc.transitions]
+        assert mc == CounterMachine.make(mc.dims, mc.states, edges)
+        effects = [t.effect for t in mc.transitions]
+        assert len({id(e) for e in effects}) == len(set(effects))
+
+
+def test_trvass_of_a_placeless_automaton_needs_a_dimension():
+    a = Hra(0, 0, frozenset({"q"}), "q", Assignment(()), frozenset(), frozenset({"q"}))
+    with pytest.raises(WrongDimension, match="at least one dimension"):
+        hra_to_trvass(a)
+    # the skeleton translation gives it its one inert counter
+    assert restricted_hra_to_rvass(a).machine.dims == 1
+    assert not emptiness(a).is_empty
 
 
 def test_trvass_on_ten_histories_agrees_with_emptiness():
