@@ -9,7 +9,7 @@ Automaton files are line-oriented (`#` starts a comment):
     TRANS <src> <dst> RST <X>
 
 where X and X' are comma-separated 1-based place indices, or `-` for the
-empty set.  Counter-machine files:
+empty set, and INIT puts one name in one place.  Counter-machine files:
 
     TRVASS|RVASS|VASS <m>
     STATE <id>
@@ -25,8 +25,16 @@ vector, which must leave every counter non-negative; its entries may be
 any integers.  Otherwise the first ADD, if it comes before everything
 else, must have no positive entries and is taken away first; then the
 transfers and resets act together; then the last ADD, which must have no
-negative entries, is added.  A transfer may not pour into a counter that
-the same line moves or resets.
+negative entries, is added.  `TRANSFER i j` needs 1 <= i, j <= m and
+i != j, and a transfer may not pour into a counter that the same line moves
+or resets.
+
+Both readers take the header from the first line that is not blank or a
+comment, then read the rest line by line, each TRANS line phase by phase.
+The first fault met in that order is raised as a HistraError (ParseError,
+or BadPlaceIndex for a place out of range) whose message names its line.
+Faults of the whole file name no line: a missing header, other than one
+INITIAL state, and what `core.validate` finds in the finished automaton.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from .constructions import (
@@ -126,6 +134,13 @@ def _lines(text: str):
             yield ln, line.split()
 
 
+def _ints(tokens: Sequence[str], ln: int) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise ParseError(f"line {ln}: expected integers, got {' '.join(tokens)}") from None
+
+
 def _parse_placeset(tok: str, size: int, ln: int) -> frozenset[int]:
     if tok == "-":
         return frozenset()
@@ -141,47 +156,66 @@ def _parse_placeset(tok: str, size: int, ln: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _header(lines, heads: dict[str, int], least: int, what: str) -> tuple[str, tuple[int, ...]]:
+    """The keyword and entries of the first line of `lines` (from `_lines`),
+    which must be a keyword of `heads` followed by as many integers as it
+    maps to, each at least `least`; `what` names the header in faults."""
+    ln, toks = next(lines, (0, None))
+    if toks is None:
+        raise ParseError(f"missing {what} header")
+    kind = toks[0].upper()
+    arity = heads.get(kind)
+    if arity is None:
+        raise ParseError(f"line {ln}: {what} header must come first")
+    if len(toks) != 1 + arity:
+        raise ParseError(f"line {ln}: {kind} expects {arity} entries")
+    entries = _ints(toks[1:], ln)
+    if min(entries) < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ParseError(f"line {ln}: {kind} entries must be {bound}")
+    return kind, entries
+
+
+def _stray(ln: int, word: str, heads: dict[str, int], what: str) -> ParseError:
+    """The fault of a line after the header that starts with `word`, which
+    is no directive of the file: a second header, or an unknown word."""
+    if word.upper() in heads:
+        return ParseError(f"line {ln}: duplicate {what} header")
+    return ParseError(f"line {ln}: unknown directive {word}")
+
+
+_HRA = {"HRA": 2}
+
+
 def parse_hra_document(text: str, names: Optional[NameTable] = None) -> HraDocument:
     names = names if names is not None else NameTable()
-    header: Optional[tuple[int, int]] = None
+    lines = _lines(text)
+    _, (m, n) = _header(lines, _HRA, 0, "HRA")
     states: dict[str, tuple[bool, bool]] = {}
-    init: list[tuple[int, int]] = []
+    contents: dict[int, set[int]] = {}  # the initial assignment, by place
     transitions: list[Transition] = []
-    for ln, toks in _lines(text):
+    for ln, toks in lines:
         kind = toks[0].upper()
-        if kind == "HRA":
-            if header is not None:
-                raise ParseError(f"line {ln}: duplicate HRA header")
-            if len(toks) != 3:
-                raise ParseError(f"line {ln}: expected HRA <m> <n>")
-            try:
-                header = (int(toks[1]), int(toks[2]))
-            except ValueError:
-                raise ParseError(f"line {ln}: HRA arguments must be integers") from None
-            if min(header) < 0:
-                raise ParseError(f"line {ln}: HRA counts must be non-negative")
-            continue
-        if header is None:
-            raise ParseError(f"line {ln}: HRA header must come first")
-        m, n = header
         if kind == "STATE":
             if len(toks) < 2:
                 raise ParseError(f"line {ln}: expected STATE <id> [INITIAL] [FINAL]")
-            sid = toks[1]
             flags = [t.upper() for t in toks[2:]]
             bad = [f for f in flags if f not in ("INITIAL", "FINAL")]
             if bad:
                 raise ParseError(f"line {ln}: unknown state flag {bad[0]}")
-            if sid in states:
-                raise ParseError(f"line {ln}: duplicate state {sid}")
-            states[sid] = ("INITIAL" in flags, "FINAL" in flags)
+            if toks[1] in states:
+                raise ParseError(f"line {ln}: duplicate state {toks[1]}")
+            states[toks[1]] = ("INITIAL" in flags, "FINAL" in flags)
         elif kind == "INIT":
             if len(toks) != 3:
                 raise ParseError(f"line {ln}: expected INIT <place> <name>")
             (place,) = _ints(toks[1:2], ln)
             if not 1 <= place <= m + n:
                 raise BadPlaceIndex(f"line {ln}: place {place} out of range 1..{m + n}")
-            init.append((place, names.intern(toks[2])))
+            try:
+                contents.setdefault(place, set()).add(names.intern(toks[2]))
+            except ParseError as exc:
+                raise ParseError(f"line {ln}: {exc}") from None
         elif kind == "TRANS":
             if len(toks) < 4:
                 raise ParseError(f"line {ln}: truncated TRANS line")
@@ -193,27 +227,19 @@ def parse_hra_document(text: str, names: Optional[NameTable] = None) -> HraDocum
                 if len(toks) != 7 or toks[5] != ":":
                     raise ParseError(f"line {ln}: expected TRANS <src> <dst> ACC <X> : <X'>")
                 pre = _parse_placeset(toks[4], m + n, ln)
-                post = _parse_placeset(toks[6], m + n, ln)
-                transitions.append(Transition(src, Accept(pre, post), dst))
+                label = Accept(pre, _parse_placeset(toks[6], m + n, ln))
             elif op == "RST":
                 if len(toks) != 5:
                     raise ParseError(f"line {ln}: expected TRANS <src> <dst> RST <X>")
-                transitions.append(
-                    Transition(src, Reset(_parse_placeset(toks[4], m + n, ln)), dst)
-                )
+                label = Reset(_parse_placeset(toks[4], m + n, ln))
             else:
                 raise ParseError(f"line {ln}: unknown label kind {op}")
+            transitions.append(Transition(src, label, dst))
         else:
-            raise ParseError(f"line {ln}: unknown directive {toks[0]}")
-    if header is None:
-        raise ParseError("missing HRA header")
-    m, n = header
+            raise _stray(ln, toks[0], _HRA, "HRA")
     initials = [s for s, (i, _) in states.items() if i]
     if len(initials) != 1:
         raise ParseError(f"expected exactly one INITIAL state, found {len(initials)}")
-    contents: dict[int, set[int]] = {}
-    for place, name in init:
-        contents.setdefault(place, set()).add(name)
     a = Hra(
         m=m,
         n=n,
@@ -233,21 +259,16 @@ def parse_hra(text: str) -> Hra:
 
 def _state_tokens(states) -> dict:
     """Deterministic printable identifiers for arbitrary state objects."""
-    toks: dict = {}
-    used: set[str] = set()
     ordered = sorted(states, key=repr)
-    for s in ordered:
-        if isinstance(s, str) and _IDENT.fullmatch(s) and s not in used:
-            toks[s] = s
-            used.add(s)
+    toks: dict = {s: s for s in ordered if isinstance(s, str) and _IDENT.fullmatch(s)}
+    used = set(toks)
     serial = 0
     for s in ordered:
-        if s in toks:
-            continue
-        while f"s{serial}" in used:
+        if s not in toks:
+            while f"s{serial}" in used:
+                serial += 1
+            toks[s] = f"s{serial}"
             serial += 1
-        toks[s] = f"s{serial}"
-        used.add(f"s{serial}")
     return toks
 
 
@@ -270,9 +291,8 @@ def print_hra(a: Hra, names: Optional[NameTable] = None) -> str:
         flags = (" INITIAL" if s == a.initial else "") + (" FINAL" if s in a.finals else "")
         out.append(f"STATE {tok[s]}{flags}")
     h0 = a.initial_assignment
-    for place in range(1, a.m + a.n + 1):
-        for name in sorted(h0.place(place)):
-            out.append(f"INIT {place} {names.token(name)}")
+    out.extend(f"INIT {place} {names.token(name)}"
+               for place in range(1, a.m + a.n + 1) for name in sorted(h0.place(place)))
     out.extend(sorted(f"TRANS {tok[t.src]} {tok[t.dst]} {_fmt_label(t.label)}"
                       for t in a.transitions))
     return "\n".join(out) + "\n"
@@ -282,27 +302,19 @@ def print_hra(a: Hra, names: Optional[NameTable] = None) -> str:
 # counter-machine files
 
 
+_CLASSES = {"TRVASS": 1, "RVASS": 1, "VASS": 1}
+
+
 def parse_counters(text: str) -> CounterDocument:
-    klass: Optional[str] = None
-    dims = 0
+    lines = _lines(text)
+    klass, (dims,) = _header(lines, _CLASSES, 1, "machine")
     states: set = set()
     transitions: list[CTransition] = []
     query: Optional[tuple[object, tuple[int, ...], object]] = None
     effects: dict[tuple[str, ...], Effect] = {}  # one parse per distinct spelling
     shared: dict[Effect, Effect] = {}  # one object per distinct effect, as in `make`
-    for ln, toks in _lines(text):
+    for ln, toks in lines:
         kind = toks[0].upper()
-        if kind in ("TRVASS", "RVASS", "VASS"):
-            if klass is not None:
-                raise ParseError(f"line {ln}: duplicate header")
-            if len(toks) != 2:
-                raise ParseError(f"line {ln}: expected {kind} <dims>")
-            klass, (dims,) = kind, _ints(toks[1:2], ln)
-            if dims < 1:
-                raise ParseError(f"line {ln}: need at least one dimension")
-            continue
-        if klass is None:
-            raise ParseError(f"line {ln}: machine header must come first")
         if kind == "STATE":
             if len(toks) != 2:
                 raise ParseError(f"line {ln}: expected STATE <id>")
@@ -321,61 +333,50 @@ def parse_counters(text: str) -> CounterDocument:
                 raise ParseError(f"line {ln}: QUERY expects <q0> <{dims} entries> <target>")
             if query is not None:
                 raise ParseError(f"line {ln}: duplicate QUERY")
-            try:
-                vec = tuple(int(x) for x in toks[2:-1])
-            except ValueError:
-                raise ParseError(f"line {ln}: QUERY entries must be integers") from None
-            if any(x < 0 for x in vec):
+            vec = _ints(toks[2:-1], ln)
+            if min(vec) < 0:
                 raise ParseError(f"line {ln}: QUERY entries must be non-negative")
             query = (toks[1], vec, toks[-1])
             states.update((toks[1], toks[-1]))
         else:
-            raise ParseError(f"line {ln}: unknown directive {toks[0]}")
-    if klass is None:
-        raise ParseError("missing machine header")
+            raise _stray(ln, toks[0], _CLASSES, "machine")
     # every effect is canonical already: build the machine without `make`,
     # which would validate each one a second time
     mc = CounterMachine(dims, frozenset(states), frozenset(transitions))
     return CounterDocument(mc, query)
 
 
-def _ints(tokens: Sequence[str], ln: int) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in tokens)
-    except ValueError:
-        raise ParseError(f"line {ln}: expected integers, got {' '.join(tokens)}") from None
-
-
 _ARITY = {"ADD": None, "TRANSFER": 2, "RESET": 1}
 
 
 def _parse_effect(toks: Sequence[str], klass: str, dims: int, ln: int) -> Effect:
-    """The effect of one TRANS line from its phases (the tokens after the
-    two states), read in one pass over its words.  The faults reported are
-    the leading token that is no word, then the first word that the class
-    forbids or that has the wrong number of entries, then the first word
-    with an entry that is no integer, then the phase order."""
-    starts = [k for k, tok in enumerate(toks) if tok.upper() in _ARITY]
-    if not starts or starts[0]:
-        raise ParseError(f"line {ln}: unknown effect {toks[0]}")
+    """The effect of one TRANS line from its phases (the words after the
+    two states).  The words are split into phases at the keywords, and each
+    phase is checked in turn: the class allows it, it has its number of
+    entries, they are integers, and a move names counters 1..dims.  The
+    first fault met is reported; then the phase order; then the checks of
+    `Effect.canonical`."""
+    split: list[tuple[str, list[str]]] = []
+    for tok in toks:
+        op = tok.upper()
+        if op in _ARITY:
+            split.append((op, []))
+        elif split:
+            split[-1][1].append(tok)
+        else:
+            raise ParseError(f"line {ln}: unknown effect {tok}")
     phases: list[tuple[str, tuple[int, ...]]] = []
-    bad_ints = None
-    for start, end in zip(starts, starts[1:] + [len(toks)]):
-        op, args = toks[start].upper(), toks[start + 1:end]
-        if op == "TRANSFER" and klass != "TRVASS":
-            raise ParseError(f"line {ln}: TRANSFER not allowed in a {klass} file")
-        if op == "RESET" and klass == "VASS":
-            raise ParseError(f"line {ln}: RESET not allowed in a VASS file")
+    for op, args in split:
+        if op == "TRANSFER" and klass != "TRVASS" or op == "RESET" and klass == "VASS":
+            raise ParseError(f"line {ln}: {op} not allowed in a {klass} file")
         arity = _ARITY[op] or dims
         if len(args) != arity:
             raise ParseError(f"line {ln}: {op} expects {arity} entries")
-        if bad_ints is None:
-            try:
-                phases.append((op, tuple(map(int, args))))
-            except ValueError:
-                bad_ints = args
-    if bad_ints is not None:
-        raise ParseError(f"line {ln}: expected integers, got {' '.join(bad_ints)}")
+        ints = _ints(args, ln)
+        out = [i for i in ints if not 1 <= i <= dims] if op != "ADD" else ()
+        if out:
+            raise ParseError(f"line {ln}: counter {out[0]} out of range for {dims} dims")
+        phases.append((op, ints))
     if len(phases) == 1 and phases[0][0] == "ADD":
         eff = Add(phases[0][1])
     else:
@@ -426,10 +427,8 @@ def print_counters(doc: CounterDocument) -> str:
     if doc.query is not None:
         listed.update((doc.query[0], doc.query[2]))
     out.extend(sorted(f"STATE {tok[q]}" for q in mc.states - listed))
-    lines = []
-    for t in mc.transitions:
-        lines.append(f"TRANS {tok[t.src]} {tok[t.dst]} {_print_effect(t.effect, mc.dims)}")
-    out.extend(sorted(lines))
+    out.extend(sorted(f"TRANS {tok[t.src]} {tok[t.dst]} {_print_effect(t.effect, mc.dims)}"
+                      for t in mc.transitions))
     if doc.query is not None:
         q0, vec, target = doc.query
         out.append(f"QUERY {tok[q0]} {' '.join(str(x) for x in vec)} {tok[target]}")
@@ -517,16 +516,17 @@ def _cmd_build(args) -> int:
     return 0
 
 
+# the translations that write a counter-machine file, by `--target`
+_TARGETS = {
+    "restricted": restricted_hra_to_rvass,
+    "trvass": hra_to_trvass,
+    "vass": nonreset_to_vass,
+}
+
+
 def _cmd_to_counters(args) -> int:
-    a = _load(args.file).hra
-    if args.target == "trvass":
-        red = hra_to_trvass(a)
-    elif args.target == "vass":
-        red = nonreset_to_vass(a)
-    else:
-        red = restricted_hra_to_rvass(a)
-    q0, v0 = red.init
-    _write(args.output, print_counters(CounterDocument(red.machine, (q0, v0, red.target))))
+    red = _TARGETS[args.target](_load(args.file).hra)
+    _write(args.output, print_counters(CounterDocument(red.machine, (*red.init, red.target))))
     print(f"wrote {args.output}")
     return 0
 
@@ -542,14 +542,8 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    doc = _load(args.file)
-    flags = classify(doc.hra)
-    print(
-        f"unary:{str(flags.unary).lower()} "
-        f"non_reset:{str(flags.non_reset).lower()} "
-        f"ra:{str(flags.ra).lower()} "
-        f"fra:{str(flags.fra).lower()}"
-    )
+    flags = classify(_load(args.file).hra)
+    print(" ".join(f"{f.name}:{str(getattr(flags, f.name)).lower()}" for f in fields(flags)))
     return 0
 
 
@@ -599,7 +593,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("to-counters", help="translate to a counter machine")
     sp.add_argument("file")
-    sp.add_argument("--target", choices=["restricted", "trvass", "vass"], default="restricted",
+    sp.add_argument("--target", choices=_TARGETS, default="restricted",
                     help="restricted (default) is the machine `histra empty` solves")
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(func=_cmd_to_counters)

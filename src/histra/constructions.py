@@ -38,7 +38,7 @@ from .core import (
     Transition,
     explore,
 )
-from .errors import DuplicateFixName, NotDeterministic, retired
+from .errors import DuplicateFixName, NotDeterministic, WrongDimension, retired
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def pad_type(a: Hra, m: int, n: int) -> Hra:
     Unused places never occur in labels, so the language is unchanged.
     """
     if m < a.m or n < a.n:
-        raise ValueError(f"cannot pad ({a.m},{a.n}) down to ({m},{n})")
+        raise WrongDimension(f"cannot pad ({a.m},{a.n}) down to ({m},{n})")
     if (m, n) == (a.m, a.n):
         return a
     mp = {i: i for i in range(1, a.m + 1)}

@@ -106,12 +106,12 @@ class Assignment:
         """Names lying in every place of `x` and nowhere else.
 
         `x` must be non-empty; the x = {} case is the freshness predicate,
-        available as is_fresh / fresh_name.  A place outside 1..size raises
-        BadPlaceIndex, as in `place`.
+        available as is_fresh / fresh_name.  An empty `x`, or a place
+        outside 1..size as in `place`, raises BadPlaceIndex.
         """
         x = frozenset(x)
         if not x:
-            raise ValueError("at() needs a non-empty place-set; use is_fresh for freshness")
+            raise BadPlaceIndex("at() needs a non-empty place-set; use is_fresh for freshness")
         inside = frozenset.intersection(*(self.place(i) for i in x))
         outside = frozenset(
             chain.from_iterable(s for i, s in enumerate(self.contents) if i + 1 not in x)

@@ -50,7 +50,7 @@ class Effect(NamedTuple):
             last = 0
             for i, x in units:
                 if not 1 <= i <= dims:
-                    raise WrongDimension(f"{self!r} out of range for {dims} dims")
+                    raise WrongDimension(f"counter {i} out of range for {dims} dims")
                 if x <= 0:
                     raise ValidationError([f"{self!r}: pre and post amounts must be positive"])
                 if i <= last:
@@ -59,8 +59,9 @@ class Effect(NamedTuple):
         dest = self.dest
         sources = {i for i, _ in dest}
         for i, j in dest:
-            if not (1 <= i <= dims and 0 <= j <= dims):
-                raise WrongDimension(f"{self!r} out of range for {dims} dims")
+            out = i if not 1 <= i <= dims else j if not 0 <= j <= dims else None
+            if out is not None:
+                raise WrongDimension(f"counter {out} out of range for {dims} dims")
             if i == j:
                 raise SelfTransfer(f"{self!r}: source and destination must differ")
             if j and j in sources:
@@ -79,7 +80,10 @@ def Add(vector: Iterable[int]) -> Effect:
 
 
 def Transfer(src: int, dst: int) -> Effect:
-    """Pour counter `src` into counter `dst`, zeroing `src`."""
+    """Pour counter `src` into counter `dst`, zeroing `src`.  A `dst` below
+    1 is no counter and raises WrongDimension: `ResetDim` zeroes one."""
+    if dst < 1:
+        raise WrongDimension(f"transfer destination {dst} is no counter; ResetDim zeroes one")
     return Effect((), ((src, dst),), ())
 
 

@@ -61,6 +61,7 @@ from .errors import (
     ResetsPresent,
     ScopeViolation,
     TransfersOrResetsPresent,
+    WrongDimension,
     retired,
 )
 from .skeletons import Skeleton, skel_at, skel_move, skel_reset, skeleton_of
@@ -102,7 +103,7 @@ class DimensionMap:
         try:
             return self._index[x]
         except KeyError:
-            raise ValueError(f"place-set {sorted(x)} has no dimension") from None
+            raise WrongDimension(f"place-set {sorted(x)} has no dimension") from None
 
     def reset_moves(self, y: frozenset[int]) -> tuple[tuple[int, int], ...]:
         """The moves of a reset of `y`: every counter whose place-set X

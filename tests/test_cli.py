@@ -13,6 +13,7 @@ from histra import (
     NonUnitEffect,
     SelfTransfer,
     Transfer,
+    ValidationError,
     apply_effect,
     backward_coverability,
     classify,
@@ -419,6 +420,77 @@ def test_counter_query_validation():
         parse_counters("VASS 1\nQUERY a 0 b\nQUERY a 0 b\n")
     with pytest.raises(ParseError, match="missing machine header"):
         parse_counters("# nothing here\n")
+
+
+# one fault per file: (command, file text, error class, message fragment);
+# a fault of a line names it, a fault of the whole file names no line
+_READER_FAULTS = [
+    ("classify", "", ParseError, "missing HRA header"),
+    ("classify", "# only a comment\n", ParseError, "missing HRA header"),
+    ("classify", "STATE q INITIAL\n", ParseError, "line 1: HRA header must come first"),
+    ("classify", "HRA 1\n", ParseError, "line 1: HRA expects 2 entries"),
+    ("classify", "HRA 1 x\n", ParseError, "line 1: expected integers, got 1 x"),
+    ("classify", "HRA 1 -1\n", ParseError, "line 1: HRA entries must be non-negative"),
+    ("classify", "\nHRA 1 0\nSTATE q INITIAL\nHRA 1 0\n", ParseError,
+     "line 4: duplicate HRA header"),
+    ("classify", "HRA 1 0\nVASS 1\n", ParseError, "line 2: unknown directive VASS"),
+    ("classify", "HRA 1 0\nSTATE\n", ParseError, "line 2: expected STATE <id>"),
+    ("classify", "HRA 1 0\nSTATE q INITIAL\nINIT 1\n", ParseError, "line 3: expected INIT"),
+    ("classify", "HRA 1 0\nSTATE q INITIAL\nINIT 1,2 x\n", ParseError,
+     "line 3: expected integers, got 1,2"),
+    ("classify", "HRA 1 0\nSTATE q INITIAL\nINIT 1 9x\n", ParseError,
+     "line 3: bad name token '9x'"),
+    ("classify", "HRA 1 0\nSTATE q INITIAL\nTRANS q q\n", ParseError, "line 3: truncated TRANS"),
+    ("classify", "HRA 1 0\nSTATE q INITIAL\nTRANS q q ACC x : -\n", ParseError,
+     "line 3: bad place index 'x'"),
+    ("classify", "HRA 1 0\nSTATE q INITIAL\nTRANS q q ACC - 1\n", ParseError,
+     "line 3: expected TRANS <src> <dst> ACC"),
+    ("classify", "HRA 1 0\nSTATE q INITIAL\nTRANS q q RST 1 1\n", ParseError,
+     "line 3: expected TRANS <src> <dst> RST"),
+    ("classify", "HRA 1 1\nSTATE q INITIAL\nINIT 2 x\nINIT 2 y\n", ValidationError,
+     "register place 2 holds more than one name"),
+    ("cover", "# nothing here\n", ParseError, "missing machine header"),
+    ("cover", "TRANS a b ADD 1\n", ParseError, "line 1: machine header must come first"),
+    ("cover", "TRVASS 1 2\n", ParseError, "line 1: TRVASS expects 1 entries"),
+    ("cover", "VASS x\n", ParseError, "line 1: expected integers, got x"),
+    ("cover", "RVASS 0\n", ParseError, "line 1: RVASS entries must be at least 1"),
+    ("cover", "VASS 1\nRVASS 1\n", ParseError, "line 2: duplicate machine header"),
+    ("cover", "VASS 1\nHRA 1 0\n", ParseError, "line 2: unknown directive HRA"),
+    ("cover", "VASS 1\nTRANS a b\n", ParseError, "line 2: truncated TRANS"),
+    ("cover", "VASS 1\nQUERY a x b\n", ParseError, "line 2: expected integers, got x"),
+    ("cover", "VASS 1\nTRANS a b PUSH 1\n", ParseError, "line 2: unknown effect PUSH"),
+    ("cover", "TRVASS 2\nTRANS a b TRANSFER 1 x\n", ParseError,
+     "line 2: expected integers, got 1 x"),
+    # a transfer pours into a counter 1..m: counter 0 is no destination
+    ("cover", "TRVASS 2\nTRANS a b TRANSFER 1 0\n", ParseError,
+     "line 2: counter 0 out of range for 2 dims"),
+    ("cover", "TRVASS 2\nTRANS a b TRANSFER 0 1\n", ParseError,
+     "line 2: counter 0 out of range for 2 dims"),
+    ("cover", "TRVASS 2\nTRANS a b RESET 0\n", ParseError,
+     "line 2: counter 0 out of range for 2 dims"),
+    ("cover", "TRVASS 2\nTRANS a b TRANSFER 1 3\n", ParseError,
+     "line 2: counter 3 out of range for 2 dims"),
+    # each phase is checked in reading order, so the earlier fault wins
+    ("cover", "TRVASS 2\nTRANS a b ADD x 0 RESET 1 1\n", ParseError,
+     "line 2: expected integers, got x 0"),
+    ("cover", "TRVASS 2\nTRANS a b RESET 9 TRANSFER 1 0\n", ParseError,
+     "line 2: counter 9 out of range for 2 dims"),
+    ("cover", "VASS 1\nTRANS a b ADD x RESET 1\n", ParseError,
+     "line 2: expected integers, got x"),
+]
+
+
+@pytest.mark.parametrize("command, text, error, message", _READER_FAULTS)
+def test_each_reader_fault_names_its_line(command, text, error, message, tmp_path, capsys):
+    parse = parse_hra if command == "classify" else parse_counters
+    with pytest.raises(HistraError) as err:
+        parse(text)
+    assert type(err.value) is error
+    assert message in str(err.value)
+    assert str(err.value).startswith("line ") == message.startswith("line ")
+    assert main([command, _file(tmp_path, "f.txt", text)]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr == f"error: {err.value}\n"
 
 
 def test_name_table_prints_unknown_ints_distinctly():

@@ -15,6 +15,7 @@ from histra import (
     DuplicateFixName,
     NotDeterministic,
     Reset,
+    WrongDimension,
     colouring_scope_ok,
     complement_deterministic,
     concatenation,
@@ -184,7 +185,7 @@ def test_pad_type_adds_unused_places_and_moves_the_registers_up():
     for w in enumerate_words((0, 1, 2, 3), 4):
         assert membership(p, w) == membership(a, w), w
     assert pad_type(a, 1, 1) is a
-    with pytest.raises(ValueError):
+    with pytest.raises(WrongDimension):
         pad_type(a, 0, 2)
 
 

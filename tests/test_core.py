@@ -14,6 +14,7 @@ from histra import (
     Accept,
     Assignment,
     BadPlaceIndex,
+    DanglingState,
     Hra,
     Reset,
     Transition,
@@ -65,7 +66,7 @@ def test_assignment_placeset_partition():
 
 def test_assignment_at_rejects_empty_set():
     h = Assignment.of(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadPlaceIndex):
         h.at(frozenset())
 
 
@@ -216,6 +217,26 @@ def test_validate_flags_dangling_transition_endpoint():
     )
     with pytest.raises(ValidationError):
         validate(a)
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    (dict(m=0, initial_assignment=Assignment.of(0)), BadPlaceIndex, "type (0,0) has no places"),
+    (dict(initial_assignment=Assignment.of(2)), BadPlaceIndex,
+     "initial assignment covers 2 places, expected 1"),
+    (dict(initial="ghost"), DanglingState, "initial state 'ghost' not in state set"),
+    (dict(finals=frozenset({"ghost"})), DanglingState, "final state 'ghost' not in state set"),
+    (dict(transitions=frozenset({Transition("ghost", Reset(s()), "q")})), DanglingState,
+     "transition source 'ghost' not in state set"),
+    (dict(transitions=frozenset({Transition("q", Reset(s()), "ghost")})), DanglingState,
+     "transition target 'ghost' not in state set"),
+])
+def test_validate_names_each_violation(changes, error, message):
+    fields = dict(m=1, n=0, states=frozenset({"q"}), initial="q",
+                  initial_assignment=Assignment.of(1), transitions=frozenset(), finals=frozenset())
+    with pytest.raises(ValidationError) as err:
+        validate(Hra(**{**fields, **changes}))
+    (violation,) = err.value.violations
+    assert type(violation) is error and str(violation) == message
 
 
 def test_make_hra_validates_label_places():

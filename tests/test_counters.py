@@ -109,6 +109,26 @@ def test_canonical_reports_the_first_fault_in_a_fixed_order(dest, error, message
     assert type(err.value) is error
 
 
+def test_a_transfer_pours_into_a_counter():
+    # destination 0 would be a reset under another name
+    with pytest.raises(WrongDimension, match="destination 0 is no counter"):
+        Transfer(1, 0)
+    assert Transfer(1, 2) == Effect((), ((1, 2),), ())
+
+
+@pytest.mark.parametrize("effect, counter", [
+    (Effect((), ((0, 1),), ()), 0),
+    (Effect((), ((1, 3),), ()), 3),
+    (Effect((), ((1, -1),), ()), -1),
+    (ResetDim(0), 0),
+    (Effect(((3, 1),), (), ()), 3),
+])
+def test_canonical_names_the_counter_out_of_range(effect, counter):
+    with pytest.raises(WrongDimension) as err:
+        effect.canonical(2)
+    assert str(err.value) == f"counter {counter} out of range for 2 dims"
+
+
 def test_canonical_sorts_a_wide_reset():
     # the reset of every history on eight zeroes all 255 counters
     dmap = DimensionMap(tuple(subsets(range(1, 9))[1:]))

@@ -128,7 +128,7 @@ def test_dimension_map_value_is_its_fields():
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b) == f"DimensionMap(placesets={p!r})"
     assert [a.dim_of(x) for x in p] == [1, 2, 3]
-    with pytest.raises(ValueError, match="no dimension"):
+    with pytest.raises(WrongDimension, match="no dimension"):
         a.dim_of(s(3))
 
 
