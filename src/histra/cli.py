@@ -452,7 +452,10 @@ def _load(path: str, names: Optional[NameTable] = None) -> HraDocument:
 
 
 def _word(doc: HraDocument, tokens: Sequence[str]) -> tuple[int, ...]:
-    return tuple(doc.names.intern(t) for t in tokens)
+    try:
+        return tuple(doc.names.intern(t) for t in tokens)
+    except ParseError as exc:
+        raise ParseError(f"word on the command line: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -470,18 +473,17 @@ def _cmd_member(args) -> int:
 def _cmd_run(args) -> int:
     doc = _load(args.file)
     word = _word(doc, args.word)
-    if not membership(doc.hra, word):
-        print("accepted: false")
-        return 1
-    print("accepted: true")
-    if args.trace:
-        steps = trace(doc.hra, word)
+    # one search: `trace` finds no run exactly when `membership` is false
+    steps = trace(doc.hra, word) if args.trace else None
+    accepted = steps is not None if args.trace else membership(doc.hra, word)
+    print(f"accepted: {'true' if accepted else 'false'}")
+    if accepted and args.trace:
         tok = _state_tokens(doc.hra.states)
         print(f"  {tok[doc.hra.initial]}")
         for s in steps:
             letter = doc.names.token(s.letter) if s.letter is not None else "eps"
             print(f"  --[{letter}]--> {tok[s.transition.dst]} via {_fmt_label(s.transition.label)}")
-    return 0
+    return 0 if accepted else 1
 
 
 def _cmd_empty(args) -> int:

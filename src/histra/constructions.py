@@ -2,12 +2,14 @@
 
 Everything here is a pure function from automata to automata.  Constructed
 states are `StateTag` values so the provenance of a state (product pair,
-tracking function, sink, ...) stays inspectable; a translation that spells
-one step as two tags the state between them "mid".  The constructions that
-pair or annotate states build only the pairs `core.explore` reaches from
-the initial one: intersection, name fixing and the colouring elimination
-(in `reductions`) through `_explored`, one tag per pair and one transition
-per edge; register doubling keeps its own tail for its "mid" states.
+tracking function, sink, ...) stays inspectable.  One helper, `_path`,
+spells a move as several transitions through "mid" states: register
+doubling's clear-then-read, complementation's reset-then-accept and both
+counter encodings in `reductions`.  The constructions that pair or
+annotate states build only the pairs `core.explore` reaches from the
+initial one: intersection, name fixing, register doubling and the
+colouring elimination (in `reductions`) through `_explored`, one tag per
+pair and one transition, or one `_path`, per edge.
 Complementation, the one operation that needs a deterministic input, works
 on the `Hra` itself, registers included, and keeps its type: it reads the
 reset summaries, accept index and produced place-sets, cached properties
@@ -46,12 +48,12 @@ class StateTag:
     """Constructed-state annotation; `payload` is construction-specific.
 
     Tags nest (a "copies" tag of a product pair, a "mid" tag holding a
-    whole transition), so the hash of `(kind, payload)` and the repr
-    `<kind:p1,p2,...>` are each computed on first use and kept: the
-    counter searches sort states by repr.  The kept values are not
-    fields: `==` and `hash` ignore them, and they are left out of the
-    pickled state, so an unpickled tag rehashes under its own process's
-    hash seed and rebuilds the same repr."""
+    whole transition and the "copies" tag it leads to), so the hash of
+    `(kind, payload)` and the repr `<kind:p1,p2,...>` are each computed
+    on first use and kept: the counter searches sort states by repr.
+    The kept values are not fields: `==` and `hash` ignore them, and
+    they are left out of the pickled state, so an unpickled tag rehashes
+    under its own process's hash seed and rebuilds the same repr."""
 
     kind: str
     payload: tuple
@@ -136,21 +138,46 @@ def _moved_names(size: int, *sides: tuple[Hra, dict[int, int]]) -> Assignment:
     return Assignment(tuple(slots))
 
 
+def _path(src, labels: tuple, dst, key, mids: dict) -> list[Transition]:
+    """A move from `src` to `dst` read as `labels` in turn: between two
+    labels it passes a "mid" state named by `key`, the labels still to
+    come and `dst`.  Each name is one `StateTag` in `mids`, so moves that
+    share a key share the mids of their common suffix."""
+    out = []
+    for i in range(1, len(labels)):
+        name = (key, labels[i:], dst)
+        mid = mids.get(name)
+        if mid is None:
+            mid = mids[name] = StateTag("mid", name)
+        out.append(Transition(src, labels[i - 1], mid))
+        src = mid
+    out.append(Transition(src, labels[-1], dst))
+    return out
+
+
 def _explored(kind: str, adj, start: tuple, moves, is_final, m: int, n: int,
               initial_assignment: Assignment) -> Hra:
     """The (m, n) automaton of the pairs `explore(adj, start, moves)`
     reaches: one `StateTag(kind, pair)` per reached pair, the start's tag
-    initial, one transition per edge labelled with the edge's payload, and
-    final the pairs that `is_final` picks."""
+    initial, and final the pairs that `is_final` picks.  An edge whose
+    payload is a label is one transition; a payload `(key, labels)` is
+    the `_path` of those labels."""
     reached, edges = explore(adj, start, moves)
     tags = {p: StateTag(kind, p) for p in reached}
+    mids: dict = {}
+    transitions = []
+    for p, x, d in edges:
+        if isinstance(x, tuple):
+            transitions += _path(tags[p], x[1], tags[d], x[0], mids)
+        else:
+            transitions.append(Transition(tags[p], x, tags[d]))
     return Hra(
         m=m,
         n=n,
-        states=frozenset(tags.values()),
+        states=frozenset([*tags.values(), *mids.values()]),
         initial=tags[start],
         initial_assignment=initial_assignment,
-        transitions=frozenset(Transition(tags[p], x, tags[d]) for p, x, d in edges),
+        transitions=frozenset(transitions),
         finals=frozenset(tags[p] for p in reached if is_final(p)),
     )
 
@@ -352,33 +379,17 @@ def registers_to_histories(a: Hra) -> Hra:
 
     def moves(q, f, t):
         if isinstance(t.label, Reset):
-            return [((Reset(fd(t.label.targets, f)), None, None), f)]
+            return [(Reset(fd(t.label.targets, f)), f)]
         fbar = tuple(
             flip(f, j) if (m + j + 1) in (t.label.pre | t.label.post) else f[j]
             for j in range(n)
         )
         letter = Accept(fd(t.label.pre, f), fd(t.label.post, fbar))
-        return [((Reset(copy_places - frozenset(f)), StateTag("mid", (q, f, t)), letter), fbar)]
+        return [(((q, f, t), (Reset(copy_places - frozenset(f)), letter)), fbar)]
 
-    reached, edges = explore(a._outgoing, (a.initial, f0), moves)
-    tags = {p: StateTag("copies", p) for p in reached}
-    states = set(tags.values())
-    transitions: list[Transition] = []
-    for p, (reset, mid, letter), d in edges:
-        if mid is None:
-            transitions.append(Transition(tags[p], reset, tags[d]))
-        else:
-            states.add(mid)
-            transitions += [Transition(tags[p], reset, mid), Transition(mid, letter, tags[d])]
-    return Hra(
-        m=size,
-        n=0,
-        states=frozenset(states),
-        initial=tags[a.initial, f0],
-        initial_assignment=Assignment(a.initial_assignment.contents + (frozenset(),) * n),
-        transitions=frozenset(transitions),
-        finals=frozenset(tags[p] for p in reached if p[0] in a.finals),
-    )
+    return _explored("copies", a._outgoing, (a.initial, f0), moves,
+                     lambda p: p[0] in a.finals, size, 0,
+                     Assignment(a.initial_assignment.contents + (frozenset(),) * n))
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +460,12 @@ def complement_deterministic(a: Hra) -> Hra:
     co = {q: StateTag("co", (q,)) for q, _ in reached}
     summaries = {q: [(frozenset(), q), *closure.get(q, ())] for q in co}
     sink = StateTag("sink", ())
-    states = [sink, *co.values()]
+    mids: dict = {}
     transitions = []
 
     def emit(src, y, pre, post, dst):
-        if y:
-            mid = StateTag("mid", (src, y, pre, post, dst))
-            states.append(mid)
-            transitions.append(Transition(src, Reset(y), mid))
-            src = mid
-        transitions.append(Transition(src, Accept(pre, post), dst))
+        labels = (Reset(y), Accept(pre, post)) if y else (Accept(pre, post),)
+        transitions.extend(_path(src, labels, dst, (src, y), mids))
 
     emit(sink, places, frozenset(), frozenset(), sink)
     for q in sorted(co, key=repr):
@@ -476,7 +483,7 @@ def complement_deterministic(a: Hra) -> Hra:
     return Hra(
         m=a.m,
         n=a.n,
-        states=frozenset(states),
+        states=frozenset([sink, *co.values(), *mids.values()]),
         initial=co[a.initial],
         initial_assignment=a.initial_assignment,
         transitions=frozenset(transitions),

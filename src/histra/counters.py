@@ -151,11 +151,13 @@ class CounterMachine:
 
 
 def _check_range(effect: Effect, dims: int) -> None:
-    """Raise WrongDimension when `pre` or `post` names a counter above
-    `dims`; each is sorted, so its last pair has the highest counter."""
+    """Raise WrongDimension, naming the counter as `Effect.canonical`
+    does, when `pre` or `post` names a counter above `dims`; each is
+    sorted, so its last pair has the highest counter."""
     pre, _, post = effect
     if pre and pre[-1][0] > dims or post and post[-1][0] > dims:
-        raise WrongDimension(f"{effect!r} out of range for {dims} dims")
+        i = pre[-1][0] if pre and pre[-1][0] > dims else post[-1][0]
+        raise WrongDimension(f"counter {i} out of range for {dims} dims")
 
 
 def _check_init(mc: CounterMachine, init: CounterConfig, *target: State) -> None:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Iterable
 
-from .constructions import StateTag, _explored
+from .constructions import StateTag, _explored, _path
 from .core import (
     Accept, Assignment, Hra, Reset, State, Transition, _cut_closure, classify, explore, subsets,
 )
@@ -266,21 +266,19 @@ def rvass_to_hra(mc: CounterMachine, init: CounterConfig, target_state: State) -
     _check_init(mc, init, target_state)
     q0, v0 = init
 
-    transitions: list[tuple[State, object, State]] = []
-    states: set[State] = set(mc.states)
+    transitions: list[Transition] = []
+    mids: dict = {}
     for t in mc.transitions:
         take = frozenset(i for i, _ in t.effect.pre)
         put = frozenset(i for i, _ in t.effect.post)
         if not t.effect.dest:
             lab = Accept(take, put) if take or put else Reset(frozenset())
-            transitions.append((t.src, lab, t.dst))
+            transitions.append(Transition(t.src, lab, t.dst))
         else:
             ((i, _),) = t.effect.dest
             hops = [_neigh((i - 2) % m + 1, m), _neigh(i, m), _neigh(i % m + 1, m)]
-            labels = [Reset(frozenset({i}))] + [Accept(nb - {i}, nb) for nb in hops]
-            path = [t.src] + [StateTag("mid", ("reset", t, k)) for k in range(3)] + [t.dst]
-            transitions += zip(path, labels, path[1:])
-            states.update(path)
+            labels = (Reset(frozenset({i})), *(Accept(nb - {i}, nb) for nb in hops))
+            transitions += _path(t.src, labels, t.dst, ("reset", t), mids)
 
     contents: dict[int, set[int]] = {i: set() for i in range(1, m + 1)}
     name = count()
@@ -295,10 +293,10 @@ def rvass_to_hra(mc: CounterMachine, init: CounterConfig, target_state: State) -
     return Hra(
         m=m,
         n=0,
-        states=frozenset(states),
+        states=frozenset([*mc.states, *mids.values()]),
         initial=q0,
         initial_assignment=Assignment.of(m, {k: v for k, v in contents.items() if v}),
-        transitions=frozenset(Transition(s, lab, d) for s, lab, d in transitions),
+        transitions=frozenset(transitions),
         finals=frozenset({target_state}),
     )
 
@@ -429,8 +427,10 @@ def nonreset_to_vass(a: Hra) -> CounterReduction:
 
 def vass_to_nonreset_hra(mc: CounterMachine, init: CounterConfig, target_state: State) -> Hra:
     """Counter i becomes the population of the place-set with bit pattern i
-    over ceil(log2(m+1)) histories.  An edge stages through shared suffixes
-    as one single-name step per unit: its `pre` first, then its `post`."""
+    over ceil(log2(m+1)) histories.  An edge is a `_path` of one
+    single-name step per unit, its `pre` first, then its `post`; its mids
+    are named without the source, so edges into one state share the mids
+    of their common suffix."""
     if not mc.is_vass():
         raise TransfersOrResetsPresent("input must be a plain addition machine")
     _check_init(mc, init, target_state)
@@ -441,28 +441,14 @@ def vass_to_nonreset_hra(mc: CounterMachine, init: CounterConfig, target_state: 
         return frozenset(p + 1 for p in range(mprime) if i >> p & 1)
 
     nodes = {q: StateTag("v", (q,)) for q in mc.states}
-    stages: dict[tuple, StateTag] = {}  # shared suffixes: one tag per (state, rest)
-
-    def stage(q, rest):
-        return stages.setdefault((q, rest), StateTag("vstage", (q, rest)))
-
-    transitions: list[tuple[State, object, State]] = []
+    mids: dict = {}
+    transitions: list[Transition] = []
     for t in mc.transitions:
         e = t.effect
-        pending = tuple((i, -1) for i, x in e.pre for _ in range(x))
-        pending += tuple((i, +1) for i, x in e.post for _ in range(x))
-        if not pending:
-            transitions.append((nodes[t.src], Accept(frozenset(), frozenset()), nodes[t.dst]))
-            continue
-        cur = nodes[t.src]
-        for idx, (d, sign) in enumerate(pending):
-            rest = pending[idx + 1:]
-            nxt = nodes[t.dst] if not rest else stage(t.dst, rest)
-            lab = (
-                Accept(frozenset(), code(d)) if sign > 0 else Accept(code(d), frozenset())
-            )
-            transitions.append((cur, lab, nxt))
-            cur = nxt
+        labels = tuple(Accept(code(i), frozenset()) for i, x in e.pre for _ in range(x))
+        labels += tuple(Accept(frozenset(), code(i)) for i, x in e.post for _ in range(x))
+        transitions += _path(nodes[t.src], labels or (Accept(frozenset(), frozenset()),),
+                             nodes[t.dst], "v", mids)
 
     contents: dict[int, set[int]] = {}
     fresh = count()
@@ -474,10 +460,10 @@ def vass_to_nonreset_hra(mc: CounterMachine, init: CounterConfig, target_state: 
     return Hra(
         m=mprime,
         n=0,
-        states=frozenset([*(nodes[q] for q in mc.states), *stages.values()]),
+        states=frozenset([*nodes.values(), *mids.values()]),
         initial=nodes[q0],
         initial_assignment=Assignment.of(mprime, contents),
-        transitions=frozenset(Transition(s, lab, d) for s, lab, d in transitions),
+        transitions=frozenset(transitions),
         finals=frozenset({nodes[target_state]}),
     )
 

@@ -530,6 +530,15 @@ def test_member_empty_word(tmp_path, capsys):
     assert main(["member", f]) == 0
 
 
+def test_a_bad_word_token_is_blamed_on_the_command_line(tmp_path, capsys):
+    f = _file(tmp_path, "distinct.hra", DISTINCT)
+    for command in ("member", "run"):
+        assert main([command, f, "a", "9x"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: word on the command line: bad name token '9x'\n"
+
+
 def test_run_trace_prints_transitions(tmp_path, capsys):
     f = _file(tmp_path, "consume.hra", CONSUME)
     assert main(["run", f, "a", "a", "--trace"]) == 0
@@ -541,25 +550,35 @@ def test_run_trace_prints_transitions(tmp_path, capsys):
     assert "accepted: false" in capsys.readouterr().out
 
 
-def test_run_extracts_a_trace_only_when_printing_an_accepted_run(tmp_path, capsys, monkeypatch):
+def test_run_searches_once(tmp_path, capsys, monkeypatch):
+    """`run` decides with `membership` alone and `run --trace` with `trace`
+    alone, which finds no run exactly when the word is rejected."""
     import histra.cli as cli
 
     calls = []
 
-    def counting(a, word):
-        calls.append(word)
-        return trace(a, word)
+    def counted(search):
+        def counting(a, word):
+            calls.append(search.__name__)
+            return search(a, word)
+        return counting
 
-    monkeypatch.setattr(cli, "trace", counting)
+    monkeypatch.setattr(cli, "membership", counted(membership))
+    monkeypatch.setattr(cli, "trace", counted(trace))
     f = _file(tmp_path, "consume.hra", CONSUME)
-    assert main(["run", f, "a", "a"]) == 0
-    assert capsys.readouterr().out == "accepted: true\n"
-    assert main(["run", f, "a", "b", "--trace"]) == 1
-    assert capsys.readouterr().out == "accepted: false\n"
-    assert calls == []
-    assert main(["run", f, "a", "a", "--trace"]) == 0
-    assert "--[a]-->" in capsys.readouterr().out
-    assert len(calls) == 1
+    for args, code, search in [(["a", "a"], 0, "membership"), (["a", "b"], 1, "membership"),
+                               (["a", "a", "--trace"], 0, "trace"),
+                               (["a", "b", "--trace"], 1, "trace")]:
+        calls.clear()
+        assert main(["run", f, *args]) == code
+        assert calls == [search], args
+        out = capsys.readouterr().out
+        if code:
+            assert out == "accepted: false\n"
+        elif "--trace" in args:
+            assert out.startswith("accepted: true\n") and "--[a]-->" in out
+        else:
+            assert out == "accepted: true\n"
 
 
 def test_member_and_run_decide_long_words_of_distinct_names(tmp_path, capsys):

@@ -27,6 +27,7 @@ from histra import (
     make_hra,
     membership,
     registers_to_histories,
+    rvass_to_hra,
     union,
     validate,
     vass_to_nonreset_hra,
@@ -343,6 +344,36 @@ def test_each_constructed_state_is_one_object(seed):
             built[f"complement_deterministic {k}"] = complement_deterministic(x)
     for name, out in built.items():
         assert not _unshared_states(out), name
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_a_mid_state_lies_inside_one_move(chunk):
+    """Every "mid" state has one outgoing transition and is neither initial
+    nor final; outside the VASS encoding, whose edges into one state share
+    their suffixes, it also has exactly one incoming transition.  Over the
+    zoo and 300 seeded draws of automata and of counter machines."""
+    automata = [random_hra(s, max_m=2, max_n=2, max_states=4, max_transitions=8)
+                for s in range(30 * chunk, 30 * chunk + 30)] + (_ZOO if chunk == 0 else [])
+    with_mids = set()
+    for seed, a in enumerate(automata, 30 * chunk):
+        built = {"registers_to_histories": registers_to_histories(a)}
+        if deterministic(a):
+            built["complement_deterministic"] = complement_deterministic(a)
+        mc = random_counter_machine(seed, dims=3, klass="rvass", unit_effects=True)
+        first, last = sorted(mc.states)[0], sorted(mc.states)[-1]
+        built["rvass_to_hra"] = rvass_to_hra(mc, (first, (1, 0, 2)), last)
+        mc = random_counter_machine(seed, dims=3, klass="vass")
+        first, last = sorted(mc.states)[0], sorted(mc.states)[-1]
+        built["vass_to_nonreset_hra"] = vass_to_nonreset_hra(mc, (first, (1, 0, 2)), last)
+        for name, out in built.items():
+            mids = {q for q in out.states if isinstance(q, StateTag) and q.kind == "mid"}
+            assert out.initial not in mids and not mids & out.finals, (name, seed)
+            for q in mids:
+                with_mids.add(name)
+                assert len(out._outgoing[q]) == 1, (name, seed, q)
+                if name != "vass_to_nonreset_hra":
+                    assert sum(t.dst == q for t in out.transitions) == 1, (name, seed, q)
+    assert len(with_mids) == 4, with_mids
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,18 @@ def test_pre_basis_rejects_a_counter_out_of_range():
     assert pre_basis(Effect(((1, 1),), (), ()), (3,)) == {(4,)}
 
 
+@pytest.mark.parametrize("step", [apply_effect, pre_basis])
+@pytest.mark.parametrize("effect, vector, message", [
+    (Effect(((2, 1),), (), ()), (5,), "counter 2 out of range for 1 dims"),
+    (Effect((), (), ((4, 1),)), (5, 0, 0), "counter 4 out of range for 3 dims"),
+    (Effect(((1, 1), (3, 1)), (), ((5, 2),)), (1, 1), "counter 3 out of range for 2 dims"),
+])
+def test_range_check_names_the_counter(step, effect, vector, message):
+    with pytest.raises(WrongDimension) as err:
+        step(effect, vector)
+    assert str(err.value) == message
+
+
 def test_pre_basis_splits_a_need_over_a_thousand_sources():
     # 1,000 counters poured into counter 1,001: one unit there comes from
     # any one of the 1,001 counters that reach it

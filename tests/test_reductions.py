@@ -616,6 +616,16 @@ def test_vass_to_nonreset_hra_stages_wide_entries_unit_by_unit():
             assert emptiness(a).is_empty == (not covered), (init, target)
 
 
+def test_vass_edges_into_one_state_share_their_suffixes():
+    # a -> c and b -> c each put two units; after the first unit both are
+    # at the one mid state that still has to put one unit before c
+    mc = parse_counters("VASS 1\nTRANS a c ADD 2\nTRANS b c ADD 2\nTRANS c a ADD -1\n").machine
+    a = vass_to_nonreset_hra(mc, ("a", (0,)), "c")
+    mids = [q for q in a.states if q.kind == "mid"]
+    assert len(a.states) == 4 and len(a.transitions) == 4 and len(mids) == 1
+    assert sorted(t.src.payload for t in a.transitions if t.dst == mids[0]) == [("a",), ("b",)]
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_vass_round_trip_50_random(seed):
     mc = random_counter_machine(seed, dims=3, klass="vass")
