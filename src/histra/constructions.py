@@ -141,14 +141,13 @@ def _moved_names(size: int, *sides: tuple[Hra, dict[int, int]]) -> Assignment:
 def _path(src, labels: tuple, dst, key, mids: dict) -> list[Transition]:
     """A move from `src` to `dst` read as `labels` in turn: between two
     labels it passes a "mid" state named by `key`, the labels still to
-    come and `dst`.  Each name is one `StateTag` in `mids`, so moves that
-    share a key share the mids of their common suffix."""
+    come and `dst`.  Each name is one `StateTag` in `mids`, keyed by the
+    tag itself, so moves that share a key share the mids of their common
+    suffix, and a name is hashed once: the tag keeps its hash."""
     out = []
     for i in range(1, len(labels)):
-        name = (key, labels[i:], dst)
-        mid = mids.get(name)
-        if mid is None:
-            mid = mids[name] = StateTag("mid", name)
+        mid = StateTag("mid", (key, labels[i:], dst))
+        mid = mids.setdefault(mid, mid)
         out.append(Transition(src, labels[i - 1], mid))
         src = mid
     out.append(Transition(src, labels[-1], dst))
@@ -160,17 +159,18 @@ def _explored(kind: str, adj, start: tuple, moves, is_final, m: int, n: int,
     """The (m, n) automaton of the pairs `explore(adj, start, moves)`
     reaches: one `StateTag(kind, pair)` per reached pair, the start's tag
     initial, and final the pairs that `is_final` picks.  An edge whose
-    payload is a label is one transition; a payload `(key, labels)` is
-    the `_path` of those labels."""
+    payload is a label is one transition; any other payload is a pair
+    `(key, labels)`, built as the `_path` of those labels (a label is a
+    tuple too, so the test names the label types)."""
     reached, edges = explore(adj, start, moves)
     tags = {p: StateTag(kind, p) for p in reached}
     mids: dict = {}
     transitions = []
     for p, x, d in edges:
-        if isinstance(x, tuple):
-            transitions += _path(tags[p], x[1], tags[d], x[0], mids)
-        else:
+        if isinstance(x, (Accept, Reset)):
             transitions.append(Transition(tags[p], x, tags[d]))
+        else:
+            transitions += _path(tags[p], x[1], tags[d], x[0], mids)
     return Hra(
         m=m,
         n=n,

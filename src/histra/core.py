@@ -7,14 +7,17 @@ letter -- consuming a name whose current place-set is exactly the label's
 first component and re-placing it at the second component -- or resets a
 set of places to empty without consuming input.
 
-Names are plain ints; words are sequences of ints.
+Names are plain ints; words are sequences of ints.  Labels, transitions,
+assignments and trace steps are NamedTuples: each equals the plain tuple of
+its fields and hashes as that tuple, so hashing and comparing them runs in
+C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import chain, combinations
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     BadPlaceIndex,
@@ -32,8 +35,7 @@ Word = tuple[Name, ...]
 # labels and transitions
 
 
-@dataclass(frozen=True)
-class Accept:
+class Accept(NamedTuple):
     """Letter label: consume a name placed at exactly `pre`, move it to exactly `post`."""
 
     pre: frozenset[int]
@@ -43,8 +45,7 @@ class Accept:
         return f"Acc({_fmt(self.pre)}->{_fmt(self.post)})"
 
 
-@dataclass(frozen=True)
-class Reset:
+class Reset(NamedTuple):
     """Silent label: empty every place in `targets`."""
 
     targets: frozenset[int]
@@ -60,8 +61,7 @@ def _fmt(places: frozenset[int]) -> str:
     return "{" + ",".join(map(str, sorted(places))) + "}" if places else "{}"
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     src: State
     label: Label
     dst: State
@@ -74,8 +74,7 @@ class Transition:
 # assignments
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Contents of all places; index i-1 holds place i."""
 
     contents: tuple[frozenset[Name], ...]
@@ -461,8 +460,7 @@ def membership(a: Hra, word: Sequence[Name]) -> bool:
     return any(q in a.finals for q, _ in frontier)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One move of a run: `letter` is None for silent reset steps."""
 
     transition: Transition

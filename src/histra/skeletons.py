@@ -5,21 +5,21 @@ each place-set in full (history places included).  A register holds at most
 one name, so two register names never share a place-set, and the set needs
 no numbering to be canonical.  Names held only by histories are deliberately
 invisible here -- they are what the counter reductions count -- so a name
-evicted from its last register drops out of the skeleton.
+evicted from its last register drops out of the skeleton.  A `Skeleton`
+is a NamedTuple: it equals the plain tuple of its fields and hashes as
+that tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import Assignment, subsets
 from .errors import NoWitness
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(NamedTuple):
     m: int
     n: int
     placesets: frozenset[frozenset[int]]  # each meets the registers m+1..m+n

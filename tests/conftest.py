@@ -1,5 +1,9 @@
 """Shared cross-checks for the emptiness tests, the determinism test
-that complementation applies, and the catalogue automata."""
+that complementation applies, the value semantics of the NamedTuple
+types, and the catalogue automata."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -57,3 +61,17 @@ def deterministic(a):
     except NotDeterministic:
         return False
     return True
+
+
+def assert_is_its_fields(v):
+    """`v` hashes as the plain tuple of its fields (so every set and dict
+    of such values iterates as the tuples would), equals any value built
+    from equal fields, refuses assignment to a field and survives a pickle
+    round trip."""
+    assert hash(v) == hash(tuple(v))
+    twin = type(v)(*copy.deepcopy(tuple(v)))
+    assert twin == v and hash(twin) == hash(v)
+    with pytest.raises(AttributeError):
+        setattr(v, v._fields[0], None)
+    back = pickle.loads(pickle.dumps(v))
+    assert type(back) is type(v) and back == v

@@ -32,7 +32,7 @@ from histra import (
     validate,
     vass_to_nonreset_hra,
 )
-from histra.constructions import StateTag, pad_type
+from histra.constructions import StateTag, _path, pad_type
 from histra.core import eps_closure, explore, initial_config, step
 from histra.oracles import (
     Lang,
@@ -374,6 +374,33 @@ def test_a_mid_state_lies_inside_one_move(chunk):
                 if name != "vass_to_nonreset_hra":
                     assert sum(t.dst == q for t in out.transitions) == 1, (name, seed, q)
     assert len(with_mids) == 4, with_mids
+
+
+class _CountedKey:
+    """A `_path` key that counts the calls of its `__hash__`."""
+
+    def __init__(self):
+        self.hashes = 0
+
+    def __hash__(self):
+        self.hashes += 1
+        return 7
+
+
+def test_a_mid_name_is_hashed_once():
+    """`_path` keys its mids by the tag, which keeps its hash: building a
+    mid hashes its name once, and hashing the mids afterwards, as a
+    construction's state set does, hashes no name again.  A second move
+    with the same key, labels and target builds no new mid."""
+    key, mids = _CountedKey(), {}
+    labels = (Reset(frozenset({1})), Accept(frozenset(), frozenset({1})),
+              Accept(frozenset({1}), frozenset()))
+    path = _path("p", labels, "q", key, mids)
+    frozenset(mids.values())
+    assert len(path) == 3 and len(mids) == 2
+    assert key.hashes == 2
+    again = _path("r", labels, "q", key, mids)
+    assert len(mids) == 2 and all(u.dst is t.dst for u, t in zip(again, path))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from histra import (
     DanglingState,
     Hra,
     Reset,
+    TraceStep,
     Transition,
     NotDeterministic,
     ValidationError,
@@ -43,7 +44,7 @@ from histra.zoo import (
     two_tracks_hra,
 )
 
-from conftest import deterministic
+from conftest import assert_is_its_fields, deterministic
 
 
 def s(*places):
@@ -183,6 +184,32 @@ def test_assignment_rejects_places_out_of_range():
             h.at({i})
         with pytest.raises(BadPlaceIndex):
             h.at({1, i})
+
+
+# ---------------------------------------------------------------------------
+# value semantics
+
+
+_ACC = Accept(s(), s(1, 2))
+_VALUES = [
+    _ACC,
+    Reset(s(2)),
+    Transition("p", _ACC, ("q", 1)),
+    Assignment.of(3, {1: [0, 4], 3: [7]}),
+    TraceStep(Transition("p", _ACC, "q"), 5, ("q", Assignment.of(2, {1: [5], 2: [5]}))),
+    TraceStep(Transition("q", Reset(s(1)), "q"), None, ("q", Assignment.of(2, {2: [5]}))),
+]
+
+
+@pytest.mark.parametrize("v", _VALUES, ids=lambda v: type(v).__name__)
+def test_labels_transitions_assignments_and_steps_are_their_fields(v):
+    assert_is_its_fields(v)
+
+
+def test_a_letter_label_is_never_a_reset():
+    for x, y in [(s(), s()), (s(1), s(1)), (s(1), s(2))]:
+        assert Accept(x, y) != Reset(x) and Reset(x) != Accept(x, y)
+        assert len({Accept(x, y), Reset(x), Reset(y)}) == 2 + (x != y)
 
 
 # ---------------------------------------------------------------------------

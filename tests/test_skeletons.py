@@ -17,6 +17,8 @@ from histra.skeletons import (
     skeleton_of,
 )
 
+from conftest import assert_is_its_fields
+
 
 def s(*xs):
     return frozenset(xs)
@@ -56,6 +58,11 @@ def test_renamed_assignments_collide():
     ha = Assignment.of(2, {1: [10], 2: [20]})
     hb = Assignment.of(2, {1: [99], 2: [3]})
     assert skeleton_of(ha, 0, 2) == skeleton_of(hb, 0, 2) == sk(0, 2, {1}, {2})
+
+
+@pytest.mark.parametrize("v", [sk(0, 0), sk(1, 2, {3}, {1, 2}), sk(2, 1, {1, 3})], ids=repr)
+def test_a_skeleton_is_its_fields(v):
+    assert_is_its_fields(v)
 
 
 def test_repr_lists_the_placesets_sorted():
