@@ -2,21 +2,23 @@
 
 Everything here is a pure function from automata to automata.  Constructed
 states are `StateTag` values so the provenance of a state (product pair,
-tracking function, sink, ...) stays inspectable.  One helper, `_path`,
-spells a move as several transitions through "mid" states: register
-doubling's clear-then-read, complementation's reset-then-accept and both
-counter encodings in `reductions`.  The constructions that pair or
-annotate states build only the pairs `core.explore` reaches from the
-initial one: intersection, name fixing, register doubling and the
-colouring elimination (in `reductions`) through `_explored`, one tag per
-pair and one transition, or one `_path`, per edge.
-Complementation, the one operation that needs a deterministic input, works
-on the `Hra` itself, registers included, and keeps its type: it reads the
-reset summaries, accept index and produced place-sets, cached properties
-of the automaton, judges determinism and builds only for the states
-reachable from the initial one and for letters at ∅ or at a place-set a
-run can produce, and its input states are tagged so that the states it
-adds are always new.
+tracking function, sink, ...) stays inspectable.  Union and intersection
+place each operand once in its own band of places (`_placed`, which
+`pad_type` uses too), so a product edge only joins two placed labels and
+renames no place.  One helper, `_path`, spells a move as several
+transitions through "mid" states: register doubling's clear-then-read,
+complementation's reset-then-accept and both counter encodings in
+`reductions`.  The constructions that pair or annotate states build only
+the pairs `core.explore` reaches from the initial one: intersection, name
+fixing, register doubling and the colouring elimination (in `reductions`)
+through `_explored`, one tag per pair and one transition, or one `_path`,
+per edge.  Complementation, the one operation that needs a deterministic
+input, works on the `Hra` itself, registers included, and keeps its type:
+it reads the reset summaries, accept index and produced place-sets, cached
+properties of the automaton, judges determinism and builds only for the
+states reachable from the initial one and for letters at ∅ or at a
+place-set a run can produce, and its input states are tagged so that the
+states it adds are always new.
 
 A construction makes one `StateTag` per state it creates, kept in a dict,
 and every transition endpoint, initial state or final naming that state is
@@ -34,7 +36,6 @@ from .core import (
     Accept,
     Assignment,
     Hra,
-    Label,
     Name,
     Reset,
     Transition,
@@ -82,14 +83,26 @@ class StateTag:
 # place plumbing
 
 
-def _remap_set(s: frozenset[int], mp: dict[int, int]) -> frozenset[int]:
-    return frozenset(mp[i] for i in s)
-
-
-def _remap_label(lab: Label, mp: dict[int, int]) -> Label:
-    if isinstance(lab, Reset):
-        return Reset(_remap_set(lab.targets, mp))
-    return Accept(_remap_set(lab.pre, mp), _remap_set(lab.post, mp))
+def _placed(a: Hra, m: int, n: int, hist: int, reg: int) -> Hra:
+    """`a` as an (m, n) automaton whose history i sits at place hist + i
+    and whose register j at place m + reg + j; its labels and initial
+    names move with their places, every other place is unused."""
+    mp = {i: hist + i for i in range(1, a.m + 1)}
+    mp.update({a.m + j: m + reg + j for j in range(1, a.n + 1)})
+    # a label is a tuple of place-sets: `targets`, or `pre` and `post`
+    move = lambda lab: lab._make(frozenset([mp[i] for i in x]) for x in lab)
+    slots = [frozenset()] * (m + n)
+    for i, names in enumerate(a.initial_assignment.contents, 1):
+        slots[mp[i] - 1] = names
+    return Hra(
+        m=m,
+        n=n,
+        states=a.states,
+        initial=a.initial,
+        initial_assignment=Assignment(tuple(slots)),
+        transitions=frozenset(Transition(t.src, move(t.label), t.dst) for t in a.transitions),
+        finals=a.finals,
+    )
 
 
 def pad_type(a: Hra, m: int, n: int) -> Hra:
@@ -102,40 +115,25 @@ def pad_type(a: Hra, m: int, n: int) -> Hra:
         raise WrongDimension(f"cannot pad ({a.m},{a.n}) down to ({m},{n})")
     if (m, n) == (a.m, a.n):
         return a
-    mp = {i: i for i in range(1, a.m + 1)}
-    mp.update({a.m + j: m + j for j in range(1, a.n + 1)})
-    return Hra(
-        m=m,
-        n=n,
-        states=a.states,
-        initial=a.initial,
-        initial_assignment=_moved_names(m + n, (a, mp)),
-        transitions=frozenset(
-            Transition(t.src, _remap_label(t.label, mp), t.dst) for t in a.transitions
-        ),
-        finals=a.finals,
-    )
+    return _placed(a, m, n, 0, 0)
 
 
-def _band_maps(a1: Hra, a2: Hra) -> tuple[dict[int, int], dict[int, int], int, int]:
-    """Disjoint reindexing for two-automaton constructions: histories of a1,
-    then of a2, then registers of a1, then of a2."""
+def _side_by_side(a1: Hra, a2: Hra) -> tuple[Hra, Hra, Assignment]:
+    """Both operands placed in disjoint bands of one type for the
+    two-automaton constructions (histories of a1, then of a2, then
+    registers of a1, then of a2), and their joint initial assignment,
+    the place-wise union of theirs."""
     m, n = a1.m + a2.m, a1.n + a2.n
-    mp1 = {i: i for i in range(1, a1.m + 1)}
-    mp1.update({a1.m + j: m + j for j in range(1, a1.n + 1)})
-    mp2 = {i: a1.m + i for i in range(1, a2.m + 1)}
-    mp2.update({a2.m + j: m + a1.n + j for j in range(1, a2.n + 1)})
-    return mp1, mp2, m, n
+    b1, b2 = _placed(a1, m, n, 0, 0), _placed(a2, m, n, a1.m, a1.n)
+    return b1, b2, Assignment(tuple(
+        x | y for x, y in zip(b1.initial_assignment.contents, b2.initial_assignment.contents)))
 
 
-def _moved_names(size: int, *sides: tuple[Hra, dict[int, int]]) -> Assignment:
-    """An assignment over `size` places holding each side's initial names at
-    the places its map sends them to; every other place is empty."""
-    slots = [frozenset()] * size
-    for a, mp in sides:
-        for i, names in enumerate(a.initial_assignment.contents, 1):
-            slots[mp[i] - 1] = names
-    return Assignment(tuple(slots))
+def _tagged(kind: str, a: Hra) -> tuple[dict, list[Transition]]:
+    """One `StateTag(kind, (q,))` per state q of `a`, and the transitions
+    of `a` between those tags."""
+    tags = {q: StateTag(kind, (q,)) for q in a.states}
+    return tags, [Transition(tags[t.src], t.label, tags[t.dst]) for t in a.transitions]
 
 
 def _path(src, labels: tuple, dst, key, mids: dict) -> list[Transition]:
@@ -194,26 +192,22 @@ def union(a1: Hra, a2: Hra) -> Hra:
     other band first, so each side runs against exactly its own initial
     names.
     """
-    mp1, mp2, m, n = _band_maps(a1, a2)
-    t1 = {s: StateTag("left", (s,)) for s in a1.states}
-    t2 = {s: StateTag("right", (s,)) for s in a2.states}
+    b1, b2, names = _side_by_side(a1, a2)
+    t1, moves1 = _tagged("left", b1)
+    t2, moves2 = _tagged("right", b2)
     start = StateTag("start", ())
-    band1 = frozenset(mp1.values())
-    band2 = frozenset(mp2.values())
-    transitions = [
-        Transition(t1[t.src], _remap_label(t.label, mp1), t1[t.dst]) for t in a1.transitions
-    ] + [
-        Transition(t2[t.src], _remap_label(t.label, mp2), t2[t.dst]) for t in a2.transitions
-    ] + [
+    band1 = frozenset([*range(1, a1.m + 1), *range(b1.m + 1, b1.m + a1.n + 1)])
+    band2 = frozenset(b1.places) - band1
+    transitions = moves1 + moves2 + [
         Transition(start, Reset(band2), t1[a1.initial]),
         Transition(start, Reset(band1), t2[a2.initial]),
     ]
     return Hra(
-        m=m,
-        n=n,
+        m=b1.m,
+        n=b1.n,
         states=frozenset([start, *t1.values(), *t2.values()]),
         initial=start,
-        initial_assignment=_moved_names(m + n, (a1, mp1), (a2, mp2)),
+        initial_assignment=names,
         transitions=frozenset(transitions),
         finals=frozenset([t1[s] for s in a1.finals] + [t2[s] for s in a2.finals]),
     )
@@ -228,26 +222,22 @@ def intersection(a1: Hra, a2: Hra) -> Hra:
     (p, q), with q as the annotation.  A reset of a2 leaves p put, so every
     p also gets a stand-still step p → p, labelled None, that carries the
     resets of a2 leaving q."""
-    mp1, mp2, m, n = _band_maps(a1, a2)
-    out1, out2 = a1._outgoing, a2._outgoing
+    b1, b2, names = _side_by_side(a1, a2)
+    out1, out2 = b1._outgoing, b2._outgoing
     adj = {p: [*out1.get(p, ()), Transition(p, None, p)] for p in a1.states}
 
     def moves(p, q, t):
         if t.label is None:
-            return [(_remap_label(v.label, mp2), v.dst)
-                    for v in out2.get(q, ()) if isinstance(v.label, Reset)]
+            return [(v.label, v.dst) for v in out2.get(q, ()) if isinstance(v.label, Reset)]
         if isinstance(t.label, Reset):
-            return [(_remap_label(t.label, mp1), q)]
-        pre, post = _remap_set(t.label.pre, mp1), _remap_set(t.label.post, mp1)
-        return [
-            (Accept(pre | _remap_set(v.label.pre, mp2),
-                    post | _remap_set(v.label.post, mp2)), v.dst)
-            for v in out2.get(q, ()) if isinstance(v.label, Accept)
-        ]
+            return [(t.label, q)]
+        pre, post = t.label
+        return [(Accept(pre | v.label.pre, post | v.label.post), v.dst)
+                for v in out2.get(q, ()) if isinstance(v.label, Accept)]
 
     return _explored("pair", adj, (a1.initial, a2.initial), moves,
                      lambda pq: pq[0] in a1.finals and pq[1] in a2.finals,
-                     m, n, _moved_names(m + n, (a1, mp1), (a2, mp2)))
+                     b1.m, b1.n, names)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +293,10 @@ def concatenation(a1: Hra, a2: Hra) -> Hra:
     p1, p2 = pad_type(a1, m, n), pad_type(a2, m, n)
     w = _enlist_initial_names(p2)
     f1, f2 = fix_names(p1, w), fix_names(p2, w)
-    left = {s: StateTag("left", (s,)) for s in f1.states}
-    right = {s: StateTag("right", (s,)) for s in f2.states}
+    left, moves1 = _tagged("left", f1)
+    right, moves2 = _tagged("right", f2)
     old_places = frozenset(range(1, m + n + 1))
-    transitions = [
-        Transition(left[t.src], t.label, left[t.dst]) for t in f1.transitions
-    ] + [
-        Transition(right[t.src], t.label, right[t.dst]) for t in f2.transitions
-    ] + [
+    transitions = moves1 + moves2 + [
         Transition(left[qf], Reset(old_places), right[f2.initial]) for qf in f1.finals
     ]
     return Hra(
@@ -336,9 +322,7 @@ def kleene_star(a: Hra) -> Hra:
     qs = StateTag("star", ())
     old_places = frozenset(range(1, a.m + a.n + 1))
     transitions = list(f.transitions)
-    transitions += [
-        Transition(qs, t.label, t.dst) for t in f.transitions if t.src == f.initial
-    ]
+    transitions += [Transition(qs, t.label, t.dst) for t in f._outgoing.get(f.initial, ())]
     transitions += [Transition(qf, Reset(old_places), qs) for qf in f.finals]
     return Hra(
         m=f.m,

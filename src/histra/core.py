@@ -209,8 +209,9 @@ class Hra:
     Its derived indices are cached (`_cached`), built on first use: the
     transitions grouped by source in iteration order (`_outgoing`, where a
     state with no outgoing transition has no key, so look states up with
-    `.get(q, ())`), which `trace` and every other search over it read; the
-    accept index (`_accept_index`), which `step` reads; the one table of
+    `.get(q, ())`), which every search over it but `trace` reads; the same
+    groups in `repr` order (`_ordered`), which `trace` reads; the accept
+    index (`_accept_index`), which `step` reads; the one table of
     reset summaries (`_closure`, without the pair (∅, q) of each state q),
     which the silent closure, `reset_summaries` and complementation read;
     and the place-sets a run can produce (`_produced`), which
@@ -238,6 +239,12 @@ class Hra:
         for t in self.transitions:
             adj.setdefault(t.src, []).append(t)
         return adj
+
+    @_cached
+    def _ordered(self) -> dict[State, list[Transition]]:
+        """`_outgoing` with each state's transitions sorted by `repr`, an
+        order that, unlike the frozenset's, is the same in every process."""
+        return {q: sorted(ts, key=repr) for q, ts in self._outgoing.items()}
 
     @_cached
     def _accept_index(self) -> dict[State, dict[frozenset[int], list]]:
@@ -475,7 +482,8 @@ def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
     is `explore` over (state, (assignment, letters read, place-set of the
     next letter)), so the run is the first-discovered path to the first
     accepting pair discovered: no accepting run has fewer moves, resets and
-    letters alike.
+    letters alike.  It reads each state's transitions in `repr` order
+    (`Hra._ordered`), so every process finds the same run.
 
     As in `membership`, each name is forgotten at its last occurrence in
     the word.  Forgetting maps the search over full assignments onto this
@@ -502,7 +510,7 @@ def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
             return [((t, word[k]), at(put(word[k], t.label.post, a.m), k + 1))]
         return []
 
-    reached, _ = explore(a._outgoing, (a.initial, at(a.initial_assignment, 0)), moves)
+    reached, _ = explore(a._ordered, (a.initial, at(a.initial_assignment, 0)), moves)
     goal = next((p for p in reached if p[0] in a.finals and p[1][1] == len(word)), None)
     if goal is None:
         return None

@@ -152,11 +152,19 @@ class CounterMachine:
 
 def _check_range(effect: Effect, dims: int) -> None:
     """Raise WrongDimension, naming the counter as `Effect.canonical`
-    does, when `pre` or `post` names a counter above `dims`; each is
-    sorted, so its last pair has the highest counter."""
-    pre, _, post = effect
-    if pre and pre[-1][0] > dims or post and post[-1][0] > dims:
-        i = pre[-1][0] if pre and pre[-1][0] > dims else post[-1][0]
+    does, when `pre` or `post` names a counter outside 1..dims (each is
+    sorted, so its first and last pairs bound it), or a move of `dest` has
+    its source outside 1..dims or its destination outside 0..dims."""
+    pre, dest, post = effect
+    bad = (pre and (pre[0][0] < 1 or pre[-1][0] > dims)
+           or post and (post[0][0] < 1 or post[-1][0] > dims))
+    for i, j in dest:  # a loop: `all` over a generator costs twice as much per call
+        if not (0 < i <= dims and 0 <= j <= dims):
+            bad = True
+    if bad:
+        ends = [(units[k][0], 1) for units in (pre, post) if units for k in (0, -1)]
+        ends += [end for i, j in dest for end in ((i, 1), (j, 0))]
+        i = next(i for i, least in ends if not least <= i <= dims)
         raise WrongDimension(f"counter {i} out of range for {dims} dims")
 
 
@@ -176,7 +184,7 @@ def _check_init(mc: CounterMachine, init: CounterConfig, *target: State) -> None
 
 def apply_effect(effect: Effect, v: Vector) -> Optional[Vector]:
     """The successor vector, or None when taking `pre` away goes negative.
-    Raises WrongDimension when `pre` or `post` names a counter beyond `v`."""
+    Raises WrongDimension when the effect names a counter outside `v`."""
     _check_range(effect, len(v))
     pre, dest, post = effect
     out = list(v)
@@ -234,8 +242,8 @@ def pre_basis(effect: Effect, b: Vector) -> frozenset[Vector]:
     other counter holds the sum of the counters sent to it (itself
     included, unless it moves): its need is split in every way over them,
     or has no predecessor when nothing is sent to it, and `pre` is added
-    back.  Raises WrongDimension when `pre` or `post` names a counter
-    beyond `b`.
+    back.  Raises WrongDimension when the effect names a counter outside
+    `b`.
     """
     _check_range(effect, len(b))
     pre, dest, post = effect

@@ -1,5 +1,8 @@
 """File formats and the command-line entry points."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -589,6 +592,24 @@ def test_member_and_run_decide_long_words_of_distinct_names(tmp_path, capsys):
     # a name that comes back is still remembered until its last occurrence
     assert main(["run", f, *word, "n7"]) == 1
     assert capsys.readouterr().out == "member: true\naccepted: true\naccepted: false\n"
+
+
+def test_run_trace_prints_the_same_run_under_every_hash_seed(tmp_path):
+    # either letter transition of the two-fold automaton gives a shortest
+    # run; the frozenset of transitions iterates in a per-process order
+    f = _file(tmp_path, "twofold.hra", TWOFOLD)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    main_ = "import sys; from histra.cli import main; sys.exit(main(sys.argv[1:]))"
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", main_, "run", f, "a", "b", "c", "--trace"],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            capture_output=True, timeout=120, check=True, text=True,
+        ).stdout
+        for seed in "123456"
+    }
+    assert len(outs) == 1
+    assert outs.pop().startswith("accepted: true\n")
 
 
 def test_empty_exit_codes(tmp_path, capsys):

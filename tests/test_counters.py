@@ -242,6 +242,10 @@ def test_pre_basis_rejects_a_counter_out_of_range():
     (Effect(((2, 1),), (), ()), (5,), "counter 2 out of range for 1 dims"),
     (Effect((), (), ((4, 1),)), (5, 0, 0), "counter 4 out of range for 3 dims"),
     (Effect(((1, 1), (3, 1)), (), ((5, 2),)), (1, 1), "counter 3 out of range for 2 dims"),
+    # counter 0 is no counter: `v[-1]` would read the last one
+    (Effect(((0, 1),), (), ()), (5, 3), "counter 0 out of range for 2 dims"),
+    (Effect((), ((0, 1),), ()), (5, 3), "counter 0 out of range for 2 dims"),
+    (Effect((), ((2, 5),), ()), (5, 3), "counter 5 out of range for 2 dims"),
 ])
 def test_range_check_names_the_counter(step, effect, vector, message):
     with pytest.raises(WrongDimension) as err:
