@@ -211,12 +211,14 @@ class Hra:
     state with no outgoing transition has no key, so look states up with
     `.get(q, ())`), which every search over it but `trace` reads; the same
     groups in `repr` order (`_ordered`), which `trace` reads; the accept
-    index (`_accept_index`), which `step` reads; the one table of
-    reset summaries (`_closure`, without the pair (∅, q) of each state q),
-    which the silent closure, `reset_summaries` and complementation read;
-    and the place-sets a run can produce (`_produced`), which
-    complementation reads.  None is a field, so `==`, `hash`, `repr`
-    and the pickled state ignore them.  Do not mutate them."""
+    index (`_accept_index`), which `step` reads once for each
+    configuration of a frontier; the one table of reset summaries
+    (`_closure`, without the pair (∅, q) of each state q), which the
+    silent closure (`eps_closure`, also once for each configuration),
+    `reset_summaries` and complementation read; and the place-sets a run
+    can produce (`_produced`), which complementation reads.  None is a
+    field, so `==`, `hash`, `repr` and the pickled state ignore them.  Do
+    not mutate them."""
 
     m: int
     n: int
@@ -400,51 +402,64 @@ def subsets(items: Iterable[int]) -> list[frozenset[int]]:
     return [frozenset(c) for r in range(len(pool) + 1) for c in combinations(pool, r)]
 
 
-def step(a: Hra, config: Configuration, letter: Name,
-         forget: bool = False) -> frozenset[Configuration]:
-    """All single-letter successors of `config` (no silent moves).
+def step(a: Hra, configs: Iterable[Configuration], letter: Name,
+         forget: bool = False) -> set[Configuration]:
+    """Every single-letter successor of the frontier `configs` (no silent
+    moves), as a new set.
 
-    A letter fires exactly the transitions that leave the configuration's
-    state with `pre` equal to the letter's place-set, so the automaton's
-    accept index (see `Hra`) finds them with one lookup on the state
-    and one on that place-set; no transition is tested on its own.
+    `configs` is any iterable of configurations, a one-shot iterator too;
+    it is read once and left unchanged.  A letter fires exactly the
+    transitions that leave a configuration's state with `pre` equal to the
+    letter's place-set, so the automaton's accept index (see `Hra`) finds
+    them with one lookup on the state and one on that place-set per
+    configuration; no transition is tested on its own.
 
     With `forget`, each successor holds the letter nowhere: it is
     `move_name` followed by removing the letter from every place
     (`Assignment.forget_name`), so a register the letter is written to is
     still emptied of the name it held."""
-    q, h = config
-    moves = a._accept_index.get(q)
-    if moves is not None:
-        moves = moves.get(h.placeset_of(letter))
-    if not moves:
-        return frozenset()
-    move = h.forget_name if forget else h.move_name
+    index, m = a._accept_index, a.m
     out = set()
-    for post, dst in moves:
-        out.add((dst, move(letter, post, a.m)))
-    return frozenset(out)
+    for q, h in configs:
+        moves = index.get(q)
+        if moves is not None:
+            moves = moves.get(h.placeset_of(letter))
+            if moves:
+                move = h.forget_name if forget else h.move_name
+                for post, dst in moves:
+                    out.add((dst, move(letter, post, m)))
+    return out
 
 
-def eps_closure(a: Hra, configs: Iterable[Configuration]) -> frozenset[Configuration]:
-    """Close a configuration set under reset (silent) transitions.
+def eps_closure(a: Hra, configs: Iterable[Configuration]) -> set[Configuration]:
+    """Close the frontier `configs` under reset (silent) transitions, into
+    a new set.
 
     Resets only empty places, so a chain of resets from q to p whose targets
     union to Y takes (q, h) to exactly (p, h minus Y): the closure reads the
-    automaton's reset summaries.  A state with no reset closes to
-    itself."""
+    automaton's reset summaries, once per configuration, in one pass over
+    `configs` (any iterable, read once and left unchanged).  A state with
+    no reset closes to itself."""
     closure = a._closure
-    closed = frozenset(configs)
     if not closure:  # the automaton has no reset
-        return closed
-    reset = [(p, h.reset_places(y) if y else h)
-             for q, h in closed for y, p in closure.get(q, ())]
-    return closed.union(reset) if reset else closed
+        return set(configs)
+    closed = set()
+    for c in configs:
+        closed.add(c)
+        summaries = closure.get(c[0])
+        if summaries:
+            h = c[1]
+            for y, p in summaries:
+                closed.add((p, h.reset_places(y) if y else h))
+    return closed
 
 
 def membership(a: Hra, word: Sequence[Name]) -> bool:
     """Does `a` accept `word`?  A frontier walk: the silent closure of the
-    configurations that the letters read so far reach.
+    configurations that the letters read so far reach.  Each letter costs
+    one `step` call over the whole frontier and, unless that step finds no
+    successor and the word is rejected, one `eps_closure` call over the
+    successors.
 
     Each name is forgotten at its last occurrence in the word: that letter
     is stepped with `forget`, so no successor holds the name.  This is
@@ -455,12 +470,9 @@ def membership(a: Hra, word: Sequence[Name]) -> bool:
     distinct names the frontier no longer doubles with each letter."""
     word = tuple(word)  # read twice below
     last = {letter: i for i, letter in enumerate(word)}
-    frontier = eps_closure(a, {initial_config(a)})
+    frontier = eps_closure(a, [initial_config(a)])
     for i, letter in enumerate(word):
-        forget = last[letter] == i
-        nxt = set()
-        for c in frontier:
-            nxt.update(step(a, c, letter, forget=forget))
+        nxt = step(a, frontier, letter, last[letter] == i)
         if not nxt:
             return False
         frontier = eps_closure(a, nxt)

@@ -120,7 +120,7 @@ def bounded_emptiness(a: Hra, max_letters: int = 8) -> EmptinessProbe:
     one, so the quotient search is exhaustive.  A verdict of
     empty_within_bound means the whole (quotient) reachable space was seen.
     """
-    layer = eps_closure(a, {initial_config(a)})
+    layer = eps_closure(a, [initial_config(a)])
     seen = {_orbit_key(q, h) for q, h in layer}
     words: dict = {c: () for c in layer}
     for _ in range(max_letters + 1):
@@ -136,8 +136,8 @@ def bounded_emptiness(a: Hra, max_letters: int = 8) -> EmptinessProbe:
                     if pool:
                         letters.add(min(pool))
             for letter in sorted(letters):
-                for c2 in step(a, (q, h), letter):
-                    for c3 in eps_closure(a, {c2}):
+                for c2 in step(a, [(q, h)], letter):
+                    for c3 in eps_closure(a, [c2]):
                         key = _orbit_key(*c3)
                         if key not in seen:
                             seen.add(key)
@@ -153,12 +153,10 @@ def bounded_emptiness(a: Hra, max_letters: int = 8) -> EmptinessProbe:
 # silent-then-letter moves: bounded bisimulation and determinism
 
 
-def moves(a: Hra, c: Configuration, letter: Name) -> frozenset[Configuration]:
-    """Every configuration reached from `c` by resets and then `letter`."""
-    out = set()
-    for c2 in eps_closure(a, {c}):
-        out.update(step(a, c2, letter))
-    return frozenset(out)
+def moves(a: Hra, c: Configuration, letter: Name) -> set[Configuration]:
+    """Every configuration reached from `c` by resets and then `letter`,
+    as a new set."""
+    return step(a, eps_closure(a, [c]), letter)
 
 
 def bounded_bisimulation(a1: Hra, a2: Hra, depth: int) -> bool:
@@ -174,7 +172,7 @@ def bounded_bisimulation(a1: Hra, a2: Hra, depth: int) -> bool:
     memo: dict = {}  # recursion lowers the depth in the key, so no key is re-entered
 
     def can_final(a: Hra, c: Configuration) -> bool:
-        return any(q in a.finals for q, _ in eps_closure(a, {c}))
+        return any(q in a.finals for q, _ in eps_closure(a, [c]))
 
     def related(c1: Configuration, c2: Configuration, d: int) -> bool:
         key = (c1, c2, d)
@@ -233,7 +231,7 @@ def bounded_determinism_check(
                     if s not in seen:
                         work.append((s, used + 1))
         # silent successors are reachable configurations in their own right
-        for c2 in eps_closure(a, {c}):
+        for c2 in eps_closure(a, [c]):
             if c2 not in seen:
                 work.append((c2, used))
     return True, None

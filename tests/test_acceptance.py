@@ -200,7 +200,7 @@ def test_fixing_names_preserves_membership_and_pins_the_new_registers():
                     if h.place(p):
                         letters.add(min(h.place(p)))
                 for letter in letters:
-                    for cfg in step(f, (q, h), letter):
+                    for cfg in step(f, [(q, h)], letter):
                         nxt |= eps_closure(f, {cfg})
             frontier = {c for c in nxt if c not in seen}
             seen |= nxt

@@ -222,7 +222,7 @@ def test_fix_names_pins_registers_forever():
                 if h.place(p):
                     letters.add(min(h.place(p)))
             for letter in letters:
-                for cfg in step(f, (q, h), letter):
+                for cfg in step(f, [(q, h)], letter):
                     nxt |= eps_closure(f, {cfg})
         frontier = {c for c in nxt if c not in seen}
         seen |= nxt

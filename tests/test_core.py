@@ -159,8 +159,8 @@ def test_forgetting_a_name_still_evicts_the_register_it_is_written_to():
     assert h.move_name(5, s(), m=1) == Assignment.of(3, {2: [6], 3: [7]})
     a = make_hra(1, 2, ["p", "q"], "p", [("p", Accept(s(1), s(1, 3)), "q")], ["q"],
                  initial_contents={1: [5], 2: [6], 3: [7]})
-    assert step(a, initial_config(a), 5, forget=True) == {("q", Assignment.of(3, {2: [6]}))}
-    assert step(a, initial_config(a), 5) == {("q", Assignment.of(3, {1: [5], 2: [6], 3: [5]}))}
+    assert step(a, [initial_config(a)], 5, forget=True) == {("q", Assignment.of(3, {2: [6]}))}
+    assert step(a, [initial_config(a)], 5) == {("q", Assignment.of(3, {1: [5], 2: [6], 3: [5]}))}
 
 
 def test_reset_places_empties_targets_only():
@@ -282,9 +282,9 @@ def test_step_requires_exact_placeset():
     q0 = a.initial
     h = a.initial_assignment.move_name(9, s(1), m=2)
     # the (∅,{1}) transition from q0 must not fire on a name already in 1
-    assert not step(a, (q0, h), 9)
+    assert not step(a, [(q0, h)], 9)
     # but it fires on a fresh one
-    assert step(a, (q0, h), 10)
+    assert step(a, [(q0, h)], 10)
 
 
 class _CountedState:
@@ -327,9 +327,9 @@ def test_step_compares_states_at_most_once():
         (_CountedState("z"), h, 7, False),  # not a state of the automaton
     ]:
         _CountedState.eq_calls = 0
-        got = step(a, (_CountedState(state.name), assignment), letter)
+        got = step(a, [(_CountedState(state.name), assignment)], letter)
         assert _CountedState.eq_calls <= 1, (state.name, letter, _CountedState.eq_calls)
-        assert type(got) is frozenset and bool(got) == fires
+        assert type(got) is set and bool(got) == fires
 
 
 def _step_by_scan(a, config, letter):
@@ -354,14 +354,13 @@ def test_step_agrees_with_the_transition_scan():
         reached = set(layer)
         for _ in range(3):
             nxt = set()
-            for c in layer:
-                for x in letters:
-                    nxt |= step(a, c, x)
+            for x in letters:
+                nxt |= step(a, layer, x)
             layer = eps_closure(a, nxt)
             reached |= layer
         for c in reached:
             for x in letters:
-                got = step(a, c, x)
+                got = step(a, [c], x)
                 assert got == _step_by_scan(a, c, x), (seed, c, x)
                 fired += bool(got)
     assert with_registers >= 30 and fired >= 1000, (with_registers, fired)
@@ -388,7 +387,7 @@ def _reached(a, letters, length):
     layer = eps_closure(a, {initial_config(a)})
     reached = set(layer)
     for _ in range(length):
-        layer = eps_closure(a, {c2 for c in layer for x in letters for c2 in step(a, c, x)})
+        layer = eps_closure(a, [c2 for x in letters for c2 in step(a, layer, x)])
         reached |= layer
     return reached
 
@@ -404,22 +403,79 @@ def test_step_agrees_with_the_transition_scan_patched_in(subclass, monkeypatch):
         a = random_hra(seed, max_m=2, max_n=2, max_states=4, subclass=subclass)
         for c in _reached(a, letters, 3):
             for x in letters:
-                kept, forgotten = step(a, c, x), step(a, c, x, forget=True)
+                kept, forgotten = step(a, [c], x), step(a, [c], x, forget=True)
                 # forgetting is the step, then the letter removed everywhere
                 assert forgotten == {(q, _removed(h, x)) for q, h in kept}, (seed, c, x)
                 probes.append((seed, c, x, kept, forgotten))
     monkeypatch.setattr(Hra, "_accept_index", property(_scan_index))
     for seed, c, x, kept, forgotten in probes:
         a = random_hra(seed, max_m=2, max_n=2, max_states=4, subclass=subclass)
-        assert step(a, c, x) == kept, (seed, c, x)
-        assert step(a, c, x, forget=True) == forgotten, (seed, c, x)
+        assert step(a, [c], x) == kept, (seed, c, x)
+        assert step(a, [c], x, forget=True) == forgotten, (seed, c, x)
     assert sum(bool(p[3]) for p in probes) >= 200
+
+
+def _frontiers(a, letters, length):
+    """Every frontier, as a frozenset, that a word of at most `length`
+    letters reaches keeping every name, and the successor sets of the
+    letter steps between them, before their silent closure."""
+    frontiers = layer = {frozenset(eps_closure(a, [initial_config(a)]))}
+    stepped = set()
+    for _ in range(length):
+        nxt = set()
+        for frontier in layer:
+            for x in letters:
+                successors = frozenset(step(a, frontier, x))
+                stepped.add(successors)
+                nxt.add(frozenset(eps_closure(a, successors)))
+        layer = nxt - frontiers
+        frontiers = frontiers | nxt
+    return frontiers, stepped
+
+
+def _check_frontier_call(call, frontier, want):
+    """`call` on `frontier` gives `want` from a set and from a generator,
+    leaves its argument as it was, and returns a new set each time."""
+    arg = set(frontier)
+    got = call(arg)
+    assert type(got) is set and got == want and got is not arg
+    assert arg == frontier
+    got.add("mutated")
+    got2 = call(c for c in frontier)
+    assert got2 == want and got2 is not got
+    got2.clear()
+    assert call(arg) == want and arg == frontier
+
+
+@pytest.mark.parametrize("subclass", SUBCLASSES)
+def test_a_frontier_steps_and_closes_as_its_configurations_do(subclass):
+    letters = (0, 1, 2, 3)
+    wide = closing = 0
+    for seed in range(40):
+        a = random_hra(seed, max_m=2, max_n=2, max_states=4, max_transitions=8,
+                       subclass=subclass)
+        frontiers, stepped = _frontiers(a, letters, 3)
+        for frontier in frontiers:
+            wide += len(frontier) > 1
+            for x in letters:
+                for forget in (False, True):
+                    want = set().union(*(step(a, [c], x, forget) for c in frontier))
+                    _check_frontier_call(lambda s: step(a, s, x, forget), frontier, want)
+        for frontier in frontiers | stepped:
+            want = set().union(*(eps_closure(a, [c]) for c in frontier))
+            closing += want != frontier
+            _check_frontier_call(lambda s: eps_closure(a, s), frontier, want)
+    assert wide >= 100, wide
+    if subclass in ("non_reset", "colouring"):
+        assert closing == 0  # with no reset, every set closes to itself
+    else:
+        assert closing >= 50, closing
 
 
 def _membership_keeping_every_name(a, word):
     frontier = eps_closure(a, {initial_config(a)})
     for x in word:
-        frontier = eps_closure(a, {c2 for c in frontier for c2 in step(a, c, x)})
+        frontier = eps_closure(a, step(a, frontier, x))
     return any(q in a.finals for q, _ in frontier)
 
 
@@ -496,7 +552,7 @@ def _replay(a, word, run):
             assert move.config in closed
         else:
             letters.append(move.letter)
-            assert move.config in step(a, config, move.letter)
+            assert move.config in step(a, [config], move.letter)
             closed = eps_closure(a, {move.config})
         config = move.config
     assert tuple(letters) == tuple(word)
@@ -534,8 +590,8 @@ def test_closure_agrees_with_the_run_search(chunk):
             # every configuration that a word of at most 3 letters reaches
             reached = {initial_config(a)}
             for _ in range(3):
-                reached |= {c2 for c in _closure_by_search(a, reached)
-                            for x in letters for c2 in step(a, c, x)}
+                closed = _closure_by_search(a, reached)
+                reached |= {c2 for x in letters for c2 in step(a, closed, x)}
             for c in reached:
                 assert eps_closure(a, {c}) == _closure_by_search(a, {c}), (seed, c)
 
@@ -582,7 +638,7 @@ def test_trace_finds_an_accepting_run_with_the_fewest_moves(chunk):
 def test_the_kept_reset_summaries_are_invisible():
     a, b = anchored_blocks_hra(), anchored_blocks_hra()
     eps_closure(a, {initial_config(a)})
-    step(a, initial_config(a), 0)
+    step(a, [initial_config(a)], 0)
     assert reset_summaries(a) == reset_summaries(a)
     assert a._outgoing is a._outgoing
     assert a._accept_index is a._accept_index
@@ -619,7 +675,7 @@ def test_every_name_sits_at_a_produced_place_set():
         for _ in range(5):
             frontier = eps_closure(a, {c2 for c in frontier
                                        for x in (*c[1].names(), c[1].fresh_name())
-                                       for c2 in step(a, c, x)})
+                                       for c2 in step(a, [c], x)})
             seen |= frontier
         for _, h in seen:
             for name in h.names():
