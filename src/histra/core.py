@@ -15,7 +15,7 @@ C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import chain, combinations
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -215,10 +215,12 @@ class Hra:
     configuration of a frontier; the one table of reset summaries
     (`_closure`, without the pair (∅, q) of each state q), which the
     silent closure (`eps_closure`, also once for each configuration),
-    `reset_summaries` and complementation read; and the place-sets a run
-    can produce (`_produced`), which complementation reads.  None is a
-    field, so `==`, `hash`, `repr` and the pickled state ignore them.  Do
-    not mutate them."""
+    `reset_summaries` and complementation read; the place-sets a run
+    can produce (`_produced`), which complementation reads; and the same
+    automaton with its states numbered (`_numbered`), which `membership`
+    and `oracles.bounded_emptiness` walk.  None is a field, so `==`,
+    `hash`, `repr` and the pickled state ignore them.  Do not mutate
+    them."""
 
     m: int
     n: int
@@ -272,6 +274,23 @@ class Hra:
         # every pair reached but the first, (q, ∅) itself
         return {q: [(y, p) for p, y in list(explore(out, (q, frozenset()), moves)[0])[1:]]
                 for q in sources}
+
+    @_cached
+    def _numbered(self) -> "Hra":
+        """This automaton with its states renamed 0..N-1 in `repr` order,
+        its transitions and finals renamed with them; the type and the
+        initial assignment (the same object) are kept.  A language does
+        not depend on state names, so a frontier walk may run here, where
+        states hash and compare as ints in C.  Its own `_numbered` is
+        itself."""
+        number = {q: i for i, q in enumerate(sorted(self.states, key=repr))}
+        numbered = replace(
+            self, states=frozenset(number.values()), initial=number[self.initial],
+            transitions=frozenset([Transition(number[t.src], t.label, number[t.dst])
+                                   for t in self.transitions]),
+            finals=frozenset([number[q] for q in self.finals]))
+        numbered.__dict__["_numbered"] = numbered
+        return numbered
 
     @_cached
     def _produced(self) -> tuple[frozenset[int], ...]:
@@ -467,7 +486,12 @@ def membership(a: Hra, word: Sequence[Name]) -> bool:
     a reset empties places whatever they hold, so a name that never occurs
     again cannot change a later step; the step that forgets it still
     evicts whatever a register it is written to held.  On words of
-    distinct names the frontier no longer doubles with each letter."""
+    distinct names the frontier no longer doubles with each letter.
+
+    The walk runs on `a._numbered`, whose states are ints: the language
+    is the same, and each frontier lookup hashes an int, not a
+    constructed state."""
+    a = a._numbered
     word = tuple(word)  # read twice below
     last = {letter: i for i, letter in enumerate(word)}
     frontier = eps_closure(a, [initial_config(a)])

@@ -119,7 +119,12 @@ def bounded_emptiness(a: Hra, max_letters: int = 8) -> EmptinessProbe:
     are interchangeable, and any fresh letter is as good as the least unused
     one, so the quotient search is exhaustive.  A verdict of
     empty_within_bound means the whole (quotient) reachable space was seen.
+
+    The search runs on `a._numbered`: states are ints there, so every set
+    iterates in the same order in every process and the witness does not
+    depend on the hash seed.
     """
+    a = a._numbered
     layer = eps_closure(a, [initial_config(a)])
     seen = {_orbit_key(q, h) for q, h in layer}
     words: dict = {c: () for c in layer}

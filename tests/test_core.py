@@ -38,13 +38,14 @@ from histra.oracles import enumerate_words, random_hra
 from histra.zoo import (
     all_distinct_hra,
     anchored_blocks_hra,
+    anchored_distinct_hra,
     generate_then_consume_hra,
     no_immediate_repeat_history_hra,
     no_immediate_repeat_register_hra,
     two_tracks_hra,
 )
 
-from conftest import assert_is_its_fields, deterministic
+from conftest import assert_is_its_fields, deterministic, zoo_automata
 
 
 def s(*places):
@@ -472,10 +473,15 @@ def test_a_frontier_steps_and_closes_as_its_configurations_do(subclass):
         assert closing >= 50, closing
 
 
-def _membership_keeping_every_name(a, word):
-    frontier = eps_closure(a, {initial_config(a)})
-    for x in word:
-        frontier = eps_closure(a, step(a, frontier, x))
+def _frontier_walk(a, word, forget=True):
+    """`membership`'s walk on the original configurations, the loop as it
+    read before the walk moved to `Hra._numbered`; without `forget`, it
+    keeps every name."""
+    word = tuple(word)
+    last = {x: i for i, x in enumerate(word)}
+    frontier = eps_closure(a, [initial_config(a)])
+    for i, x in enumerate(word):
+        frontier = eps_closure(a, step(a, frontier, x, forget and last[x] == i))
     return any(q in a.finals for q, _ in frontier)
 
 
@@ -489,9 +495,90 @@ def test_forgetting_names_keeps_every_membership_answer(subclass):
                        subclass=subclass)
         for w in words:
             got = membership(a, w)
-            assert got == _membership_keeping_every_name(a, w), (seed, w)
+            assert got == _frontier_walk(a, w, forget=False), (seed, w)
             accepted += got
     assert accepted >= 100
+
+
+def _zoo_and_constructions():
+    """The zoo automata and, for each one and the next, their union,
+    intersection and concatenation, and the star of each: tagged states,
+    and resets from the constructions."""
+    zoo = zoo_automata()
+    built = [op(a1, a2) for a1, a2 in zip(zoo, zoo[1:] + zoo[:1])
+             for op in (constructions.union, constructions.intersection,
+                        constructions.concatenation)]
+    return zoo + built + [constructions.kleene_star(a) for a in zoo]
+
+
+def _assert_membership_is_the_frontier_walk(automata):
+    words = list(enumerate_words((0, 1, 2, 3), 3))
+    accepted = rejected = 0
+    for k, a in enumerate(automata):
+        for w in words:
+            got = membership(a, w)
+            assert got == _frontier_walk(a, w), (k, a, w)
+            accepted += got
+            rejected += not got
+    return accepted, rejected
+
+
+def test_membership_on_the_numbered_copy_is_the_frontier_walk_on_the_zoo():
+    accepted, rejected = _assert_membership_is_the_frontier_walk(_zoo_and_constructions())
+    assert accepted >= 500 and rejected >= 500, (accepted, rejected)
+
+
+@pytest.mark.parametrize("subclass", SUBCLASSES)
+def test_membership_on_the_numbered_copy_is_the_frontier_walk_on_random_automata(subclass):
+    automata = [random_hra(seed, max_m=2, max_n=2, max_states=4, max_transitions=8,
+                           subclass=subclass) for seed in range(40)]
+    accepted, rejected = _assert_membership_is_the_frontier_walk(automata)
+    assert accepted >= 100 and rejected >= 100, (accepted, rejected)
+
+
+def test_the_numbered_copy_is_invisible():
+    field_names = {f.name for f in dataclasses.fields(Hra)}
+    assert "_numbered" not in field_names
+    for a in _zoo_and_constructions() + [random_hra(seed) for seed in range(10)]:
+        before = (a, hash(a), repr(a), pickle.dumps(a))
+        b = a._numbered
+        assert (a, hash(a), repr(a), pickle.dumps(a)) == before
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and "_numbered" not in vars(back)
+        assert a._numbered is b and b._numbered is b
+        assert type(b) is type(a) and b.m == a.m and b.n == a.n
+        assert b.initial_assignment is a.initial_assignment
+        assert b.states == frozenset(range(len(a.states)))
+        assert len(b.transitions) == len(a.transitions)
+        # state i of the copy is the i-th state of `a` in repr order
+        order = sorted(a.states, key=repr)
+        assert order[b.initial] == a.initial
+        assert {order[q] for q in b.finals} == a.finals
+        assert {Transition(order[t.src], t.label, order[t.dst])
+                for t in b.transitions} == a.transitions
+
+
+def test_membership_steps_and_closes_through_the_module_bindings(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(core, "step", counting("step", step))
+    monkeypatch.setattr(core, "eps_closure", counting("eps_closure", eps_closure))
+    cases = [
+        (all_distinct_hra(), tuple(range(1, 9))),
+        (constructions.kleene_star(anchored_distinct_hra(0)), (0, 1, 2, 0, 3)),
+        (constructions.intersection(two_tracks_hra(), no_immediate_repeat_history_hra()),
+         (1, 2, 3, 4)),
+    ]
+    for a, word in cases:
+        calls.clear()
+        assert membership(a, word)
+        assert calls == ["eps_closure"] + ["step", "eps_closure"] * len(word)
 
 
 def _twofold_hra():

@@ -2,6 +2,10 @@
 bounded emptiness, bounded bisimulation, random generators."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +161,31 @@ def test_bounded_emptiness_agrees_with_the_transition_scan(subclass, monkeypatch
         a = random_hra(seed, max_m=2, max_n=1, max_states=4, subclass=subclass)
         assert bounded_emptiness(a, 4) == probe, (subclass, seed)
     assert any(p.kind == "nonempty" for p in probes)
+
+
+def test_bounded_emptiness_finds_the_same_witness_under_every_hash_seed():
+    # a union's operands each offer a one-letter witness, and which one the
+    # search meets first must not depend on how states hash
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "from histra.constructions import concatenation, union\n"
+        "from histra.oracles import bounded_emptiness\n"
+        "from histra.zoo import anchored_blocks_hra, anchored_distinct_hra, two_tracks_hra\n"
+        "ad0, ad1, ab0 = anchored_distinct_hra(0), anchored_distinct_hra(1), anchored_blocks_hra(0)\n"
+        "for a in (union(ad0, ad1), union(ad0, ab0), union(two_tracks_hra(), ab0),\n"
+        "          concatenation(ad0, ad1)):\n"
+        "    print(bounded_emptiness(a, 8))\n"
+    )
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            capture_output=True, timeout=120, check=True, text=True,
+        ).stdout
+        for seed in "1234"
+    }
+    assert len(outs) == 1, outs
+    assert outs.pop().count("nonempty") == 4
 
 
 # ---------------------------------------------------------------------------
