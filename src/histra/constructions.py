@@ -249,7 +249,12 @@ def fix_names(a: Hra, w: Sequence[Name]) -> Hra:
 
     The result simulates `a` exactly, with each state carrying the intended
     place-set of every pinned name (None of them actually sits in the old
-    places).  Language is preserved.
+    places).  Language is preserved.  A pinned letter that `a` writes into
+    a register still evicts the name that register holds: where an
+    unpinned name can be there, the move is a `_path` that first resets
+    those registers, then reads the pinned register.  An unpinned name
+    enters a register only from the initial assignment or by a letter
+    that writes the register from outside it, so only those are reset.
     """
     w = tuple(w)
     if len(set(w)) != len(w):
@@ -259,6 +264,9 @@ def fix_names(a: Hra, w: Sequence[Name]) -> Hra:
     h0 = a.initial_assignment
     f0 = tuple(h0.placeset_of(x) for x in w)
     overwritten = lambda post: frozenset(i for i in post if i > m)
+    held = {i for i in range(m + 1, size + 1) if h0.place(i).difference(w)}
+    held.update(*(overwritten(t.label.post - t.label.pre)
+                  for t in a.transitions if isinstance(t.label, Accept)))
 
     def moves(q, f, t):
         if isinstance(t.label, Reset):
@@ -269,7 +277,9 @@ def fix_names(a: Hra, w: Sequence[Name]) -> Hra:
             if f[j] == t.label.pre:
                 pinned = frozenset({size + 1 + j})
                 f_move = tuple(t.label.post if l == j else f[l] - wiped for l in range(k))
-                out.append((Accept(pinned, pinned), f_move))
+                read, evict = Accept(pinned, pinned), wiped & held
+                move = ((q, f, t, j), (Reset(evict), read)) if evict else read
+                out.append((move, f_move))
         return out
 
     contents = tuple(s.difference(w) for s in h0.contents) + tuple(frozenset([x]) for x in w)

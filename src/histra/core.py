@@ -209,18 +209,17 @@ class Hra:
     Its derived indices are cached (`_cached`), built on first use: the
     transitions grouped by source in iteration order (`_outgoing`, where a
     state with no outgoing transition has no key, so look states up with
-    `.get(q, ())`), which every search over it but `trace` reads; the same
-    groups in `repr` order (`_ordered`), which `trace` reads; the accept
-    index (`_accept_index`), which `step` reads once for each
-    configuration of a frontier; the one table of reset summaries
-    (`_closure`, without the pair (∅, q) of each state q), which the
-    silent closure (`eps_closure`, also once for each configuration),
-    `reset_summaries` and complementation read; the place-sets a run
-    can produce (`_produced`), which complementation reads; and the same
-    automaton with its states numbered (`_numbered`), which `membership`
-    and `oracles.bounded_emptiness` walk.  None is a field, so `==`,
-    `hash`, `repr` and the pickled state ignore them.  Do not mutate
-    them."""
+    `.get(q, ())`), which every search over it reads; the accept index
+    (`_accept_index`), which `step` reads once for each configuration of
+    a frontier; the one table of reset summaries (`_closure`, without
+    the pair (∅, q) of each state q), which the silent closure
+    (`eps_closure`, also once for each configuration), `reset_summaries`
+    and complementation read; the place-sets a run can produce
+    (`_produced`), which complementation reads; and the same automaton
+    with its states numbered (`_numbered`, `_states`), which
+    `membership`, `trace` and `oracles.bounded_emptiness` walk.  None is
+    a field, so `==`, `hash`, `repr` and the pickled state ignore them.
+    Do not mutate them."""
 
     m: int
     n: int
@@ -243,12 +242,6 @@ class Hra:
         for t in self.transitions:
             adj.setdefault(t.src, []).append(t)
         return adj
-
-    @_cached
-    def _ordered(self) -> dict[State, list[Transition]]:
-        """`_outgoing` with each state's transitions sorted by `repr`, an
-        order that, unlike the frozenset's, is the same in every process."""
-        return {q: sorted(ts, key=repr) for q, ts in self._outgoing.items()}
 
     @_cached
     def _accept_index(self) -> dict[State, dict[frozenset[int], list]]:
@@ -277,20 +270,28 @@ class Hra:
 
     @_cached
     def _numbered(self) -> "Hra":
-        """This automaton with its states renamed 0..N-1 in `repr` order,
-        its transitions and finals renamed with them; the type and the
-        initial assignment (the same object) are kept.  A language does
-        not depend on state names, so a frontier walk may run here, where
-        states hash and compare as ints in C.  Its own `_numbered` is
-        itself."""
-        number = {q: i for i, q in enumerate(sorted(self.states, key=repr))}
-        numbered = replace(
-            self, states=frozenset(number.values()), initial=number[self.initial],
-            transitions=frozenset([Transition(number[t.src], t.label, number[t.dst])
-                                   for t in self.transitions]),
-            finals=frozenset([number[q] for q in self.finals]))
-        numbered.__dict__["_numbered"] = numbered
+        """This automaton with its states renamed 0..N-1 in `repr` order
+        (`_states`), its transitions and finals with them, its type and
+        initial assignment (the same object) kept.  A language ignores state
+        names, so word walks run here, on ints; every index iterates alike
+        in every process, and `_outgoing` lists each state's transitions in
+        the originals' `repr` order.  Its own `_numbered` is itself."""
+        number = {q: i for i, q in enumerate(self._states)}
+        labels = {lab: repr(lab) for lab in {t.label for t in self.transitions}}
+        # `repr(t)` is "(src label dst)": from one source, it orders as this key
+        key = lambda t: f"{labels[t.label]} {t.dst!r})"
+        out = {i: [Transition(i, t.label, number[t.dst]) for t in sorted(ts, key=key)]
+               for i, ts in enumerate([self._outgoing.get(q, ()) for q in self._states]) if ts}
+        numbered = replace(self, states=frozenset(number.values()), initial=number[self.initial],
+                           transitions=frozenset(chain.from_iterable(out.values())),
+                           finals=frozenset([number[q] for q in self.finals]))
+        numbered.__dict__.update(_numbered=numbered, _outgoing=out, _states=tuple(number.values()))
         return numbered
+
+    @_cached
+    def _states(self) -> tuple[State, ...]:
+        """The states in `repr` order: number i of `_numbered` is `_states[i]`."""
+        return tuple(sorted(self.states, key=repr))
 
     @_cached
     def _produced(self) -> tuple[frozenset[int], ...]:
@@ -518,8 +519,9 @@ def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
     is `explore` over (state, (assignment, letters read, place-set of the
     next letter)), so the run is the first-discovered path to the first
     accepting pair discovered: no accepting run has fewer moves, resets and
-    letters alike.  It reads each state's transitions in `repr` order
-    (`Hra._ordered`), so every process finds the same run.
+    letters alike.  It runs on `a._numbered`, which lists each state's
+    transitions in `repr` order, so every process finds the same run, and
+    names the run's states as `a` does.
 
     As in `membership`, each name is forgotten at its last occurrence in
     the word.  Forgetting maps the search over full assignments onto this
@@ -546,22 +548,20 @@ def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
             return [((t, word[k]), at(put(word[k], t.label.post, a.m), k + 1))]
         return []
 
-    reached, _ = explore(a._ordered, (a.initial, at(a.initial_assignment, 0)), moves)
-    goal = next((p for p in reached if p[0] in a.finals and p[1][1] == len(word)), None)
+    b = a._numbered
+    reached, _ = explore(b._outgoing, (b.initial, at(b.initial_assignment, 0)), moves)
+    goal = next((p for p in reached if p[0] in b.finals and p[1][1] == len(word)), None)
     if goal is None:
         return None
-    chosen = []
-    node = goal
+    chosen, node = [], goal
     while reached[node] is not None:
         node, move = reached[node]
         chosen.append(move)
-    steps = []
-    h = a.initial_assignment
+    steps, h, state = [], a.initial_assignment, a._states
     for t, letter in reversed(chosen):
-        if letter is None:
-            h = h.reset_places(t.label.targets)
-        else:
-            h = h.move_name(letter, t.label.post, a.m)
+        t = Transition(state[t.src], t.label, state[t.dst])
+        h = (h.reset_places(t.label.targets) if letter is None
+             else h.move_name(letter, t.label.post, a.m))
         steps.append(TraceStep(t, letter, (t.dst, h)))
     return tuple(steps)
 

@@ -231,6 +231,66 @@ def test_fix_names_pins_registers_forever():
                 assert h.place(p) == expect[p], (depth, p)
 
 
+def _evicting_hra():
+    """`HRA 0 1`: two fresh names in turn into the register, then the name
+    the register holds; L = {x y y : x ≠ y}."""
+    e, r = frozenset(), frozenset({1})
+    return make_hra(0, 1, ["q0", "q1", "q2", "q3"], "q0",
+                    [("q0", Accept(e, r), "q1"), ("q1", Accept(e, r), "q2"),
+                     ("q2", Accept(r, e), "q3")], ["q3"])
+
+
+def test_a_pinned_letter_still_evicts_the_register_it_is_written_to():
+    a = _evicting_hra()
+    f = fix_names(a, (5,))
+    # 5 is written over 7, so 7 is fresh again and not in the register
+    assert not membership(a, (7, 5, 7)) and not membership(f, (7, 5, 7))
+    assert membership(a, (7, 5, 5)) and membership(f, (7, 5, 5))
+    for w in enumerate_words((5, 7, 1), 4):
+        assert membership(f, w) == membership(a, w), w
+    # L(b) = {ε}, with 5 in b's register: a·b is a, with 5 pinned
+    b = make_hra(0, 1, ["p"], "p", [], ["p"], {1: [5]})
+    c = concatenation(a, b)
+    assert not membership(c, (7, 5, 7)) and membership(c, (7, 5, 5))
+    # the pinned move is a reset of the register, then the read
+    assert {t.label for t in f.transitions if isinstance(t.label, Reset)} == {Reset(frozenset({1}))}
+    # a register written only from itself never holds an unpinned name: no reset
+    for anchored in (anchored_blocks_hra(0), anchored_distinct_hra(0)):
+        fixed = fix_names(anchored, (0,))
+        assert not [q for q in fixed.states if isinstance(q, StateTag) and q.kind == "mid"]
+
+
+def _blocks(lang, w):
+    """Does `w` split into non-empty blocks, each in `lang`?"""
+    ends = {0}
+    for j in range(1, len(w) + 1):
+        if any(lang(w[i:j]) for i in ends):
+            ends.add(j)
+    return len(w) in ends
+
+
+@pytest.mark.parametrize("seeds, max_len", [
+    (range(50), 3),
+    ((7, 20, 83, 93, 132), 4),
+], ids=["first_50_draws", "longer_words"])
+def test_concatenation_and_star_of_register_writers_split_their_words(seeds, max_len):
+    """Pairs of random automata that write their registers, over every word
+    of at most `max_len` letters.  Without eviction by pinned letters, the
+    concatenation accepts words outside its language at draws 42 and 46
+    (3 letters) and 7, 20, 93 and 132 (4 letters), the star at 83 and 93."""
+    words = list(enumerate_words((0, 1, 2, 3), max_len))
+    for seed in seeds:
+        a = random_hra(2 * seed, max_m=2, max_n=2, max_states=3, max_transitions=7)
+        b = random_hra(2 * seed + 1, max_m=1, max_n=2, max_states=3, max_transitions=7)
+        la = {w: membership(a, w) for w in words}
+        lb = {w: membership(b, w) for w in words}
+        c, star = concatenation(a, b), kleene_star(a)
+        for w in words:
+            split = any(la[w[:k]] and lb[w[k:]] for k in range(len(w) + 1))
+            assert membership(c, w) == split, ("concat", seed, w)
+            assert membership(star, w) == _blocks(la.get, w), ("star", seed, w)
+
+
 # ---------------------------------------------------------------------------
 # state tags
 

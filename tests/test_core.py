@@ -2,9 +2,13 @@
 
 import copy
 import dataclasses
+import os
 import pickle
 import random
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -556,6 +560,108 @@ def test_the_numbered_copy_is_invisible():
         assert {order[q] for q in b.finals} == a.finals
         assert {Transition(order[t.src], t.label, order[t.dst])
                 for t in b.transitions} == a.transitions
+
+
+def test_the_numbered_copy_lists_each_states_transitions_in_repr_order():
+    assert not hasattr(Hra, "_ordered")
+    silent_states = 0
+    for a in _zoo_and_constructions() + [random_hra(seed) for seed in range(10)]:
+        b, order = a._numbered, sorted(a.states, key=repr)
+        number = {q: i for i, q in enumerate(order)}
+        # a state with no outgoing transition has no key, as in `_outgoing`
+        assert b._outgoing == {
+            number[q]: [Transition(number[q], t.label, number[t.dst]) for t in sorted(ts, key=repr)]
+            for q, ts in a._outgoing.items()}
+        assert list(b._outgoing) == sorted(b._outgoing)
+        assert a._states == tuple(order) and b._states == tuple(range(len(order)))
+        silent_states += len(a.states) - len(a._outgoing)
+    assert silent_states > 0
+
+
+def test_the_numbered_copy_is_built_alike_under_every_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "from histra.constructions import concatenation, intersection, kleene_star, union\n"
+        "from histra.zoo import (anchored_blocks_hra, anchored_distinct_hra,\n"
+        "                        no_immediate_repeat_history_hra, two_tracks_hra)\n"
+        "ad0, ad1 = anchored_distinct_hra(0), anchored_distinct_hra(1)\n"
+        "for a in (union(ad0, ad1), intersection(two_tracks_hra(), no_immediate_repeat_history_hra()),\n"
+        "          concatenation(ad0, anchored_blocks_hra(0)), kleene_star(ad0)):\n"
+        "    b = a._numbered\n"
+        "    print(list(b._outgoing.items()))\n"
+        "    print([(q, list(d.items())) for q, d in b._accept_index.items()])\n"
+    )
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            capture_output=True, timeout=120, check=True, text=True,
+        ).stdout
+        for seed in "1234"
+    }
+    assert len(outs) == 1, outs
+    assert outs.pop().count("\n") == 8
+
+
+def _trace_in_repr_order(a, word):
+    """`trace` as it read before the search moved to `Hra._numbered`: the
+    same search on the states of `a`, each state's transitions sorted by
+    `repr`."""
+    word = tuple(word)
+    last = {x: i for i, x in enumerate(word)}
+
+    def at(h, k):
+        return h, k, h.placeset_of(word[k]) if k < len(word) else None
+
+    def moves(q, f, t):
+        h, k, x = f
+        if isinstance(t.label, Reset):
+            y = t.label.targets
+            return [((t, None), (h.reset_places(y), k, None if x is None else x - y))]
+        if x == t.label.pre:
+            put = h.forget_name if last[word[k]] == k else h.move_name
+            return [((t, word[k]), at(put(word[k], t.label.post, a.m), k + 1))]
+        return []
+
+    ordered = {q: sorted(ts, key=repr) for q, ts in a._outgoing.items()}
+    reached, _ = explore(ordered, (a.initial, at(a.initial_assignment, 0)), moves)
+    goal = next((p for p in reached if p[0] in a.finals and p[1][1] == len(word)), None)
+    if goal is None:
+        return None
+    chosen, node = [], goal
+    while reached[node] is not None:
+        node, move = reached[node]
+        chosen.append(move)
+    steps, h = [], a.initial_assignment
+    for t, letter in reversed(chosen):
+        if letter is None:
+            h = h.reset_places(t.label.targets)
+        else:
+            h = h.move_name(letter, t.label.post, a.m)
+        steps.append(TraceStep(t, letter, (t.dst, h)))
+    return tuple(steps)
+
+
+def _assert_trace_is_the_repr_order_walk(automata):
+    words = list(enumerate_words((0, 1, 2, 3), 3))
+    runs = 0
+    for k, a in enumerate(automata):
+        for w in words:
+            got = trace(a, w)
+            assert got == _trace_in_repr_order(a, w), (k, a, w)
+            runs += got is not None
+    return runs
+
+
+def test_trace_on_the_numbered_copy_is_the_repr_order_walk_on_the_zoo():
+    assert _assert_trace_is_the_repr_order_walk(_zoo_and_constructions()) >= 500
+
+
+@pytest.mark.parametrize("subclass", SUBCLASSES)
+def test_trace_on_the_numbered_copy_is_the_repr_order_walk_on_random_automata(subclass):
+    automata = [random_hra(seed, max_m=2, max_n=2, max_states=4, max_transitions=8,
+                           subclass=subclass) for seed in range(40)]
+    assert _assert_trace_is_the_repr_order_walk(automata) >= 100
 
 
 def test_membership_steps_and_closes_through_the_module_bindings(monkeypatch):
