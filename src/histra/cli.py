@@ -67,12 +67,7 @@ from .core import (
 from .counters import Add, CounterMachine, CTransition, Effect, Units, backward_coverability
 from .errors import BadPlaceIndex, HistraError
 from .oracles import bounded_emptiness
-from .reductions import (
-    emptiness,
-    hra_to_trvass,
-    nonreset_to_vass,
-    restricted_hra_to_rvass,
-)
+from .reductions import emptiness, hra_to_trvass, restricted_hra_to_rvass
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -472,12 +467,12 @@ def _cmd_member(args) -> int:
 
 def _cmd_run(args) -> int:
     doc = _load(args.file)
-    word = _word(doc, args.word)
-    # one search: `trace` finds no run exactly when `membership` is false
-    steps = trace(doc.hra, word) if args.trace else None
-    accepted = steps is not None if args.trace else membership(doc.hra, word)
+    # one search: `trace` finds no run exactly when `membership` is false,
+    # and the run of the empty word is `()`
+    steps = trace(doc.hra, _word(doc, args.word))
+    accepted = steps is not None
     print(f"accepted: {'true' if accepted else 'false'}")
-    if accepted and args.trace:
+    if accepted:
         tok = _state_tokens(doc.hra.states)
         print(f"  {tok[doc.hra.initial]}")
         for s in steps:
@@ -500,7 +495,7 @@ def _cmd_empty(args) -> int:
     return 0 if is_empty else 1
 
 
-# the constructions that write a new automaton file, by command or `--op`
+# the constructions that write a new automaton file, by command
 _BUILDS = {
     "complement": complement_deterministic,
     "union": union,
@@ -513,7 +508,7 @@ _BUILDS = {
 def _cmd_build(args) -> int:
     names = NameTable()  # shared by all the input files
     docs = [_load(getattr(args, dest), names) for dest in args.inputs]
-    _write(args.output, print_hra(_BUILDS[args.op](*(doc.hra for doc in docs)), names))
+    _write(args.output, print_hra(_BUILDS[args.command](*(doc.hra for doc in docs)), names))
     print(f"wrote {args.output}")
     return 0
 
@@ -522,7 +517,6 @@ def _cmd_build(args) -> int:
 _TARGETS = {
     "restricted": restricted_hra_to_rvass,
     "trvass": hra_to_trvass,
-    "vass": nonreset_to_vass,
 }
 
 
@@ -565,10 +559,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("word", nargs="*")
     sp.set_defaults(func=_cmd_member)
 
-    sp = sub.add_parser("run", help="run a word, optionally printing the trace")
+    sp = sub.add_parser("run", help="run a word and print an accepting run")
     sp.add_argument("file")
     sp.add_argument("word", nargs="*")
-    sp.add_argument("--trace", action="store_true")
     sp.set_defaults(func=_cmd_run)
 
     sp = sub.add_parser("empty", help="decide language emptiness")
@@ -579,15 +572,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for command, help_text, inputs in [
         ("complement", "complement a deterministic automaton", ("file",)),
-        ("product", "union or intersection of two automata", ("left", "right")),
+        ("union", "union of two automata", ("left", "right")),
+        ("inter", "intersection of two automata", ("left", "right")),
         ("concat", "concatenation of two automata", ("left", "right")),
         ("star", "Kleene star of an automaton", ("file",)),
     ]:
         sp = sub.add_parser(command, help=help_text)
-        if command == "product":
-            sp.add_argument("--op", choices=["union", "inter"], required=True)
-        else:
-            sp.set_defaults(op=command)
         for dest in inputs:
             sp.add_argument(dest)
         sp.add_argument("-o", "--output", required=True)

@@ -217,7 +217,8 @@ class Hra:
     and complementation read; the place-sets a run can produce
     (`_produced`), which complementation reads; and the same automaton
     with its states numbered (`_numbered`, `_states`), which
-    `membership`, `trace` and `oracles.bounded_emptiness` walk.  None is
+    `membership`, `trace` and `oracles.bounded_emptiness` walk; the copy
+    comes with its `_outgoing` only, so it is no reference cycle.  None is
     a field, so `==`, `hash`, `repr` and the pickled state ignore them.
     Do not mutate them."""
 
@@ -257,8 +258,8 @@ class Hra:
     @_cached
     def _closure(self) -> dict[State, list[tuple[frozenset[int], State]]]:
         """Each state's reset summaries other than (∅, q), keyed only by the
-        sources of resets: a lookup that hits costs a recursive comparison
-        of nested `StateTag`s.  Every reader adds (∅, q) itself."""
+        sources of resets, so a reset-free automaton gets an empty table:
+        the fast path of `eps_closure`.  Every reader adds (∅, q) itself."""
         def moves(p, y, t):
             return [(None, y | t.label.targets)] if isinstance(t.label, Reset) else []
 
@@ -275,7 +276,9 @@ class Hra:
         initial assignment (the same object) kept.  A language ignores state
         names, so word walks run here, on ints; every index iterates alike
         in every process, and `_outgoing` lists each state's transitions in
-        the originals' `repr` order.  Its own `_numbered` is itself."""
+        the originals' `repr` order.  Only that `_outgoing` is stored on the
+        copy, so the copy holds no reference to itself and goes with this
+        automaton, not at the next run of the cyclic collector."""
         number = {q: i for i, q in enumerate(self._states)}
         labels = {lab: repr(lab) for lab in {t.label for t in self.transitions}}
         # `repr(t)` is "(src label dst)": from one source, it orders as this key
@@ -285,7 +288,7 @@ class Hra:
         numbered = replace(self, states=frozenset(number.values()), initial=number[self.initial],
                            transitions=frozenset(chain.from_iterable(out.values())),
                            finals=frozenset([number[q] for q in self.finals]))
-        numbered.__dict__.update(_numbered=numbered, _outgoing=out, _states=tuple(number.values()))
+        numbered.__dict__["_outgoing"] = out
         return numbered
 
     @_cached

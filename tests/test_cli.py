@@ -288,7 +288,6 @@ def test_counter_round_trip_on_random_machines():
 _TO_COUNTERS = {
     "restricted": restricted_hra_to_rvass,
     "trvass": hra_to_trvass,
-    "vass": nonreset_to_vass,
 }
 
 
@@ -306,6 +305,7 @@ def _as_printed(red):
 
 def test_to_counters_round_trip_and_cover_on_random_automata(tmp_path, capsys):
     written = dict.fromkeys(_TO_COUNTERS, 0)
+    vass = 0  # reset-free automata, whose restricted file is `nonreset_to_vass`'s
     for seed in range(100):
         f = _file(tmp_path, "a.hra", print_hra(random_hra(seed, max_m=2, max_n=1)))
         a = parse_hra(Path(f).read_text(encoding="utf-8"))
@@ -322,8 +322,12 @@ def test_to_counters_round_trip_and_cover_on_random_automata(tmp_path, capsys):
             doc = parse_counters(Path(out).read_text(encoding="utf-8"))
             assert (doc.machine, doc.query) == _as_printed(red), (seed, target)
             assert main(["cover", out]) == (1 if empty else 0), (seed, target)
+            if target == "restricted" and classify(a).non_reset:
+                assert doc.machine.is_vass(), seed
+                assert (doc.machine, doc.query) == _as_printed(nonreset_to_vass(a)), seed
+                vass += 1
     capsys.readouterr()
-    assert min(written.values()) >= 10, written
+    assert min(written.values()) >= 10 and vass >= 10, (written, vass)
     # the machine `emptiness` solves exists for every automaton
     assert written["restricted"] == 100, written
 
@@ -544,7 +548,7 @@ def test_a_bad_word_token_is_blamed_on_the_command_line(tmp_path, capsys):
 
 def test_run_trace_prints_transitions(tmp_path, capsys):
     f = _file(tmp_path, "consume.hra", CONSUME)
-    assert main(["run", f, "a", "a", "--trace"]) == 0
+    assert main(["run", f, "a", "a"]) == 0
     out = capsys.readouterr().out
     assert "accepted: true" in out
     assert "--[a]-->" in out
@@ -554,8 +558,8 @@ def test_run_trace_prints_transitions(tmp_path, capsys):
 
 
 def test_run_searches_once(tmp_path, capsys, monkeypatch):
-    """`run` decides with `membership` alone and `run --trace` with `trace`
-    alone, which finds no run exactly when the word is rejected."""
+    """`run` decides with `trace` alone, which finds no run exactly when the
+    word is rejected, and `member` with `membership` alone."""
     import histra.cli as cli
 
     calls = []
@@ -569,29 +573,43 @@ def test_run_searches_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "membership", counted(membership))
     monkeypatch.setattr(cli, "trace", counted(trace))
     f = _file(tmp_path, "consume.hra", CONSUME)
-    for args, code, search in [(["a", "a"], 0, "membership"), (["a", "b"], 1, "membership"),
-                               (["a", "a", "--trace"], 0, "trace"),
-                               (["a", "b", "--trace"], 1, "trace")]:
-        calls.clear()
-        assert main(["run", f, *args]) == code
-        assert calls == [search], args
-        out = capsys.readouterr().out
-        if code:
-            assert out == "accepted: false\n"
-        elif "--trace" in args:
-            assert out.startswith("accepted: true\n") and "--[a]-->" in out
-        else:
-            assert out == "accepted: true\n"
+    for command, search, answer in [("run", "trace", "accepted"), ("member", "membership", "member")]:
+        for word, code in [(["a", "a"], 0), (["a", "b"], 1)]:
+            calls.clear()
+            assert main([command, f, *word]) == code
+            assert calls == [search], (command, word)
+            out = capsys.readouterr().out
+            if code:
+                assert out == f"{answer}: false\n"
+            elif command == "run":
+                assert out.startswith("accepted: true\n") and "--[a]-->" in out
+            else:
+                assert out == "member: true\n"
 
 
 def test_member_and_run_decide_long_words_of_distinct_names(tmp_path, capsys):
     f = _file(tmp_path, "twofold.hra", TWOFOLD)
     word = [f"n{i}" for i in range(1, 201)]
     assert main(["member", f, *word]) == 0
+    assert capsys.readouterr().out == "member: true\n"
     assert main(["run", f, *word]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["accepted: true", "  q"] and len(lines) == 202
+    assert [ln.split()[0] for ln in lines[2:]] == [f"--[{n}]-->" for n in word]
     # a name that comes back is still remembered until its last occurrence
     assert main(["run", f, *word, "n7"]) == 1
-    assert capsys.readouterr().out == "member: true\naccepted: true\naccepted: false\n"
+    assert main(["member", f, *word, "n7"]) == 1
+    assert capsys.readouterr().out == "accepted: false\nmember: false\n"
+
+
+def test_run_of_the_empty_word_prints_the_initial_state(tmp_path, capsys):
+    # `trace` gives the empty run `()` when the initial state is final
+    f = _file(tmp_path, "distinct.hra", DISTINCT)
+    assert main(["run", f]) == 0
+    assert capsys.readouterr().out == "accepted: true\n  q\n"
+    f = _file(tmp_path, "consume.hra", CONSUME)
+    assert main(["run", f]) == 1
+    assert capsys.readouterr().out == "accepted: false\n"
 
 
 def test_run_trace_prints_the_same_run_under_every_hash_seed(tmp_path):
@@ -602,7 +620,7 @@ def test_run_trace_prints_the_same_run_under_every_hash_seed(tmp_path):
     main_ = "import sys; from histra.cli import main; sys.exit(main(sys.argv[1:]))"
     outs = {
         subprocess.run(
-            [sys.executable, "-c", main_, "run", f, "a", "b", "c", "--trace"],
+            [sys.executable, "-c", main_, "run", f, "a", "b", "c"],
             env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
             capture_output=True, timeout=120, check=True, text=True,
         ).stdout
@@ -707,7 +725,7 @@ def test_product_intersection(tmp_path):
     left = _file(tmp_path, "distinct.hra", DISTINCT)
     right = _file(tmp_path, "pinned.hra", PINNED)
     out = str(tmp_path / "meet.hra")
-    assert main(["product", "--op", "inter", left, right, "-o", out]) == 0
+    assert main(["inter", left, right, "-o", out]) == 0
     assert main(["member", out]) == 0  # empty word
     assert main(["member", out, "x"]) == 0
     assert main(["member", out, "x", "x"]) == 1  # repeats violate the left factor
@@ -718,7 +736,7 @@ def test_product_union(tmp_path):
     left = _file(tmp_path, "distinct.hra", DISTINCT)
     right = _file(tmp_path, "pinned.hra", PINNED)
     out = str(tmp_path / "join.hra")
-    assert main(["product", "--op", "union", left, right, "-o", out]) == 0
+    assert main(["union", left, right, "-o", out]) == 0
     assert main(["member", out, "x", "x"]) == 0  # right factor
     assert main(["member", out, "a", "b"]) == 0  # left factor
     assert main(["member", out, "a", "a"]) == 1  # neither
@@ -824,6 +842,21 @@ def test_errors_exit_with_2(tmp_path, capsys):
     assert "INITIAL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "F", "a", "--trace"],
+    ["product", "--op", "inter", "L", "R", "-o", "O"],
+    ["to-counters", "F", "--target", "vass", "-o", "O"],
+])
+def test_each_command_has_one_path(argv, capsys):
+    # `run` always prints its run, `union` and `inter` are commands, and the
+    # restricted file of a reset-free automaton is already a VASS
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: histra") and "Traceback" not in err
+
+
 def test_non_utf8_automaton_file_is_an_input_error(tmp_path, capsys):
     f = tmp_path / "bad.hra"
     f.write_bytes(b"\xffHRA 1 0\nSTATE q INITIAL\n")
@@ -841,22 +874,29 @@ def test_non_utf8_counter_file_is_an_input_error(tmp_path, capsys):
 
 
 def test_to_counters_keeps_an_edgeless_initial_state(tmp_path, capsys):
-    f = _file(tmp_path, "alone.hra", "HRA 1 0\nSTATE q INITIAL\n")
-    for target in ("restricted", "trvass", "vass"):
+    text = "HRA 1 0\nSTATE q INITIAL\n"
+    f = _file(tmp_path, "alone.hra", text)
+    docs = {}
+    for target in _TO_COUNTERS:
         out = str(tmp_path / f"{target}.cm")
         assert main(["to-counters", f, "--target", target, "-o", out]) == 0
-        assert parse_counters(Path(out).read_text(encoding="utf-8")).query is not None
+        docs[target] = parse_counters(Path(out).read_text(encoding="utf-8"))
+        assert docs[target].query is not None
         assert main(["cover", out]) == 1
+    # the automaton is reset-free: its restricted file is `nonreset_to_vass`'s
+    doc = docs["restricted"]
+    assert doc.machine.is_vass()
+    assert (doc.machine, doc.query) == _as_printed(nonreset_to_vass(parse_hra(text)))
     assert "coverable: false" in capsys.readouterr().out
 
 
 def _to_counters_vass_agrees_with_empty(tmp_path, text):
-    """`to-counters --target vass` writes the machine of `nonreset_to_vass`,
-    a VASS; `cover` exits 0 on coverable and `empty` exits 0 on empty, so
-    on a non-empty language they must disagree."""
+    """On a reset-free automaton `to-counters` writes the machine of
+    `nonreset_to_vass`, a VASS; `cover` exits 0 on coverable and `empty`
+    exits 0 on empty, so on a non-empty language they must disagree."""
     f = _file(tmp_path, "reg.hra", text)
     out = str(tmp_path / "vass.cm")
-    assert main(["to-counters", f, "--target", "vass", "-o", out]) == 0
+    assert main(["to-counters", f, "--target", "restricted", "-o", out]) == 0
     doc = parse_counters(Path(out).read_text(encoding="utf-8"))
     assert doc.machine.is_vass()
     assert (doc.machine, doc.query) == _as_printed(nonreset_to_vass(parse_hra(text)))
