@@ -464,7 +464,7 @@ def complement_deterministic(a: Hra) -> Hra:
     emit(sink, places, frozenset(), frozenset(), sink)
     for q in sorted(co, key=repr):
         moves = {(y, pre, post, dst) for y, p in summaries[q]
-                 for pre, outs in index.get(p, {}).items() for post, dst in outs}
+                 for pre, outs in index.get(p, {}).items() for post, dst, *_ in outs}
         for x in (frozenset(), *a._produced):
             hits = sum([x - y == pre for y, pre, _, _ in moves])
             if hits > 1:

@@ -16,6 +16,7 @@ C.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from itertools import chain, combinations
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -57,7 +58,9 @@ class Reset(NamedTuple):
 Label = Accept | Reset
 
 
+@cache
 def _fmt(places: frozenset[int]) -> str:
+    """The text of a place-set in a label's `repr`, made once per set."""
     return "{" + ",".join(map(str, sorted(places))) + "}" if places else "{}"
 
 
@@ -210,8 +213,9 @@ class Hra:
     transitions grouped by source in iteration order (`_outgoing`, where a
     state with no outgoing transition has no key, so look states up with
     `.get(q, ())`), which every search over it reads; the accept index
-    (`_accept_index`), which `step` reads once for each configuration of
-    a frontier; the one table of reset summaries (`_closure`, without
+    (`_accept_index`, each letter transition a row with its slot edits
+    worked out), which `step` reads once for each configuration of a
+    frontier; the one table of reset summaries (`_closure`, without
     the pair (∅, q) of each state q), which the silent closure
     (`eps_closure`, also once for each configuration), `reset_summaries`
     and complementation read; the place-sets a run can produce
@@ -247,12 +251,19 @@ class Hra:
     @_cached
     def _accept_index(self) -> dict[State, dict[frozenset[int], list]]:
         """For each state with a letter transition, those transitions keyed
-        by `pre`, each as its (`post`, `dst`) pair."""
-        index = {}
+        by `pre`, each as its row (`post`, `dst`, `leave`, `enter`, `regs`).
+        The last three are the slot edits (0-based) that move a name from
+        exactly `pre` to exactly `post`: the places of `pre`∖`post` it
+        leaves, the history places of `post`∖`pre` it enters, and the
+        registers of `post`, which it overwrites."""
+        m, index = self.m, {}
         for t in self.transitions:
             if isinstance(t.label, Accept):
-                index.setdefault(t.src, {}).setdefault(t.label.pre, []).append(
-                    (t.label.post, t.dst))
+                pre, post = t.label
+                row = (post, t.dst, tuple(i - 1 for i in sorted(pre - post)),
+                       tuple(i - 1 for i in sorted(post - pre) if i <= m),
+                       tuple(i - 1 for i in sorted(post) if i > m))
+                index.setdefault(t.src, {}).setdefault(pre, []).append(row)
         return index
 
     @_cached
@@ -435,22 +446,39 @@ def step(a: Hra, configs: Iterable[Configuration], letter: Name,
     transitions that leave a configuration's state with `pre` equal to the
     letter's place-set, so the automaton's accept index (see `Hra`) finds
     them with one lookup on the state and one on that place-set per
-    configuration; no transition is tested on its own.
+    configuration; no transition is tested on its own.  Each successor is
+    `Assignment.move_name`, made by applying the row's slot edits to a copy
+    of the contents: only those places change.
 
     With `forget`, each successor holds the letter nowhere: it is
     `move_name` followed by removing the letter from every place
-    (`Assignment.forget_name`), so a register the letter is written to is
-    still emptied of the name it held."""
-    index, m = a._accept_index, a.m
+    (`Assignment.forget_name`), so the letter leaves every place of `pre`
+    and a register it is written to is still emptied of the name it held."""
+    index, new = a._accept_index, tuple.__new__  # skips the NamedTuple's Python `__new__`
+    single = frozenset((letter,))
+    written = frozenset() if forget else single  # what each register of `post` then holds
     out = set()
     for q, h in configs:
         moves = index.get(q)
         if moves is not None:
-            moves = moves.get(h.placeset_of(letter))
+            contents = h.contents  # `placeset_of`, inlined
+            pre = frozenset([i + 1 for i, s in enumerate(contents) if letter in s])
+            moves = moves.get(pre)
             if moves:
-                move = h.forget_name if forget else h.move_name
-                for post, dst in moves:
-                    out.add((dst, move(letter, post, m)))
+                slots = list(contents)
+                if forget:
+                    for i in pre:
+                        slots[i - 1] -= single
+                for _, dst, leave, enter, regs in moves:
+                    edited = slots.copy()
+                    if not forget:
+                        for i in leave:
+                            edited[i] -= single
+                        for i in enter:
+                            edited[i] |= single
+                    for i in regs:
+                        edited[i] = written
+                    out.add((dst, new(Assignment, (tuple(edited),))))
     return out
 
 

@@ -170,6 +170,37 @@ def test_forgetting_a_name_still_evicts_the_register_it_is_written_to():
     assert step(a, [initial_config(a)], 5) == {("q", Assignment.of(3, {1: [5], 2: [6], 3: [5]}))}
 
 
+def test_step_edits_match_move_name_and_forget_name_on_every_small_label():
+    # every type with m + n <= 3 and every (pre, post) over its places; the
+    # letter 5 sits at exactly `pre`, every history also holds 9, and every
+    # register outside `pre` holds a name of its own
+    cases = dict.fromkeys(["register rewritten", "history kept", "register to history",
+                           "forgotten over a name"], 0)
+    for m, n in [(m, size - m) for size in (1, 2, 3) for m in range(size + 1)]:
+        places = range(1, m + n + 1)
+        for pre in core.subsets(places):
+            filled = {i: {9} if i <= m else {10 + i} for i in places}
+            for i in pre:
+                filled[i] = filled[i] | {5} if i <= m else {5}
+            for post in core.subsets(places):
+                a = make_hra(m, n, ["p", "q"], "p", [("p", Accept(pre, post), "q")], ["q"],
+                             initial_contents=filled)
+                h = a.initial_assignment
+                for forget, want in [(False, h.move_name(5, post, m)),
+                                     (True, h.forget_name(5, post, m))]:
+                    (got,) = step(a, [initial_config(a)], 5, forget)
+                    assert got == ("q", want) and type(got[1]) is Assignment, (m, n, pre, post)
+                    for i in places:
+                        if i not in pre | post:
+                            assert got[1].place(i) is h.place(i), (m, n, pre, post, i)
+                regs, hists = {i for i in post if i > m}, {i for i in post if i <= m}
+                cases["register rewritten"] += bool(regs & pre)
+                cases["history kept"] += bool(hists & pre)
+                cases["register to history"] += bool(hists - pre and {i for i in pre if i > m})
+                cases["forgotten over a name"] += bool(regs - pre)
+    assert all(cases.values()), cases
+
+
 def test_reset_places_empties_targets_only():
     h = Assignment.of(3, {1: [1], 2: [1, 2], 3: [3]})
     r = h.reset_places(s(2))
@@ -376,14 +407,27 @@ def test_step_agrees_with_the_transition_scan():
 def _scan_index(a):
     """A stand-in for the accept index that scans every transition of the
     automaton on each lookup, testing its source, its label kind and its
-    `pre`, as `step` first did."""
+    `pre`, as `step` first did.  Each row's slot edits are worked out here
+    from the label, place by place."""
+
+    def row(t):
+        pre, post = t.label
+        edits = ([], [], [])  # leave, enter, regs
+        for i in a.places:
+            if i > a.m and i in post:
+                edits[2].append(i - 1)
+            elif i in pre and i not in post:
+                edits[0].append(i - 1)
+            elif i in post and i not in pre:
+                edits[1].append(i - 1)
+        return (post, t.dst, *map(tuple, edits))
 
     class From:
         def __init__(self, q):
             self.q = q
 
         def get(self, x):
-            return [(t.label.post, t.dst) for t in a.transitions
+            return [row(t) for t in a.transitions
                     if t.src == self.q and isinstance(t.label, Accept) and t.label.pre == x]
 
     return types.SimpleNamespace(get=From)
