@@ -215,8 +215,10 @@ class Hra:
     `.get(q, ())`), which every search over it reads; the accept index
     (`_accept_index`, each letter transition a row with its slot edits
     worked out), which `step` reads once for each configuration of a
-    frontier; the one table of reset summaries (`_closure`, without
-    the pair (∅, q) of each state q), which the silent closure
+    frontier; each state's transitions as rows in `_outgoing` order, with
+    the same slot edits (`_trace_rows`), which `trace` walks once for
+    each pair it reaches; the one table of reset summaries (`_closure`,
+    without the pair (∅, q) of each state q), which the silent closure
     (`eps_closure`, also once for each configuration), `reset_summaries`
     and complementation read; the place-sets a run can produce
     (`_produced`), which complementation reads; and the same automaton
@@ -252,19 +254,26 @@ class Hra:
     def _accept_index(self) -> dict[State, dict[frozenset[int], list]]:
         """For each state with a letter transition, those transitions keyed
         by `pre`, each as its row (`post`, `dst`, `leave`, `enter`, `regs`).
-        The last three are the slot edits (0-based) that move a name from
-        exactly `pre` to exactly `post`: the places of `pre`∖`post` it
-        leaves, the history places of `post`∖`pre` it enters, and the
-        registers of `post`, which it overwrites."""
+        The last three are the transition's slot edits (`_slot_edits`)."""
         m, index = self.m, {}
         for t in self.transitions:
             if isinstance(t.label, Accept):
                 pre, post = t.label
-                row = (post, t.dst, tuple(i - 1 for i in sorted(pre - post)),
-                       tuple(i - 1 for i in sorted(post - pre) if i <= m),
-                       tuple(i - 1 for i in sorted(post) if i > m))
+                row = (post, t.dst, *_slot_edits(pre, post, m))
                 index.setdefault(t.src, {}).setdefault(pre, []).append(row)
         return index
+
+    @_cached
+    def _trace_rows(self) -> dict[State, list[tuple]]:
+        """Each state's transitions in `_outgoing` order, as the rows the
+        search of `trace` walks: a letter transition t as (`pre`, t,
+        `leave`, `enter`, `regs`), its slot edits as in `_accept_index`,
+        and a reset t as (None, t, `targets`, their slots (0-based), ())."""
+        m = self.m
+        return {q: [(t.label.pre, t, *_slot_edits(*t.label, m)) if isinstance(t.label, Accept)
+                    else (None, t, t.label.targets, tuple(i - 1 for i in t.label.targets), ())
+                    for t in ts]
+                for q, ts in self._outgoing.items()}
 
     @_cached
     def _closure(self) -> dict[State, list[tuple[frozenset[int], State]]]:
@@ -320,6 +329,18 @@ class Hra:
                 else frozenset(i for i in lab.post if i > self.m) for lab in labels]
         produced = _cut_closure([*map(h0.placeset_of, h0.names()), *posts], cuts)
         return tuple(sorted(produced, key=lambda x: (len(x), sorted(x))))
+
+
+@cache
+def _slot_edits(pre: frozenset[int], post: frozenset[int],
+                m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The slot edits (0-based) that move a name from exactly `pre` to
+    exactly `post` in an automaton with `m` histories: the places of
+    `pre`∖`post` it leaves, the history places of `post`∖`pre` it enters,
+    and the registers of `post`, which it overwrites.  Made once per label."""
+    return (tuple(i - 1 for i in sorted(pre - post)),
+            tuple(i - 1 for i in sorted(post - pre) if i <= m),
+            tuple(i - 1 for i in sorted(post) if i > m))
 
 
 def make_hra(
@@ -388,7 +409,8 @@ def validate(a: Hra) -> None:
 def explore(adj: Mapping[State, Sequence], start: tuple, moves) -> tuple[dict, list]:
     """Breadth-first search over (state, annotation) pairs, from `start`: the
     one search behind the reset summaries (so the silent closure), the
-    constructions, the skeleton reduction and run extraction.
+    constructions, the skeleton reduction and complementation.  Run
+    extraction searches on its own (`trace`), over compiled rows.
 
     A reached pair (q, f) follows every transition t in `adj.get(q, ())`;
     `moves(q, f, t)` lists the pairs (x, f2) that t allows from there, each
@@ -547,54 +569,112 @@ def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
     """An accepting run over `word`, or None.
 
     membership(a, w) is true exactly when this returns a run.  The search
-    is `explore` over (state, (assignment, letters read, place-set of the
-    next letter)), so the run is the first-discovered path to the first
-    accepting pair discovered: no accepting run has fewer moves, resets and
-    letters alike.  It runs on `a._numbered`, which lists each state's
-    transitions in `repr` order, so every process finds the same run, and
-    names the run's states as `a` does.
+    (`_trace_search`) is breadth-first over (state, assignment, letters
+    read), so the run is the first-discovered path to the first accepting
+    pair discovered: no accepting run has fewer moves, resets and letters
+    alike.  It runs on `a._numbered`, whose rows (`Hra._trace_rows`) list
+    each state's transitions in `repr` order, so every process finds the
+    same run, and names the run's states as `a` does.
 
     As in `membership`, each name is forgotten at its last occurrence in
     the word.  Forgetting maps the search over full assignments onto this
     one edge for edge, so the fewest moves are the same, and on words of
     distinct names the search no longer doubles with each letter.  The
-    configurations of the run are rebuilt with every name by replaying its
-    transitions from the initial configuration.
+    configurations of the run are rebuilt with every name by replaying
+    the chosen rows' slot edits, without forgetting, from the initial
+    configuration.
     """
     word = tuple(word)
-    last = {letter: i for i, letter in enumerate(word)}
-
-    def at(h, k):
-        """A pair's annotation: the assignment, the letters read and the
-        place-set of the next letter (None once the word is read)."""
-        return h, k, h.placeset_of(word[k]) if k < len(word) else None
-
-    def moves(q, f, t):
-        h, k, x = f
-        if isinstance(t.label, Reset):
-            y = t.label.targets  # the next letter leaves the places a reset empties
-            return [((t, None), (h.reset_places(y), k, None if x is None else x - y))]
-        if x == t.label.pre:
-            put = h.forget_name if last[word[k]] == k else h.move_name
-            return [((t, word[k]), at(put(word[k], t.label.post, a.m), k + 1))]
-        return []
-
-    b = a._numbered
-    reached, _ = explore(b._outgoing, (b.initial, at(b.initial_assignment, 0)), moves)
-    goal = next((p for p in reached if p[0] in b.finals and p[1][1] == len(word)), None)
+    reached, goal = _trace_search(a._numbered, word)
     if goal is None:
         return None
     chosen, node = [], goal
     while reached[node] is not None:
-        node, move = reached[node]
-        chosen.append(move)
-    steps, h, state = [], a.initial_assignment, a._states
-    for t, letter in reversed(chosen):
+        node, row = reached[node]
+        chosen.append((row, node[2]))
+    steps, slots, state, empty = [], list(a.initial_assignment.contents), a._states, frozenset()
+    for (pre, t, e1, e2, e3), k in reversed(chosen):
+        if pre is None:  # a reset: `e2` holds the slots of its targets
+            letter = None
+            for i in e2:
+                slots[i] = empty
+        else:  # a letter: leave, enter, overwrite
+            letter = word[k]
+            single = frozenset((letter,))
+            for i in e1:
+                slots[i] -= single
+            for i in e2:
+                slots[i] |= single
+            for i in e3:
+                slots[i] = single
         t = Transition(state[t.src], t.label, state[t.dst])
-        h = (h.reset_places(t.label.targets) if letter is None
-             else h.move_name(letter, t.label.post, a.m))
-        steps.append(TraceStep(t, letter, (t.dst, h)))
+        steps.append(TraceStep(t, letter, (t.dst, Assignment(tuple(slots)))))
     return tuple(steps)
+
+
+def _trace_search(a: Hra, word: Word) -> tuple[dict, Optional[tuple]]:
+    """The breadth-first search of `trace` over pairs (state, assignment,
+    letters read) of `a`, each name forgotten at its last occurrence in
+    `word`.  A pair walks its state's rows (`Hra._trace_rows`) once, in
+    order: a reset always moves, and a letter row moves when its `pre`
+    equals the place-set of the next letter, which is read once per pair,
+    when the pair is first reached.  The search stops at the first
+    accepting pair it discovers: every letter read, at a final state.
+
+    Returns the reached pairs in discovery order, each mapped to (previous
+    pair, row) of the move that discovered it (the start to None), and that
+    accepting pair, or None when there is none."""
+    rows, finals, end = a._trace_rows, a.finals, len(word)
+    new = tuple.__new__  # skips the NamedTuple's Python `__new__`
+    last = {letter: k for k, letter in enumerate(word)}
+    singles = {letter: frozenset((letter,)) for letter in last}
+    empty = frozenset()
+    h = a.initial_assignment
+    start = (a.initial, h, 0)
+    reached = {start: None}
+    if not end and a.initial in finals:
+        return reached, start
+    # each queued pair with the place-set of its next letter (None once the
+    # word is read); the list grows behind the loop: a FIFO queue
+    queue = [(start, h.placeset_of(word[0]) if end else None)]
+    for node, x in queue:
+        q, h, k = node
+        for row in rows.get(q, ()):
+            pre, t, e1, e2, e3 = row
+            if pre is None:  # a reset: `e1` its targets, `e2` their slots
+                slots = list(h.contents)
+                for i in e2:
+                    slots[i] = empty
+                nxt = (t.dst, new(Assignment, (tuple(slots),)), k)
+                if nxt in reached:
+                    continue
+                nx = None if x is None else x - e1  # the letter leaves what is emptied
+            elif pre == x:  # a letter row that fires: leave, enter, overwrite
+                letter = word[k]
+                single, slots = singles[letter], list(h.contents)
+                if last[letter] == k:  # forget: the letter leaves every place
+                    for i in pre:
+                        slots[i - 1] -= single
+                    for i in e3:
+                        slots[i] = empty
+                else:
+                    for i in e1:
+                        slots[i] -= single
+                    for i in e2:
+                        slots[i] |= single
+                    for i in e3:
+                        slots[i] = single
+                nxt = (t.dst, new(Assignment, (tuple(slots),)), k + 1)
+                if nxt in reached:
+                    continue
+                nx = nxt[1].placeset_of(word[k + 1]) if k + 1 < end else None
+            else:
+                continue
+            reached[nxt] = (node, row)
+            if nx is None and t.dst in finals:  # every letter read, at a final state
+                return reached, nxt
+            queue.append((nxt, nx))
+    return reached, None
 
 
 # ---------------------------------------------------------------------------

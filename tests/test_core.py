@@ -43,6 +43,7 @@ from histra.core import eps_closure, explore, initial_config, step
 from histra.oracles import enumerate_words, random_hra
 from histra.zoo import (
     all_distinct_hra,
+    alternating_pair_hras,
     anchored_blocks_hra,
     anchored_distinct_hra,
     generate_then_consume_hra,
@@ -646,6 +647,7 @@ def test_the_numbered_copy_is_built_alike_under_every_hash_seed():
         "    b = a._numbered\n"
         "    print(list(b._outgoing.items()))\n"
         "    print([(q, list(d.items())) for q, d in b._accept_index.items()])\n"
+        "    print(list(b._trace_rows.items()))\n"
     )
     outs = {
         subprocess.run(
@@ -656,7 +658,7 @@ def test_the_numbered_copy_is_built_alike_under_every_hash_seed():
         for seed in "1234"
     }
     assert len(outs) == 1, outs
-    assert outs.pop().count("\n") == 8
+    assert outs.pop().count("\n") == 12
 
 
 def _trace_in_repr_order(a, word):
@@ -698,8 +700,11 @@ def _trace_in_repr_order(a, word):
     return tuple(steps)
 
 
-def _assert_trace_is_the_repr_order_walk(automata):
-    words = list(enumerate_words((0, 1, 2, 3), 3))
+def _assert_trace_is_the_repr_order_walk(automata, words=None):
+    """`trace` equals `_trace_in_repr_order` on each automaton and each of
+    `words`, by default every word of at most 3 letters over 0-3; returns
+    how many runs were found."""
+    words = list(enumerate_words((0, 1, 2, 3), 3)) if words is None else words
     runs = 0
     for k, a in enumerate(automata):
         for w in words:
@@ -718,6 +723,63 @@ def test_trace_on_the_numbered_copy_is_the_repr_order_walk_on_random_automata(su
     automata = [random_hra(seed, max_m=2, max_n=2, max_states=4, max_transitions=8,
                            subclass=subclass) for seed in range(40)]
     assert _assert_trace_is_the_repr_order_walk(automata) >= 100
+
+
+def _two_track_word(rng, length):
+    """Odd positions pairwise distinct, and even positions too."""
+    odd, even = rng.sample(range(1, 400), length // 2), rng.sample(range(1, 400), length // 2)
+    return tuple(x for pair in zip(odd, even) for x in pair)
+
+
+def _blocks_word(rng, length):
+    """Blocks of 1..8 letters, each the anchor 0 and then distinct names."""
+    w, size = [], 0
+    while len(w) < length:
+        w += [0, *rng.sample(range(1, 50), size)]
+        size = (size + 1) % 8
+    return tuple(w[:length])
+
+
+def _spoiled(w):
+    """`w` with the letter three quarters in replaced by the one two back."""
+    i = 3 * len(w) // 4
+    return w[:i] + (w[i - 2],) + w[i + 1:]
+
+
+def _pair_reset_hra():
+    """`HRA 1 1`: a fresh name goes to history 1 and register 2, the same
+    name again back to history 1 alone, and a reset of history 1 lets a
+    name read before be fresh again: words of pairs `x x`."""
+    return make_hra(1, 1, ["q", "r"], "q",
+                    [("q", Accept(s(), s(1, 2)), "r"), ("r", Accept(s(1, 2), s(1)), "q"),
+                     ("q", Reset(s(1)), "q")], ["q"])
+
+
+def test_trace_on_long_words_is_the_repr_order_walk():
+    rng = random.Random(45)
+    cases = [
+        (constructions.intersection(*alternating_pair_hras()), _two_track_word),
+        (constructions.kleene_star(anchored_distinct_hra(0)), _blocks_word),
+        (constructions.concatenation(two_tracks_hra(), anchored_distinct_hra(0)),
+         lambda rng, n: _two_track_word(rng, n - 8) + (0, *rng.sample(range(400, 500), 7))),
+        (constructions.union(two_tracks_hra(), anchored_blocks_hra(0)),
+         lambda rng, n: (_two_track_word if n % 32 == 0 else _blocks_word)(rng, n)),
+    ]
+    rejected = 0
+    for a, gen in cases:
+        words = [gen(rng, n) for n in (48, 64, 96, 112)]
+        words += [_spoiled(w) for w in words]
+        found = _assert_trace_is_the_repr_order_walk([a], words)
+        assert found >= 4, (a, found)
+        rejected += len(words) - found
+    assert rejected >= 4, rejected
+    # resets between pairs whose names come back: name i mod `period`
+    words = [tuple(i % period for i in range(1, pairs + 1) for _ in range(2))
+             for period in (2, 3, 4, 5) for pairs in (12, 30)]
+    words += [w[:-1] + (w[-1] + 1,) for w in words]  # the last pair spoiled
+    words += [(1, 1, 1, 2), (1, 1, 1, 1), (1, 1, 2, 2, 1, 1, 2, 2, 1)]
+    found = _assert_trace_is_the_repr_order_walk([_pair_reset_hra()], words)
+    assert found == 9, found
 
 
 def test_membership_steps_and_closes_through_the_module_bindings(monkeypatch):
@@ -933,6 +995,47 @@ def test_every_name_sits_at_a_produced_place_set():
     assert placements > 10_000
 
 
+def _search_by_scan(a, word):
+    """`core._trace_search` spelled out on the numbered copy `a`: each pair
+    tries every transition of its state in `_outgoing` order through
+    `placeset_of`, `move_name`, `forget_name` and `reset_places`, and the
+    search stops at the first accepting pair it discovers."""
+    word = tuple(word)
+    last = {x: k for k, x in enumerate(word)}
+    start = (a.initial, a.initial_assignment, 0)
+    reached, queue = {start: None}, [start]
+    if a.initial in a.finals and not word:
+        return reached, start
+    for node in queue:
+        q, h, k = node
+        for t in a._outgoing.get(q, ()):
+            if isinstance(t.label, Reset):
+                nxt = (t.dst, h.reset_places(t.label.targets), k)
+            elif k < len(word) and h.placeset_of(word[k]) == t.label.pre:
+                put = h.forget_name if last[word[k]] == k else h.move_name
+                nxt = (t.dst, put(word[k], t.label.post, a.m), k + 1)
+            else:
+                continue
+            if nxt not in reached:
+                reached[nxt] = (node, t)
+                queue.append(nxt)
+                if nxt[0] in a.finals and nxt[2] == len(word):
+                    return reached, nxt
+    return reached, None
+
+
+def _recorded_trace_searches(monkeypatch):
+    """What each call of `core._trace_search` returns, in order."""
+    calls, search = [], core._trace_search
+
+    def recorded(a, word):
+        calls.append(search(a, word))
+        return calls[-1]
+
+    monkeypatch.setattr(core, "_trace_search", recorded)
+    return calls
+
+
 def test_explore_maps_each_pair_to_the_edge_that_discovered_it(monkeypatch):
     calls = []
 
@@ -943,11 +1046,21 @@ def test_explore_maps_each_pair_to_the_edge_that_discovered_it(monkeypatch):
 
     monkeypatch.setattr(core, "explore", recording)
     monkeypatch.setattr(constructions, "explore", recording)
+    searches = _recorded_trace_searches(monkeypatch)
+    found = 0
     for seed in range(40):
         a = random_hra(seed, max_m=2, max_n=1, max_states=4, max_transitions=8)
-        trace(a, (0, 1, 0))
+        run = trace(a, (0, 1, 0))
         fix_names(a, (0, 1))
-    assert len(calls) == 80
+        # `trace` searches on its own: same pairs, same discovery order,
+        # same discovering move, the same stop
+        reached, goal = searches[-1]
+        want, want_goal = _search_by_scan(a._numbered, (0, 1, 0))
+        assert goal == want_goal, seed
+        assert [(p, v if v is None else (v[0], v[1][1])) for p, v in reached.items()] \
+            == list(want.items()), seed
+        found += run is not None
+    assert len(calls) == 40 and len(searches) == 40 and found >= 5, found
     for start, reached, edges in calls:
         first = {start: None}
         for src, x, dst in edges:
@@ -957,46 +1070,42 @@ def test_explore_maps_each_pair_to_the_edge_that_discovered_it(monkeypatch):
 
 
 def test_trace_reads_the_next_letters_placeset_once_per_pair(monkeypatch):
-    # one `placeset_of` call for the start and one for each edge's target,
-    # not one per transition tried
-    searched = []
-
-    def recording(adj, start, moves):
-        reached, edges = explore(adj, start, moves)
-        searched.append(len(edges))
-        return reached, edges
-
+    # at most one `placeset_of` call for each reached pair with a letter
+    # still to read, not one per row tried
+    searches = _recorded_trace_searches(monkeypatch)
     calls = []
     placeset_of = core.Assignment.placeset_of
-    monkeypatch.setattr(core, "explore", recording)
     monkeypatch.setattr(core.Assignment, "placeset_of",
                         lambda h, name: calls.append(name) or placeset_of(h, name))
     words = list(enumerate_words((0, 1, 2), 3))
+    read = tried = 0
     for seed in range(40):
         a = random_hra(seed, max_m=2, max_n=1, max_states=4, max_transitions=8)
         for w in words:
-            searched.clear()
             calls.clear()
             trace(a, w)
-            assert len(calls) <= searched[0] + 1, (seed, w)
+            reached, _ = searches[-1]
+            assert len(calls) <= sum(k < len(w) for _, _, k in reached), (seed, w)
+            assert calls or not w
+            read += len(calls)
+            tried += sum(len(a._numbered._outgoing.get(q, ())) for q, _, _ in reached)
+    # one read per row tried would be far more
+    assert 2 * read < tried, (read, tried)
 
 
 def test_trace_forgets_each_name_after_its_last_letter(monkeypatch):
     # on a word of distinct names the reached pairs grow with its length,
     # not with the subsets of its names
-    sizes = []
-
-    def recording(adj, start, moves):
-        reached, edges = explore(adj, start, moves)
-        sizes.append(len(reached))
-        return reached, edges
-
-    monkeypatch.setattr(core, "explore", recording)
+    searches = _recorded_trace_searches(monkeypatch)
     a = constructions.intersection(two_tracks_hra(), no_immediate_repeat_history_hra())
     w = tuple(range(12))
     run = trace(a, w)
-    assert run is not None and sizes == [sizes[0]]
-    assert sizes[0] <= len(a.states) * 13
+    assert run is not None and len(searches) == 1
+    reached, _ = searches[0]
+    assert len(reached) <= len(a.states) * 13
+    # no pair holds a name after its last letter: with distinct names, the
+    # letters read are nowhere
+    assert all(not set(w[:k]) & h.names() for _, h, k in reached)
     _replay(a, w, run)
 
 
