@@ -463,8 +463,8 @@ def complement_deterministic(a: Hra) -> Hra:
 
     emit(sink, places, frozenset(), frozenset(), sink)
     for q in sorted(co, key=repr):
-        moves = {(y, pre, post, dst) for y, p in summaries[q]
-                 for pre, outs in index.get(p, {}).items() for post, dst, *_ in outs}
+        moves = {(y, pre, t.label.post, dst) for y, p in summaries[q]
+                 for pre, outs in index.get(p, {}).items() for _, dst, t, *_ in outs}
         for x in (frozenset(), *a._produced):
             hits = sum([x - y == pre for y, pre, _, _ in moves])
             if hits > 1:

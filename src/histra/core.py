@@ -212,12 +212,11 @@ class Hra:
     Its derived indices are cached (`_cached`), built on first use: the
     transitions grouped by source in iteration order (`_outgoing`, where a
     state with no outgoing transition has no key, so look states up with
-    `.get(q, ())`), which every search over it reads; the accept index
-    (`_accept_index`, each letter transition a row with its slot edits
-    worked out), which `step` reads once for each configuration of a
-    frontier; each state's transitions as rows in `_outgoing` order, with
-    the same slot edits (`_trace_rows`), which `trace` walks once for
-    each pair it reaches; the one table of reset summaries (`_closure`,
+    `.get(q, ())`), which every search over it reads; each transition as
+    a row with its slot edits worked out, in `_outgoing` order (`_rows`),
+    which `trace` walks once for each pair it reaches, and the same letter
+    rows keyed by `pre` (`_accept_index`), which `step` reads once for each
+    configuration of a frontier; the one table of reset summaries (`_closure`,
     without the pair (∅, q) of each state q), which the silent closure
     (`eps_closure`, also once for each configuration), `reset_summaries`
     and complementation read; the place-sets a run can produce
@@ -251,29 +250,34 @@ class Hra:
         return adj
 
     @_cached
-    def _accept_index(self) -> dict[State, dict[frozenset[int], list]]:
-        """For each state with a letter transition, those transitions keyed
-        by `pre`, each as its row (`post`, `dst`, `leave`, `enter`, `regs`).
-        The last three are the transition's slot edits (`_slot_edits`)."""
-        m, index = self.m, {}
-        for t in self.transitions:
-            if isinstance(t.label, Accept):
-                pre, post = t.label
-                row = (post, t.dst, *_slot_edits(pre, post, m))
-                index.setdefault(t.src, {}).setdefault(pre, []).append(row)
-        return index
+    def _rows(self) -> dict[State, list[tuple]]:
+        """Each state's transitions in `_outgoing` order, one row (`pre`,
+        `dst`, t, `leave`, `enter`, `regs`, `drop`) per transition t, whose
+        last four fields `_edited` applies.  A letter row holds its label's
+        `pre` and slot edits (`_slot_edits`); a reset row is (None, `dst`,
+        t, (), (), its targets' slots, its targets).  `_accept_index` is
+        built in the same pass."""
+        m, rows, index = self.m, {}, {}
+        for q, ts in self._outgoing.items():
+            rows[q] = out = []
+            for t in ts:
+                if isinstance(t.label, Accept):
+                    pre = t.label.pre
+                    row = (pre, t.dst, t, *_slot_edits(pre, t.label.post, m))
+                    index.setdefault(q, {}).setdefault(pre, []).append(row)
+                else:
+                    targets = t.label.targets
+                    row = (None, t.dst, t, (), (), tuple(i - 1 for i in targets), targets)
+                out.append(row)
+        self.__dict__["_accept_index"] = index
+        return rows
 
     @_cached
-    def _trace_rows(self) -> dict[State, list[tuple]]:
-        """Each state's transitions in `_outgoing` order, as the rows the
-        search of `trace` walks: a letter transition t as (`pre`, t,
-        `leave`, `enter`, `regs`), its slot edits as in `_accept_index`,
-        and a reset t as (None, t, `targets`, their slots (0-based), ())."""
-        m = self.m
-        return {q: [(t.label.pre, t, *_slot_edits(*t.label, m)) if isinstance(t.label, Accept)
-                    else (None, t, t.label.targets, tuple(i - 1 for i in t.label.targets), ())
-                    for t in ts]
-                for q, ts in self._outgoing.items()}
+    def _accept_index(self) -> dict[State, dict[frozenset[int], list[tuple]]]:
+        """The letter rows of `_rows`, the same objects in the same order,
+        keyed by state and then by `pre`."""
+        self._rows  # stores this index as it builds the rows
+        return self.__dict__["_accept_index"]
 
     @_cached
     def _closure(self) -> dict[State, list[tuple[frozenset[int], State]]]:
@@ -332,15 +336,35 @@ class Hra:
 
 
 @cache
-def _slot_edits(pre: frozenset[int], post: frozenset[int],
-                m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def _slot_edits(pre: frozenset[int], post: frozenset[int], m: int) -> tuple[tuple[int, ...], ...]:
     """The slot edits (0-based) that move a name from exactly `pre` to
     exactly `post` in an automaton with `m` histories: the places of
     `pre`∖`post` it leaves, the history places of `post`∖`pre` it enters,
-    and the registers of `post`, which it overwrites.  Made once per label."""
+    the registers of `post`, which it overwrites, and the places of `pre`,
+    which it leaves when it is forgotten.  Made once per label."""
     return (tuple(i - 1 for i in sorted(pre - post)),
             tuple(i - 1 for i in sorted(post - pre) if i <= m),
-            tuple(i - 1 for i in sorted(post) if i > m))
+            tuple(i - 1 for i in sorted(post) if i > m),
+            tuple(i - 1 for i in sorted(pre)))
+
+
+def _edited(contents: tuple[frozenset[Name], ...], leave: Iterable[int], enter: Iterable[int],
+            regs: Iterable[int], single: frozenset[Name], written: frozenset[Name]) -> Assignment:
+    """`contents` with a row's slot edits applied: the name set `single`
+    leaves each slot of `leave` and enters each of `enter`, then each slot
+    of `regs` holds `written`; every other slot keeps its object.  The one
+    spelling of a move over `Hra._rows`: a kept letter a passes its row's
+    `leave`, `enter`, `regs` and {a}, {a}; a forgotten one `drop`, (),
+    `regs`, {a}, ∅ (it leaves every place of `pre`, and its registers lose
+    what they held); a reset its row's (), (), `regs`, ∅, ∅."""
+    slots = list(contents)
+    for i in leave:
+        slots[i] -= single
+    for i in enter:
+        slots[i] |= single
+    for i in regs:
+        slots[i] = written
+    return tuple.__new__(Assignment, (tuple(slots),))  # skips the NamedTuple's Python `__new__`
 
 
 def make_hra(
@@ -410,7 +434,7 @@ def explore(adj: Mapping[State, Sequence], start: tuple, moves) -> tuple[dict, l
     """Breadth-first search over (state, annotation) pairs, from `start`: the
     one search behind the reset summaries (so the silent closure), the
     constructions, the skeleton reduction and complementation.  Run
-    extraction searches on its own (`trace`), over compiled rows.
+    extraction searches on its own (`trace`), over the rows `Hra._rows`.
 
     A reached pair (q, f) follows every transition t in `adj.get(q, ())`;
     `moves(q, f, t)` lists the pairs (x, f2) that t allows from there, each
@@ -469,14 +493,14 @@ def step(a: Hra, configs: Iterable[Configuration], letter: Name,
     letter's place-set, so the automaton's accept index (see `Hra`) finds
     them with one lookup on the state and one on that place-set per
     configuration; no transition is tested on its own.  Each successor is
-    `Assignment.move_name`, made by applying the row's slot edits to a copy
-    of the contents: only those places change.
+    `Assignment.move_name`, made by `_edited` from the row's slot edits:
+    only those places change.
 
     With `forget`, each successor holds the letter nowhere: it is
     `move_name` followed by removing the letter from every place
     (`Assignment.forget_name`), so the letter leaves every place of `pre`
     and a register it is written to is still emptied of the name it held."""
-    index, new = a._accept_index, tuple.__new__  # skips the NamedTuple's Python `__new__`
+    index, edited = a._accept_index, _edited
     single = frozenset((letter,))
     written = frozenset() if forget else single  # what each register of `post` then holds
     out = set()
@@ -484,23 +508,12 @@ def step(a: Hra, configs: Iterable[Configuration], letter: Name,
         moves = index.get(q)
         if moves is not None:
             contents = h.contents  # `placeset_of`, inlined
-            pre = frozenset([i + 1 for i, s in enumerate(contents) if letter in s])
-            moves = moves.get(pre)
+            moves = moves.get(frozenset([i + 1 for i, s in enumerate(contents) if letter in s]))
             if moves:
-                slots = list(contents)
-                if forget:
-                    for i in pre:
-                        slots[i - 1] -= single
-                for _, dst, leave, enter, regs in moves:
-                    edited = slots.copy()
-                    if not forget:
-                        for i in leave:
-                            edited[i] -= single
-                        for i in enter:
-                            edited[i] |= single
-                    for i in regs:
-                        edited[i] = written
-                    out.add((dst, new(Assignment, (tuple(edited),))))
+                for _, dst, _, leave, enter, regs, drop in moves:
+                    if forget:
+                        leave, enter = drop, ()
+                    out.add((dst, edited(contents, leave, enter, regs, single, written)))
     return out
 
 
@@ -572,16 +585,16 @@ def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
     (`_trace_search`) is breadth-first over (state, assignment, letters
     read), so the run is the first-discovered path to the first accepting
     pair discovered: no accepting run has fewer moves, resets and letters
-    alike.  It runs on `a._numbered`, whose rows (`Hra._trace_rows`) list
-    each state's transitions in `repr` order, so every process finds the
-    same run, and names the run's states as `a` does.
+    alike.  It runs on `a._numbered`, whose rows (`Hra._rows`) list each
+    state's transitions in `repr` order, so every process finds the same
+    run, and names the run's states as `a` does.
 
     As in `membership`, each name is forgotten at its last occurrence in
     the word.  Forgetting maps the search over full assignments onto this
     one edge for edge, so the fewest moves are the same, and on words of
     distinct names the search no longer doubles with each letter.  The
-    configurations of the run are rebuilt with every name by replaying
-    the chosen rows' slot edits, without forgetting, from the initial
+    configurations of the run are rebuilt with every name by `_edited`,
+    which replays the chosen rows, without forgetting, from the initial
     configuration.
     """
     word = tuple(word)
@@ -592,40 +605,30 @@ def trace(a: Hra, word: Sequence[Name]) -> Optional[tuple[TraceStep, ...]]:
     while reached[node] is not None:
         node, row = reached[node]
         chosen.append((row, node[2]))
-    steps, slots, state, empty = [], list(a.initial_assignment.contents), a._states, frozenset()
-    for (pre, t, e1, e2, e3), k in reversed(chosen):
-        if pre is None:  # a reset: `e2` holds the slots of its targets
-            letter = None
-            for i in e2:
-                slots[i] = empty
-        else:  # a letter: leave, enter, overwrite
-            letter = word[k]
-            single = frozenset((letter,))
-            for i in e1:
-                slots[i] -= single
-            for i in e2:
-                slots[i] |= single
-            for i in e3:
-                slots[i] = single
+    steps, h, state, empty = [], a.initial_assignment, a._states, frozenset()
+    for (pre, _, t, leave, enter, regs, _), k in reversed(chosen):
+        letter = None if pre is None else word[k]
+        single = empty if pre is None else frozenset((letter,))  # a reset writes ∅
+        h = _edited(h.contents, leave, enter, regs, single, single)
         t = Transition(state[t.src], t.label, state[t.dst])
-        steps.append(TraceStep(t, letter, (t.dst, Assignment(tuple(slots)))))
+        steps.append(TraceStep(t, letter, (t.dst, h)))
     return tuple(steps)
 
 
 def _trace_search(a: Hra, word: Word) -> tuple[dict, Optional[tuple]]:
     """The breadth-first search of `trace` over pairs (state, assignment,
     letters read) of `a`, each name forgotten at its last occurrence in
-    `word`.  A pair walks its state's rows (`Hra._trace_rows`) once, in
-    order: a reset always moves, and a letter row moves when its `pre`
-    equals the place-set of the next letter, which is read once per pair,
-    when the pair is first reached.  The search stops at the first
-    accepting pair it discovers: every letter read, at a final state.
+    `word`.  A pair walks its state's rows (`Hra._rows`) once, in order: a
+    reset always moves, and a letter row moves when its `pre` equals the
+    place-set of the next letter, which is read once per pair, when the
+    pair is first reached.  Each move's assignment is `_edited` from the
+    row.  The search stops at the first accepting pair it discovers: every
+    letter read, at a final state.
 
     Returns the reached pairs in discovery order, each mapped to (previous
     pair, row) of the move that discovered it (the start to None), and that
     accepting pair, or None when there is none."""
-    rows, finals, end = a._trace_rows, a.finals, len(word)
-    new = tuple.__new__  # skips the NamedTuple's Python `__new__`
+    rows, finals, end, edited = a._rows, a.finals, len(word), _edited
     last = {letter: k for k, letter in enumerate(word)}
     singles = {letter: frozenset((letter,)) for letter in last}
     empty = frozenset()
@@ -640,38 +643,25 @@ def _trace_search(a: Hra, word: Word) -> tuple[dict, Optional[tuple]]:
     for node, x in queue:
         q, h, k = node
         for row in rows.get(q, ()):
-            pre, t, e1, e2, e3 = row
-            if pre is None:  # a reset: `e1` its targets, `e2` their slots
-                slots = list(h.contents)
-                for i in e2:
-                    slots[i] = empty
-                nxt = (t.dst, new(Assignment, (tuple(slots),)), k)
+            pre, dst, _, leave, enter, regs, drop = row
+            if pre is None:  # a reset: `drop` holds its targets
+                nxt = (dst, edited(h.contents, leave, enter, regs, empty, empty), k)
                 if nxt in reached:
                     continue
-                nx = None if x is None else x - e1  # the letter leaves what is emptied
-            elif pre == x:  # a letter row that fires: leave, enter, overwrite
+                nx = None if x is None else x - drop  # the letter leaves what is emptied
+            elif pre == x:  # a letter row that fires
                 letter = word[k]
-                single, slots = singles[letter], list(h.contents)
+                single = written = singles[letter]
                 if last[letter] == k:  # forget: the letter leaves every place
-                    for i in pre:
-                        slots[i - 1] -= single
-                    for i in e3:
-                        slots[i] = empty
-                else:
-                    for i in e1:
-                        slots[i] -= single
-                    for i in e2:
-                        slots[i] |= single
-                    for i in e3:
-                        slots[i] = single
-                nxt = (t.dst, new(Assignment, (tuple(slots),)), k + 1)
+                    leave, enter, written = drop, (), empty
+                nxt = (dst, edited(h.contents, leave, enter, regs, single, written), k + 1)
                 if nxt in reached:
                     continue
                 nx = nxt[1].placeset_of(word[k + 1]) if k + 1 < end else None
             else:
                 continue
             reached[nxt] = (node, row)
-            if nx is None and t.dst in finals:  # every letter read, at a final state
+            if nx is None and dst in finals:  # every letter read, at a final state
                 return reached, nxt
             queue.append((nxt, nx))
     return reached, None

@@ -413,7 +413,7 @@ def _scan_index(a):
 
     def row(t):
         pre, post = t.label
-        edits = ([], [], [])  # leave, enter, regs
+        edits = ([], [], [], [])  # leave, enter, regs, drop
         for i in a.places:
             if i > a.m and i in post:
                 edits[2].append(i - 1)
@@ -421,7 +421,9 @@ def _scan_index(a):
                 edits[0].append(i - 1)
             elif i in post and i not in pre:
                 edits[1].append(i - 1)
-        return (post, t.dst, *map(tuple, edits))
+            if i in pre:
+                edits[3].append(i - 1)
+        return (pre, t.dst, t, *map(tuple, edits))
 
     class From:
         def __init__(self, q):
@@ -647,7 +649,7 @@ def test_the_numbered_copy_is_built_alike_under_every_hash_seed():
         "    b = a._numbered\n"
         "    print(list(b._outgoing.items()))\n"
         "    print([(q, list(d.items())) for q, d in b._accept_index.items()])\n"
-        "    print(list(b._trace_rows.items()))\n"
+        "    print(list(b._rows.items()))\n"
     )
     outs = {
         subprocess.run(
@@ -953,10 +955,11 @@ def test_the_kept_reset_summaries_are_invisible():
     assert reset_summaries(a) == reset_summaries(a)
     assert a._outgoing is a._outgoing
     assert a._accept_index is a._accept_index
+    assert a._rows is a._rows
     assert a._produced is a._produced
     fields = {f.name for f in dataclasses.fields(Hra)}
     assert set(vars(b)) == fields
-    assert ({"_outgoing", "_accept_index", "_closure", "_produced"}
+    assert ({"_outgoing", "_accept_index", "_rows", "_closure", "_produced"}
             <= set(vars(a)) - fields)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert pickle.dumps(a) == pickle.dumps(b)
@@ -970,6 +973,8 @@ def test_the_kept_reset_summaries_are_invisible():
             == {q: set(ts) for q, ts in a._outgoing.items()})
     assert reset_summaries(c) == reset_summaries(a)
     assert c._accept_index == a._accept_index != {}
+    assert ({q: set(rows) for q, rows in c._rows.items()}
+            == {q: set(rows) for q, rows in a._rows.items()} != {})
     assert c._produced == a._produced != ()
 
 
@@ -1036,6 +1041,84 @@ def _recorded_trace_searches(monkeypatch):
     return calls
 
 
+def _recorded(monkeypatch, owner, names):
+    """Every value that the functions `names` of `owner` return, in order."""
+    made = []
+    for name in names:
+        f = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, f=f: made.append(f(*args)) or made[-1])
+    return made
+
+
+def test_every_successor_is_made_by_the_one_edit_function(monkeypatch):
+    """`step` with and without forgetting, the search of `trace` and its
+    replay make each successor with one `core._edited` call, in the order
+    the transition scans make it with `move_name`, `forget_name` and
+    `reset_places`: a copy of the slot edits spelled out anywhere else
+    makes successors that this count misses."""
+    letters, words = (0, 1, 2), list(enumerate_words((0, 1, 2), 3))
+    cases = []
+    for seed in range(80):
+        a = random_hra(seed, max_m=2, max_n=1, max_states=4, max_transitions=8)
+        cases.append((a, _reached(a, letters, 3)))
+    made = _recorded(monkeypatch, core, ["_edited"])
+    want = _recorded(monkeypatch, Assignment, ["move_name", "forget_name", "reset_places"])
+    stepped, searched, replayed = [0, 0], 0, 0  # stepped: keeping, forgetting
+    for seed, (a, reached) in enumerate(cases):
+        for (q, h), x, forget in [(c, x, f) for c in reached for x in letters for f in (False, True)]:
+            del made[:]
+            got = step(a, [(q, h)], x, forget)
+            put = h.forget_name if forget else h.move_name
+            fired = [put(x, t.label.post, a.m) for t in a._outgoing.get(q, ())
+                     if isinstance(t.label, Accept) and t.label.pre == h.placeset_of(x)]
+            assert sorted(map(repr, made)) == sorted(map(repr, fired)), (seed, q, h, x, forget)
+            assert {h2 for _, h2 in got} == set(made)
+            stepped[forget] += len(made)
+        for w in words:
+            del made[:], want[:]
+            run = trace(a, w)
+            _search_by_scan(a._numbered, w)
+            replay = [] if run is None else [move.config[1] for move in run]
+            assert made == want + replay, (seed, w)
+            searched += len(want)
+            replayed += len(replay)
+    assert min(stepped) > 500 and searched > 5000 and replayed > 1000, (stepped, searched, replayed)
+
+
+def test_the_accept_index_is_a_view_of_the_rows():
+    resets = 0
+    for a in _zoo_and_constructions() + [random_hra(seed) for seed in range(20)]:
+        for b, rows_first in ((a, True), (a._numbered, False)):
+            if rows_first:
+                b._rows
+            rows, index = b._rows, b._accept_index
+            # one row per transition, in `_outgoing` order
+            assert list(rows) == list(b._outgoing)
+            for q, ts in b._outgoing.items():
+                assert [row[2] for row in rows[q]] == ts
+                for pre, dst, t, leave, enter, regs, drop in rows[q]:
+                    assert dst == t.dst
+                    if isinstance(t.label, Reset):
+                        assert (pre, leave, enter, drop) == (None, (), (), t.label.targets)
+                        assert sorted(regs) == [i - 1 for i in sorted(t.label.targets)]
+                        resets += 1
+                    else:
+                        assert pre == t.label.pre and drop == tuple(i - 1 for i in sorted(pre))
+            # the letter rows themselves, grouped by `pre` in `_rows` order
+            want: dict = {}
+            for q, rs in rows.items():
+                for row in rs:
+                    if row[0] is not None:
+                        want.setdefault(q, {}).setdefault(row[0], []).append(row)
+            assert list(index) == list(want)
+            for q, by_pre in want.items():
+                assert list(index[q]) == list(by_pre)
+                for pre, rs in by_pre.items():
+                    got = index[q][pre]
+                    assert len(got) == len(rs) and all(r is w for r, w in zip(got, rs))
+    assert resets > 0
+
+
 def test_explore_maps_each_pair_to_the_edge_that_discovered_it(monkeypatch):
     calls = []
 
@@ -1057,7 +1140,7 @@ def test_explore_maps_each_pair_to_the_edge_that_discovered_it(monkeypatch):
         reached, goal = searches[-1]
         want, want_goal = _search_by_scan(a._numbered, (0, 1, 0))
         assert goal == want_goal, seed
-        assert [(p, v if v is None else (v[0], v[1][1])) for p, v in reached.items()] \
+        assert [(p, v if v is None else (v[0], v[1][2])) for p, v in reached.items()] \
             == list(want.items()), seed
         found += run is not None
     assert len(calls) == 40 and len(searches) == 40 and found >= 5, found

@@ -149,6 +149,10 @@ class _ScanEveryTransition:
     def get(self, q, default):
         return [t for t in self.transitions if t.src == q]
 
+    def items(self):
+        # each source once, in the order the transitions are met
+        return [(q, self.get(q, ())) for q in dict.fromkeys(t.src for t in self.transitions)]
+
 
 @pytest.mark.parametrize("subclass", [None, "non_reset", "unary", "restricted", "colouring"])
 def test_bounded_emptiness_agrees_with_the_transition_scan(subclass, monkeypatch):
